@@ -12,7 +12,6 @@ from holospin import cli
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("out/curves"))
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     status = 0
@@ -23,7 +22,7 @@ def main(argv=None) -> int:
         ("init", "duration_ps = 40000\nrecord_stride_ps = 200\n"),
     ]:
         config = cli.parse_config(text, scenario)
-        rc = cli.run(config, args.out / scenario, threads=args.threads)
+        rc = cli.run(config, args.out / scenario)
         print(f"{scenario}: exit {rc} -> {args.out / scenario}")
         status = max(status, rc)
     return status

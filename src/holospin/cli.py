@@ -3,10 +3,12 @@ and a reproducibility manifest.
 
 Scenarios: init, sweep-beta, sweep-gamma, gate, readout, validate.
 
-Config files are flat ``key = value`` lines ('#' starts a comment).  Every
-key has a default drawn from the built-in reference parameter set; unknown
-keys and out-of-range values are rejected with line context.  CSV output
-uses 12 significant digits so doubles round-trip losslessly.
+Config files are flat ``key = value`` lines ('#' starts a comment).  Each
+scenario has its own key table (``SCENARIO_KEYS``) that holds exactly the
+keys that change its output, each with a default drawn from the built-in
+reference parameter set.  Any other key, and any out-of-range value, is
+rejected with line context.  CSV output uses 12 significant digits so
+doubles round-trip losslessly.
 
 Exit codes: 0 success, 1 configuration error, 2 physics-check failure.
 """
@@ -25,12 +27,11 @@ import numpy as np
 
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
-from .model import ModelParams, build_h_y, build_h_z
+from .model import (DELTA_DEFAULT, GAMMA_DEFAULT, GAMMA_EE_DEFAULT, GAMMA_HH_DEFAULT,
+                    ModelParams, build_h_y, build_h_z)
 from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
-
-SCENARIOS = ("init", "sweep-beta", "sweep-gamma", "gate", "readout", "validate")
 
 
 class ConfigError(ValueError):
@@ -46,30 +47,41 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
+
+
 def _parse_ratio_list(text: str) -> tuple:
-    values = tuple(float(part) for part in text.split(","))
+    values = tuple(_finite(part) for part in text.split(","))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep ratios must be strictly increasing")
     if any(v < 0.0 for v in values):
         raise ValueError("sweep ratios must be non-negative")
-    if any(v > 40.0 for v in values):
-        raise ValueError("sweep ratios beyond 40 pulse widths are not representable")
+    if any(v > scenarios.MAX_DELAY_RATIO for v in values):
+        raise ValueError(f"sweep ratios beyond {scenarios.MAX_DELAY_RATIO:g} pulse widths "
+                         "are not representable")
     return values
 
 
-def _positive(x: float) -> float:
+def _positive(text: str) -> float:
+    x = _finite(text)
     if x <= 0.0:
         raise ValueError("value must be positive")
     return x
 
 
-def _non_negative(x: float) -> float:
+def _non_negative(text: str) -> float:
+    x = _finite(text)
     if x < 0.0:
         raise ValueError("value must be non-negative")
     return x
 
 
-def _tolerance(x: float) -> float:
+def _tolerance(text: str) -> float:
+    x = _finite(text)
     if not (0.0 < x <= 1e-2):
         raise ValueError("tolerances must lie in (0, 1e-2]")
     return x
@@ -83,45 +95,79 @@ def _enum(options):
     return convert
 
 
-# key -> (converter, default).  None defaults are resolved per scenario.
-_SCHEMA = {
-    "amp_pump": (lambda s: _non_negative(float(s)), 0.5),
-    "amp_stokes": (lambda s: _non_negative(float(s)), 0.5),
-    "amp_driving": (lambda s: _non_negative(float(s)), 0.5),
-    "tau_ps": (lambda s: _positive(float(s)), 100.0),
-    "tau0_over_tau": (lambda s: _non_negative(float(s)), None),
-    "return_delay_over_tau": (lambda s: _positive(float(s)), 0.7),
-    "delta_rad_per_ps": (lambda s: _positive(float(s)), 1.016e-3),
-    "detuning_rad_per_ps": (float, 0.0),
-    "gamma_per_ps": (lambda s: _non_negative(float(s)), 6.25e-4),
-    "gamma_hh_per_ps": (lambda s: _non_negative(float(s)), 1e-9),
-    "gamma_ee_per_ps": (lambda s: _non_negative(float(s)), 1e-9),
-    "stokes_phase_rad": (float, None),
-    "target_angle_rad": (float, math.pi / 2.0),
-    "variant": (_enum(scenarios.VARIANTS), "y_closed_loop"),
-    "decoherence": (_parse_bool, True),
-    "pump_amp": (lambda s: _non_negative(float(s)), None),
-    "polarization": (_enum(("sigma_minus", "sigma_plus")), "sigma_minus"),
-    "rabi_per_ps": (lambda s: _non_negative(float(s)), None),
-    "duration_ps": (lambda s: _positive(float(s)), None),
-    "record_stride_ps": (lambda s: _non_negative(float(s)), None),
-    "input_state": (_enum(("zero", "one", "mixed")), "one"),
-    "sweep_ratios": (_parse_ratio_list, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)),
-    "rel_tol": (lambda s: _tolerance(float(s)), 1e-9),
-    "abs_tol": (lambda s: _tolerance(float(s)), 1e-12),
-    "quad_tol": (lambda s: _tolerance(float(s)), 1e-10),
-    "sphere_points": (lambda s: int(_positive(float(s))), 400),
-}
+def _variant_default(attr: str):
+    """Default taken from the chosen gate variant's reference run."""
+    return lambda values: getattr(scenarios.default_gate_run(values["variant"]), attr)
 
-# per-scenario defaults for the None entries above
-_SCENARIO_DEFAULTS = {
-    "init": {"duration_ps": 8000.0, "tau0_over_tau": 0.0},
-    "readout": {"duration_ps": 40000.0, "tau0_over_tau": 0.0},
-    "gate": {},
-    "sweep-beta": {"tau0_over_tau": 0.0},
-    "sweep-gamma": {"tau0_over_tau": 0.0},
-    "validate": {"tau0_over_tau": 0.0},
+
+# Key tables: key -> (converter, default).  A callable default is computed
+# from the values resolved before it, in table order.  A scenario's table
+# holds exactly the keys that change its output.
+_MODEL_FIELDS = {"delta_rad_per_ps": "delta", "detuning_rad_per_ps": "detuning",
+                 "gamma_per_ps": "gamma", "gamma_hh_per_ps": "gamma_hh",
+                 "gamma_ee_per_ps": "gamma_ee"}
+_MODEL = {
+    "delta_rad_per_ps": (_positive, DELTA_DEFAULT),
+    "detuning_rad_per_ps": (_finite, 0.0),
+    "gamma_per_ps": (_non_negative, GAMMA_DEFAULT),
+    "gamma_hh_per_ps": (_non_negative, GAMMA_HH_DEFAULT),
+    "gamma_ee_per_ps": (_non_negative, GAMMA_EE_DEFAULT),
 }
+_AMP = (_non_negative, 0.5)
+_TAU = (_positive, 100.0)
+_RABI = (_non_negative, lambda values: values["gamma_per_ps"])
+_REL_TOL = (_tolerance, 1e-9)
+_RATIOS = (_parse_ratio_list, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+
+SCENARIO_KEYS = {
+    "init": {
+        **_MODEL,
+        "polarization": (_enum(("sigma_minus", "sigma_plus")), "sigma_minus"),
+        "rabi_per_ps": _RABI,
+        "duration_ps": (_positive, 8000.0),
+        "record_stride_ps": (_non_negative, lambda values: values["duration_ps"] / 400.0),
+        "rel_tol": _REL_TOL,
+    },
+    "sweep-beta": {
+        "sweep_ratios": _RATIOS,
+    },
+    "sweep-gamma": {
+        "sweep_ratios": _RATIOS,
+        "amp_stokes": _AMP,
+        "delta_rad_per_ps": _MODEL["delta_rad_per_ps"],
+    },
+    "gate": {
+        **_MODEL,
+        "variant": (_enum(scenarios.VARIANTS), "y_closed_loop"),
+        "decoherence": (_parse_bool, True),
+        "amp_stokes": _AMP,
+        # None: the variant's rule (amp_stokes, or the quarter-turn tuning of
+        # x_composite)
+        "amp_pump": (_non_negative, None),
+        "tau_ps": _TAU,
+        "tau0_over_tau": (_non_negative, _variant_default("tau0_over_tau")),
+        "return_delay_over_tau": (_positive, 0.7),
+        "stokes_phase_rad": (_finite, _variant_default("phase")),
+        "target_angle_rad": (_finite, math.pi / 2.0),
+        "sphere_points": (lambda text: int(_positive(text)), 400),
+    },
+    "readout": {
+        **_MODEL,
+        "input_state": (_enum(("zero", "one", "mixed")), "one"),
+        "rabi_per_ps": _RABI,
+        "duration_ps": (_positive, 40000.0),
+        "rel_tol": _REL_TOL,
+    },
+    "validate": {
+        "amp_pump": _AMP,
+        "amp_stokes": _AMP,
+        "amp_driving": _AMP,
+        "tau_ps": _TAU,
+        "delta_rad_per_ps": _MODEL["delta_rad_per_ps"],
+        "detuning_rad_per_ps": _MODEL["detuning_rad_per_ps"],
+    },
+}
+SCENARIOS = tuple(SCENARIO_KEYS)
 
 
 @dataclass
@@ -133,16 +179,16 @@ class RunConfig:
     defaults_used: list = field(default_factory=list)
 
     def model_params(self) -> ModelParams:
-        v = self.values
-        return ModelParams(delta=v["delta_rad_per_ps"], detuning=v["detuning_rad_per_ps"],
-                           gamma=v["gamma_per_ps"], gamma_hh=v["gamma_hh_per_ps"],
-                           gamma_ee=v["gamma_ee_per_ps"])
+        """Model keys the scenario reads; the others keep their reference values."""
+        return ModelParams(**{name: self.values[key] for key, name in _MODEL_FIELDS.items()
+                              if key in self.values})
 
 
 def parse_config(text: str, scenario: str) -> RunConfig:
-    """Parse a flat key=value document and resolve every default."""
-    if scenario not in SCENARIOS:
+    """Parse a flat key=value document against the scenario's key table."""
+    if scenario not in SCENARIO_KEYS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    table = SCENARIO_KEYS[scenario]
     provided: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -153,49 +199,25 @@ def parse_config(text: str, scenario: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in table:
+            raise ConfigError(f"line {lineno}: scenario {scenario!r} does not read key "
+                              f"{key!r}; its keys are {', '.join(sorted(table))}")
         if key in provided:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        converter, _ = _SCHEMA[key]
+        converter, _ = table[key]
         try:
             provided[key] = converter(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
 
     values = {}
-    defaults_used = []
-    for key, (_, default) in _SCHEMA.items():
+    for key, (_, default) in table.items():
         if key in provided:
             values[key] = provided[key]
         else:
-            values[key] = default
-            defaults_used.append(key)
-    for key, value in _SCENARIO_DEFAULTS.get(scenario, {}).items():
-        if values[key] is None:
-            values[key] = value
-
-    # gate-variant defaults for anything still unresolved
-    if values["tau0_over_tau"] is None or values["stokes_phase_rad"] is None:
-        variant_default = scenarios.default_gate_run(values["variant"])
-        if values["tau0_over_tau"] is None:
-            values["tau0_over_tau"] = variant_default.tau0_over_tau
-        if values["stokes_phase_rad"] is None:
-            values["stokes_phase_rad"] = variant_default.phase
-    if values["rabi_per_ps"] is None:
-        values["rabi_per_ps"] = values["gamma_per_ps"]
-    if values["duration_ps"] is None:
-        values["duration_ps"] = 8000.0
-    if values["record_stride_ps"] is None:
-        values["record_stride_ps"] = values["duration_ps"] / 400.0
-
-    try:
-        ModelParams(delta=values["delta_rad_per_ps"], detuning=values["detuning_rad_per_ps"],
-                    gamma=values["gamma_per_ps"], gamma_hh=values["gamma_hh_per_ps"],
-                    gamma_ee=values["gamma_ee_per_ps"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid physical parameters: {exc}") from exc
-    return RunConfig(scenario=scenario, values=values, defaults_used=sorted(defaults_used))
+            values[key] = default(values) if callable(default) else default
+    return RunConfig(scenario=scenario, values=values,
+                     defaults_used=sorted(set(table) - set(provided)))
 
 
 def _fmt(x: float) -> str:
@@ -214,16 +236,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # failures (mapped to exit code 2).
 # ---------------------------------------------------------------------------
 
-def _run_sweep(config: RunConfig, out_dir: Path, threads: int, which: str):
+def _run_sweep(config: RunConfig, out_dir: Path, which: str):
     v = config.values
-    params = config.model_params()
     if which == "beta":
-        table = scenarios.sweep_angle_y(v["sweep_ratios"], amp=v["amp_stokes"],
-                                        tau=v["tau_ps"], params=params, threads=threads)
+        table = scenarios.sweep_angle_y(v["sweep_ratios"])
         name, col = "sweep_beta.csv", "beta"
     else:
         table = scenarios.sweep_phase_z(v["sweep_ratios"], amp=v["amp_stokes"],
-                                        tau=v["tau_ps"], params=params, threads=threads)
+                                        params=config.model_params())
         name, col = "sweep_gamma.csv", "gamma_f"
     path = out_dir / name
     _write_csv(path, f"tau0_over_tau,{col}_rad,{col}_over_pi,quad_err",
@@ -266,7 +286,7 @@ def _run_gate(config: RunConfig, out_dir: Path, seed=None):
         v["variant"],
         model=config.model_params(),
         amp=v["amp_stokes"],
-        pump_amp=v["pump_amp"],
+        pump_amp=v["amp_pump"],
         tau=v["tau_ps"],
         tau0_over_tau=v["tau0_over_tau"],
         return_delay_over_tau=v["return_delay_over_tau"],
@@ -426,7 +446,7 @@ def _run_validate(config: RunConfig, out_dir: Path):
     return ["validate.csv"], checks
 
 
-def run(config: RunConfig, out_dir: Path, threads: int = 1, seed=None) -> int:
+def run(config: RunConfig, out_dir: Path, seed=None) -> int:
     """Execute one scenario; always writes a manifest, even on failure."""
     started = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -436,9 +456,9 @@ def run(config: RunConfig, out_dir: Path, threads: int = 1, seed=None) -> int:
     error = None
     try:
         if config.scenario == "sweep-beta":
-            outputs, checks = _run_sweep(config, out_dir, threads, "beta")
+            outputs, checks = _run_sweep(config, out_dir, "beta")
         elif config.scenario == "sweep-gamma":
-            outputs, checks = _run_sweep(config, out_dir, threads, "gamma")
+            outputs, checks = _run_sweep(config, out_dir, "gamma")
         elif config.scenario == "init":
             outputs, checks = _run_init(config, out_dir)
         elif config.scenario == "gate":
@@ -481,8 +501,6 @@ def main(argv=None) -> int:
                         help="flat key=value configuration file")
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep rows")
     parser.add_argument("--seed", type=int, default=None,
                         help="rotation seed for the sphere quadrature point set")
     args = parser.parse_args(argv)
@@ -493,11 +511,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    if args.threads < 1:
-        print("configuration error: --threads must be at least 1", file=sys.stderr)
-        return 1
 
-    status = run(config, args.out, threads=args.threads, seed=args.seed)
+    status = run(config, args.out, seed=args.seed)
     if status != 0:
         print(f"scenario {args.scenario} finished with failures (exit {status}); "
               f"see {args.out / 'manifest.json'}", file=sys.stderr)

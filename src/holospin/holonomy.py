@@ -32,48 +32,40 @@ QUAD_ERROR_CEILING = 1e-6  # rad; results above this are rejected
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """One quadrature outcome: the angle, its gate, and error bookkeeping."""
+    """One quadrature outcome: the angle and its error bookkeeping."""
 
     angle: float                 # rad, reported magnitude convention
-    predicted_gate: np.ndarray   # 2x2 on (|0>, |1>)
     grid_points: int             # integrand evaluations used
     quad_error: float            # quadrature error estimate, rad
     signed_angle: float          # line-integral value before the sign convention
 
 
-def _run_quad(integrand, window, quad_tol: float, limit: int):
+def _run_quad(integrand, pulses: PulseSet, limit: int):
+    window = pulses.window()
     value, err, info = quad(integrand, window[0], window[1],
-                            epsabs=quad_tol, epsrel=1e-12, limit=limit,
+                            epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=limit,
                             full_output=True)[:3]
     if err > QUAD_ERROR_CEILING:
         raise ValueError(f"holonomy quadrature did not converge (error estimate {err:.2e} rad)")
     return value, err, int(info["neval"])
 
 
-def geometric_angle_y(pulses: PulseSet, params: ModelParams | None = None,
-                      window: tuple[float, float] | None = None,
-                      quad_tol: float = QUAD_ABS_TOL, limit: int = 200) -> HolonomyResult:
+def geometric_angle_y(pulses: PulseSet, limit: int = 200) -> HolonomyResult:
     """Rotation angle of the y protocol: integral of sin(phi) theta'(t) dt.
 
     Depends only on envelope ratios, so it is invariant under a common
-    rescaling of the three amplitudes.  `params` is accepted for interface
-    symmetry; the y angle does not involve the Zeeman splitting.
+    rescaling of the three amplitudes; it does not involve the Zeeman
+    splitting.
     """
-    del params
-    if window is None:
-        window = pulses.window()
-
     def integrand(t):
         return darkspace.sin_phi_y(pulses, t) * darkspace.theta_rate(pulses, t)
 
-    value, err, neval = _run_quad(integrand, window, quad_tol, limit)
-    return HolonomyResult(angle=value, predicted_gate=predicted_ry(value),
-                          grid_points=neval, quad_error=err, signed_angle=value)
+    value, err, neval = _run_quad(integrand, pulses, limit)
+    return HolonomyResult(angle=value, grid_points=neval, quad_error=err, signed_angle=value)
 
 
 def geometric_phase_z(pulses: PulseSet, params: ModelParams,
-                      window: tuple[float, float] | None = None,
-                      quad_tol: float = QUAD_ABS_TOL, limit: int = 200) -> HolonomyResult:
+                      limit: int = 200) -> HolonomyResult:
     """Fractional-STIRAP geometric phase of the z protocol.
 
     The line integral of sin(phi_zeeman) theta'(t) dt is reported as a
@@ -81,15 +73,12 @@ def geometric_phase_z(pulses: PulseSet, params: ModelParams,
     connection value is the negative of it and is kept in signed_angle).
     Invariant under joint rescaling of amplitudes and Zeeman splitting.
     """
-    if window is None:
-        window = pulses.window()
-
     def integrand(t):
         return darkspace.sin_phi_z(pulses, t, params.delta) * darkspace.theta_rate(pulses, t)
 
-    value, err, neval = _run_quad(integrand, window, quad_tol, limit)
-    return HolonomyResult(angle=abs(value), predicted_gate=predicted_rz(pulses.stokes_phase),
-                          grid_points=neval, quad_error=err, signed_angle=-value)
+    value, err, neval = _run_quad(integrand, pulses, limit)
+    return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err,
+                          signed_angle=-value)
 
 
 def path_ordered_exponential(samples) -> np.ndarray:

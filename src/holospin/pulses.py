@@ -20,16 +20,6 @@ import math
 from dataclasses import dataclass
 
 
-def gaussian(t: float, amp: float, center: float, width: float) -> float:
-    """amp * exp(-(t - center)^2 / width^2)."""
-    if width <= 0.0:
-        raise ValueError("gaussian width must be positive")
-    if amp < 0.0:
-        raise ValueError("gaussian amplitude must be non-negative")
-    x = (t - center) / width
-    return amp * math.exp(-x * x)
-
-
 @dataclass(frozen=True)
 class GaussianPulse:
     """Gaussian envelope amp * exp(-(t-center)^2/width^2)."""

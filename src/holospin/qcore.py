@@ -19,7 +19,6 @@ import numpy as np
 
 DIM = 5
 IDX_ZERO, IDX_ONE, IDX_ANC, IDX_E1, IDX_E2 = range(DIM)
-BASIS_LABELS = ("0", "1", "a", "e1", "e2")
 
 _NORM_EPS = 1e-14
 

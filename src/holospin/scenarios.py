@@ -23,7 +23,6 @@ pulses.  This is recorded in every GateReport as frame_phase.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,45 +82,46 @@ class SweepTable:
 MAX_DELAY_RATIO = 40.0
 
 
-def _sweep(one_row, ratios, threads: int) -> tuple[np.ndarray, np.ndarray]:
+# The sweep angles depend on the delay ratio, not on the time scale, so the
+# tables use the reference pulse width.
+_SWEEP_WIDTH = 100.0
+
+
+def _sweep(one_row, ratios) -> SweepTable:
     ratios = np.asarray(list(ratios), dtype=float)
     if ratios.size and float(np.max(ratios)) > MAX_DELAY_RATIO:
         raise ValueError(f"delay ratios beyond {MAX_DELAY_RATIO:.0f} pulse widths are "
                          "outside the representable range of the Gaussian families")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_row, ratios))
-    else:
-        results = [one_row(r) for r in ratios]
-    angles = np.array([r.angle for r in results])
-    errors = np.array([r.quad_error for r in results])
-    return ratios, angles, errors
+    results = [one_row(r) for r in ratios]
+    return SweepTable(ratios, np.array([r.angle for r in results]),
+                      np.array([r.quad_error for r in results]))
 
 
-def sweep_angle_y(ratios, amp: float = 0.5, tau: float = 100.0,
-                  params: ModelParams | None = None, threads: int = 1) -> SweepTable:
-    """Geometric y-rotation angle against the pulse delay ratio."""
+def sweep_angle_y(ratios) -> SweepTable:
+    """Geometric y-rotation angle against the pulse delay ratio.
+
+    The angle depends on the delay ratio alone: it is invariant under a
+    common rescaling of the three amplitudes and of time.
+    """
+    def one_row(ratio):
+        pulses = make_y_pulseset(0.5, 0.5, 0.5, ratio * _SWEEP_WIDTH, _SWEEP_WIDTH)
+        return holonomy.geometric_angle_y(pulses)
+
+    return _sweep(one_row, ratios)
+
+
+def sweep_phase_z(ratios, amp: float = 0.5, params: ModelParams | None = None) -> SweepTable:
+    """Fractional-STIRAP geometric phase against the pulse delay ratio.
+
+    Depends on the delay ratio and on amp / params.delta, not on the time scale.
+    """
     params = params or ModelParams()
 
     def one_row(ratio):
-        pulses = make_y_pulseset(amp, amp, amp, ratio * tau, tau)
-        return holonomy.geometric_angle_y(pulses, params)
-
-    r, a, e = _sweep(one_row, ratios, threads)
-    return SweepTable(r, a, e)
-
-
-def sweep_phase_z(ratios, amp: float = 0.5, tau: float = 100.0,
-                  params: ModelParams | None = None, threads: int = 1) -> SweepTable:
-    """Fractional-STIRAP geometric phase against the pulse delay ratio."""
-    params = params or ModelParams()
-
-    def one_row(ratio):
-        pulses = make_z_pulseset(amp, amp, ratio * tau, tau, 0.0)
+        pulses = make_z_pulseset(amp, amp, ratio * _SWEEP_WIDTH, _SWEEP_WIDTH, 0.0)
         return holonomy.geometric_phase_z(pulses, params)
 
-    r, a, e = _sweep(one_row, ratios, threads)
-    return SweepTable(r, a, e)
+    return _sweep(one_row, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ class GateRun:
 
     model: ModelParams = field(default_factory=ModelParams)
     amp: float = 0.5                   # Stokes/driving peak, rad/ps
-    pump_amp: float | None = None      # forward-pass pump peak; None -> amp
+    pump_amp: float | None = None      # forward-pass pump peak; None -> variant rule
     tau: float = 100.0                 # pulse width, ps
     tau0_over_tau: float = 1.5         # forward-pass delay ratio
     return_delay_over_tau: float = 0.7 # pump-free retraction delay ratio

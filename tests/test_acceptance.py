@@ -8,7 +8,7 @@ stated tolerances anyway (an honest red is preferred over a loosened bound):
   per-channel recombination rate, so its population is bounded below by
   0.5*exp(-gamma*t) ~ 3.4e-3 at 8 ns regardless of drive strength; the
   simulated fidelity at the stated drive is ~0.93.  The target is reached
-  at ~27 ns (see criterion 5b, which verifies the converged value).
+  at ~23.5 ns (see criterion 5b, which verifies the converged value).
 
 * criterion 7z: the fractional-STIRAP phase gate at pulse width 100 ps
   violates its own adiabatic premise (the mixing-angle crossover at the

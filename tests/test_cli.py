@@ -1,15 +1,104 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holospin import cli
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODEL_KEYS = {"delta_rad_per_ps", "detuning_rad_per_ps", "gamma_per_ps", "gamma_hh_per_ps",
+              "gamma_ee_per_ps"}
+# exactly the keys that change each scenario's output
+EXPECTED_KEYS = {
+    "init": MODEL_KEYS | {"polarization", "rabi_per_ps", "duration_ps", "record_stride_ps",
+                          "rel_tol"},
+    "readout": MODEL_KEYS | {"input_state", "rabi_per_ps", "duration_ps", "rel_tol"},
+    "gate": MODEL_KEYS | {"variant", "decoherence", "amp_stokes", "amp_pump", "tau_ps",
+                          "tau0_over_tau", "return_delay_over_tau", "stokes_phase_rad",
+                          "target_angle_rad", "sphere_points"},
+    "sweep-beta": {"sweep_ratios"},
+    "sweep-gamma": {"sweep_ratios", "amp_stokes", "delta_rad_per_ps"},
+    "validate": {"amp_pump", "amp_stokes", "amp_driving", "tau_ps", "delta_rad_per_ps",
+                 "detuning_rad_per_ps"},
+}
+ALL_KEYS = set().union(*EXPECTED_KEYS.values())
+# every key a scenario does not read, plus keys that no scenario reads any more
+REJECTED = [(scenario, key) for scenario, keys in EXPECTED_KEYS.items()
+            for key in sorted(ALL_KEYS - keys) + ["abs_tol", "quad_tol", "pump_amp"]]
+
+
+def _readme_key_table() -> dict:
+    """key -> set of scenarios, from the README's config key table."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | read by | default |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, read_by = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        table[key.strip("`")] = set(read_by.split(", "))
+    return table
+
+
+class TestKeyTables:
+    def test_tables_hold_exactly_the_keys_that_matter(self):
+        assert {s: set(t) for s, t in cli.SCENARIO_KEYS.items()} == EXPECTED_KEYS
+        assert sum(len(keys) for keys in EXPECTED_KEYS.values()) == 44
+
+    @pytest.mark.parametrize("scenario,key", REJECTED)
+    def test_key_not_read_is_rejected(self, scenario, key, tmp_path):
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(f"{key} = 1\n", scenario)
+        assert repr(key) in str(info.value) and repr(scenario) in str(info.value)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        assert cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_table_matches(self):
+        expected = {}
+        for scenario, table in cli.SCENARIO_KEYS.items():
+            for key in table:
+                expected.setdefault(key, set()).add(scenario)
+        assert _readme_key_table() == expected
+
+    def test_manifest_records_only_the_scenario_keys(self, tmp_path):
+        config = cli.parse_config("sweep_ratios = 0,1\n", "sweep-beta")
+        assert cli.run(config, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == {"sweep_ratios": [0.0, 1.0]}
+        assert manifest["defaults_used"] == []
+
+    def test_sweep_gamma_reads_amp_and_delta(self, tmp_path):
+        # the phase depends on amp / delta: halving one equals doubling the other
+        angles = []
+        for text in ("", "amp_stokes = 0.25\n", "delta_rad_per_ps = 2.032e-3\n"):
+            config = cli.parse_config("sweep_ratios = 2\n" + text, "sweep-gamma")
+            assert cli.run(config, tmp_path) == 0
+            row = (tmp_path / "sweep_gamma.csv").read_text().splitlines()[1]
+            angles.append(float(row.split(",")[1]))
+        assert abs(angles[1] - angles[0]) > 1e-4
+        assert angles[2] == pytest.approx(angles[1], abs=1e-9)
+
+    def test_gate_amp_pump_sets_pump_peak(self, tmp_path, monkeypatch):
+        runs = []
+
+        def capture(variant, run, with_decoherence):
+            runs.append(run)
+            raise ValueError("captured")
+        monkeypatch.setattr(cli.scenarios, "simulate_gate", capture)
+        for text in ("amp_pump = 0.3\n", ""):
+            assert cli.run(cli.parse_config(text, "gate"), tmp_path) == 2
+        # unset: the variant rule in scenarios picks the pump peak
+        assert [run.pump_amp for run in runs] == [0.3, None]
+
 
 class TestParseConfig:
     def test_empty_document_resolves_reference_defaults(self):
-        config = cli.parse_config("", "sweep-gamma")
+        config = cli.parse_config("", "gate")
         assert config.values["amp_stokes"] == 0.5
         assert config.values["tau_ps"] == 100.0
         assert config.values["delta_rad_per_ps"] == pytest.approx(1.016e-3)
@@ -23,17 +112,25 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="delta_rad_per_ps"):
             cli.parse_config("delta_rad_per_ps = -1\n", "init")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("scenario,key", [("gate", "tau_ps"), ("init", "detuning_rad_per_ps"),
+                                              ("gate", "sphere_points"),
+                                              ("sweep-beta", "sweep_ratios")])
+    def test_non_finite_value_rejected(self, scenario, key, value):
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.parse_config(f"{key} = {value}\n", scenario)
+
     def test_malformed_line(self):
         with pytest.raises(cli.ConfigError, match="line 2"):
-            cli.parse_config("tau_ps = 50\njust words\n", "init")
+            cli.parse_config("duration_ps = 50\njust words\n", "init")
 
     def test_duplicate_key(self):
         with pytest.raises(cli.ConfigError, match="duplicate"):
-            cli.parse_config("tau_ps = 50\ntau_ps = 60\n", "init")
+            cli.parse_config("duration_ps = 50\nduration_ps = 60\n", "init")
 
     def test_comments_and_blanks_ignored(self):
-        config = cli.parse_config("# comment\n\ntau_ps = 42 # inline\n", "init")
-        assert config.values["tau_ps"] == 42.0
+        config = cli.parse_config("# comment\n\nduration_ps = 42 # inline\n", "init")
+        assert config.values["duration_ps"] == 42.0
 
     def test_unknown_scenario(self):
         with pytest.raises(cli.ConfigError):
@@ -115,12 +212,15 @@ class TestRun:
         assert all(",pass," in row for row in rows)
 
     def test_manifest_written_on_failure(self, tmp_path):
-        # an unsatisfiable tolerance drives the quadrature into rejection
+        # a delay ratio far outside the family's range, injected past the
+        # parser's own range check, makes the sweep itself raise
         config = cli.parse_config("", "sweep-gamma")
-        config.values["sweep_ratios"] = (0.0, 1e6)  # far outside the family's range
+        config.values["sweep_ratios"] = (0.0, 1e6)
         status = cli.run(config, tmp_path)
+        assert status == 2
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_status"] == status
+        assert "representable range" in manifest["error"]
 
 
 class TestMain:
@@ -133,13 +233,10 @@ class TestMain:
         assert cli.main(["init", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path)]) == 1
 
-    def test_bad_threads(self, tmp_path):
-        assert cli.main(["validate", "--threads", "0", "--out", str(tmp_path)]) == 1
-
     def test_sweep_runs_end_to_end(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("sweep_ratios = 0,3\n")
         status = cli.main(["sweep-beta", "--config", str(cfg),
-                           "--out", str(tmp_path / "out"), "--threads", "2"])
+                           "--out", str(tmp_path / "out")])
         assert status == 0
         assert (tmp_path / "out" / "sweep_beta.csv").exists()

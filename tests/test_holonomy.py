@@ -119,6 +119,23 @@ class TestGeometricPhaseZ:
             assert abs(scaled - base) < 1e-9
 
 
+@pytest.mark.parametrize("ratio", [1.5, 6.5])
+def test_angles_invariant_under_time_rescaling(ratio, params):
+    # the sweeps rely on this: at a fixed delay ratio, the pulse width drops out
+    def angles(tau):
+        y = holonomy.geometric_angle_y(
+            pulses.make_y_pulseset(0.5, 0.5, 0.5, ratio * tau, tau)).angle
+        z = holonomy.geometric_phase_z(
+            pulses.make_z_pulseset(0.5, 0.5, ratio * tau, tau, 0.0), params).angle
+        return y, z
+
+    base_y, base_z = angles(100.0)
+    for tau in (60.0, 1000.0):
+        y, z = angles(tau)
+        assert abs(y - base_y) < 1e-12
+        assert abs(z - base_z) < 1e-12
+
+
 class TestPathOrderedExponential:
     def test_single_segment(self):
         a = np.array([[0.0, -0.3], [0.3, 0.0]])

@@ -9,23 +9,23 @@ from holospin import pulses
 
 class TestGaussian:
     def test_peak(self):
-        assert pulses.gaussian(0.0, 0.5, 0.0, 100.0) == pytest.approx(0.5)
+        assert pulses.GaussianPulse(0.5, 0.0, 100.0)(0.0) == pytest.approx(0.5)
 
     def test_one_width_from_peak(self):
-        assert pulses.gaussian(100.0, 0.5, 0.0, 100.0) == pytest.approx(0.5 / math.e)
+        assert pulses.GaussianPulse(0.5, 0.0, 100.0)(100.0) == pytest.approx(0.5 / math.e)
 
     def test_shifted_peak(self):
-        assert pulses.gaussian(-150.0, 0.5, -150.0, 100.0) == pytest.approx(0.5)
+        assert pulses.GaussianPulse(0.5, -150.0, 100.0)(-150.0) == pytest.approx(0.5)
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            pulses.gaussian(0.0, 0.5, 0.0, 0.0)
+            pulses.GaussianPulse(0.5, 0.0, 0.0)
 
     @settings(deadline=None)
     @given(st.floats(-1e4, 1e4), st.floats(0, 10), st.floats(-1e3, 1e3),
            st.floats(1e-2, 1e3))
     def test_non_negative(self, t, amp, center, width):
-        assert pulses.gaussian(t, amp, center, width) >= 0.0
+        assert pulses.GaussianPulse(amp, center, width)(t) >= 0.0
 
     def test_tail_below_threshold(self):
         # value at 8 widths from the peak is < 1e-27 of the amplitude
