@@ -6,9 +6,10 @@ Scenarios: init, sweep-beta, sweep-gamma, gate, readout, validate.
 Config files are flat ``key = value`` lines ('#' starts a comment).  Each
 scenario has its own key table (``SCENARIO_KEYS``) that holds exactly the
 keys that change its output, each with a default drawn from the built-in
-reference parameter set.  Any other key, and any out-of-range value, is
-rejected with line context.  CSV output uses 12 significant digits so
-doubles round-trip losslessly.
+reference parameter set; a gate variant drops the gate keys it never
+reads.  Any other key, and any out-of-range value, is rejected with line
+context.  CSV output uses 12 significant digits so doubles round-trip
+losslessly.
 
 Exit codes: 0 success, 1 configuration error, 2 physics-check failure.
 """
@@ -168,6 +169,18 @@ SCENARIO_KEYS = {
     },
 }
 SCENARIOS = tuple(SCENARIO_KEYS)
+# Gate keys that a variant never reads: setting one is a configuration error.
+_VARIANT_IGNORES = {
+    "y_single_pass": ("return_delay_over_tau", "stokes_phase_rad"),
+    "y_closed_loop": ("stokes_phase_rad",),
+    "z_fractional": ("amp_pump", "return_delay_over_tau", "target_angle_rad"),
+    "x_composite": ("target_angle_rad",),
+}
+# gate key -> GateRun field
+_GATE_FIELDS = {"amp_stokes": "amp", "amp_pump": "pump_amp", "tau_ps": "tau",
+                "tau0_over_tau": "tau0_over_tau",
+                "return_delay_over_tau": "return_delay_over_tau",
+                "stokes_phase_rad": "phase", "target_angle_rad": "target_angle"}
 
 
 @dataclass
@@ -190,6 +203,7 @@ def parse_config(text: str, scenario: str) -> RunConfig:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
     table = SCENARIO_KEYS[scenario]
     provided: dict = {}
+    line_of: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -209,6 +223,7 @@ def parse_config(text: str, scenario: str) -> RunConfig:
             provided[key] = converter(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
+        line_of[key] = lineno
 
     values = {}
     for key, (_, default) in table.items():
@@ -216,8 +231,14 @@ def parse_config(text: str, scenario: str) -> RunConfig:
             values[key] = provided[key]
         else:
             values[key] = default(values) if callable(default) else default
+    if scenario == "gate":
+        for key in _VARIANT_IGNORES[values["variant"]]:
+            if key in provided:
+                raise ConfigError(f"line {line_of[key]}: gate variant {values['variant']!r} "
+                                  f"does not read key {key!r}")
+            del values[key]
     return RunConfig(scenario=scenario, values=values,
-                     defaults_used=sorted(set(table) - set(provided)))
+                     defaults_used=sorted(set(values) - set(provided)))
 
 
 def _fmt(x: float) -> str:
@@ -283,16 +304,8 @@ def _run_init(config: RunConfig, out_dir: Path):
 def _run_gate(config: RunConfig, out_dir: Path, seed=None):
     v = config.values
     run = scenarios.default_gate_run(
-        v["variant"],
-        model=config.model_params(),
-        amp=v["amp_stokes"],
-        pump_amp=v["amp_pump"],
-        tau=v["tau_ps"],
-        tau0_over_tau=v["tau0_over_tau"],
-        return_delay_over_tau=v["return_delay_over_tau"],
-        phase=v["stokes_phase_rad"],
-        target_angle=v["target_angle_rad"],
-    )
+        v["variant"], model=config.model_params(),
+        **{name: v[key] for key, name in _GATE_FIELDS.items() if key in v})
     process, report = scenarios.simulate_gate(v["variant"], run,
                                               with_decoherence=v["decoherence"])
     if seed is not None:

@@ -50,10 +50,11 @@ class PropagationSpec:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a propagation: times plus states or density matrices."""
+    """Snapshots of a propagation: times plus states (n, 5), or (n, 5, k) for
+    k stacked columns, or densities (n, 5, 5), or (n, k, 5, 5) for a stack."""
 
     times: np.ndarray
-    states: np.ndarray          # (n, 5) for pure states, (n, 5, 5) for densities
+    states: np.ndarray
     kind: str                   # "state" | "density"
     meta: dict = field(default_factory=dict)
 
@@ -61,35 +62,38 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_solver(sol, what: str):
+def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, kind: str) -> Trajectory:
+    """One adaptive DOP853 solve for y0 of any shape (rhs maps flat to flat); the
+    error norm is an RMS over all of y0, so one step size serves the whole stack."""
+    sol = solve_ivp(rhs, (spec.t_start, spec.t_end), y0.ravel(), method="DOP853",
+                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=spec.max_step,
+                    t_eval=spec.sample_times(), dense_output=False)
     if sol.status == -1 or not sol.success:
         t_fail = sol.t[-1] if sol.t.size else float("nan")
-        raise ValueError(f"stiffness/tolerance failure in {what} near t = {t_fail:.6g} ps")
+        raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
+                         f"t = {t_fail:.6g} ps")
+    # DOP853 uses 12 stages per accepted/rejected step
+    return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape), kind=kind,
+                      meta={"n_rhs_evals": int(sol.nfev), "n_steps": int(sol.nfev // 12) + 1})
 
 
 def schrodinger_propagate(h_of_t, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
-    """Integrate d psi/dt = -i H(t) psi (hbar = 1 units).
+    """Integrate d psi/dt = -i H(t) psi (hbar = 1 units) for one state (5,) or
+    for k states stacked as columns (5, k), all in one solve.
 
-    Snapshots are stored raw; norm drift is recorded in meta and bounded in
-    terms of the accepted step count, never silently renormalized.
+    Snapshots are stored raw; the worst norm drift is recorded in meta and
+    bounded in terms of the accepted step count, never silently renormalized.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
 
     def rhs(t, y):
-        return -1j * (h_of_t(t) @ y)
+        return -1j * h_of_t(t).dot(y.reshape(psi0.shape)).ravel()
 
-    sol = solve_ivp(rhs, (spec.t_start, spec.t_end), psi0, method="DOP853",
-                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=spec.max_step,
-                    t_eval=spec.sample_times(), dense_output=False)
-    _check_solver(sol, "schrodinger_propagate")
-    states = sol.y.T.copy()
-    n_steps = int(sol.nfev // 12) + 1  # DOP853 uses 12 stages per accepted/rejected step
-    drift = abs(np.linalg.norm(states[-1]) - 1.0)
-    return Trajectory(times=sol.t.copy(), states=states, kind="state",
-                      meta={"n_rhs_evals": int(sol.nfev), "n_steps": n_steps,
-                            "norm_drift": float(drift)})
+    traj = _solve(rhs, psi0, spec, "state")
+    traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=0) - 1.0)))
+    return traj
 
 
 def _dissipator_matrix(channels: list[LindbladChannel]) -> np.ndarray:
@@ -108,40 +112,35 @@ def _dissipator_matrix(channels: list[LindbladChannel]) -> np.ndarray:
 def lindblad_propagate(h_of_t, channels: list[LindbladChannel], rho0: np.ndarray,
                        spec: PropagationSpec) -> Trajectory:
     """Integrate the Markovian master equation
-    d rho/dt = -i[H, rho] + sum_k (L rho L+ - {L+L, rho}/2).
+    d rho/dt = -i[H, rho] + sum_k (L rho L+ - {L+L, rho}/2)
+    for one density (5, 5) or k stacked along a leading axis (k, 5, 5).
 
-    Snapshots are re-symmetrized (the deviation is logged in meta); the
+    Snapshots are re-symmetrized (the worst deviation is logged in meta); the
     trace is monitored and an eigenvalue below -1e-8 raises.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    dmat = _dissipator_matrix(channels)
+    dmat_t = _dissipator_matrix(channels).T
+    vec_shape = rho0.shape[:-2] + (DIM * DIM,)
 
     def rhs(t, y):
-        rho = y.reshape(DIM, DIM)
+        rho = y.reshape(rho0.shape)
         h = h_of_t(t)
         out = -1j * (h @ rho - rho @ h)
-        out += (dmat @ y).reshape(DIM, DIM)
+        out += y.reshape(vec_shape).dot(dmat_t).reshape(rho0.shape)
         return out.ravel()
 
-    sol = solve_ivp(rhs, (spec.t_start, spec.t_end), rho0.ravel(), method="DOP853",
-                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=spec.max_step,
-                    t_eval=spec.sample_times(), dense_output=False)
-    _check_solver(sol, "lindblad_propagate")
-
-    raw = sol.y.T.reshape(-1, DIM, DIM)
-    herm_dev = float(np.max(np.abs(raw - raw.conj().transpose(0, 2, 1))))
-    states = 0.5 * (raw + raw.conj().transpose(0, 2, 1))
-    traces = np.einsum("tii->t", states).real
-    trace_drift = float(np.max(np.abs(traces - traces[0])))
-    min_eig = float(min(np.min(np.linalg.eigvalsh(s)) for s in states))
+    traj = _solve(rhs, rho0, spec, "density")
+    raw = traj.states
+    raw_dag = raw.conj().swapaxes(-1, -2)
+    traj.states = 0.5 * (raw + raw_dag)
+    traces = np.einsum("...ii->...", traj.states).real
+    min_eig = float(np.min(np.linalg.eigvalsh(traj.states)))
     if min_eig < -1e-8:
         raise ValueError(f"positivity violation: min eigenvalue {min_eig:.3e}")
-    return Trajectory(times=sol.t.copy(), states=states, kind="density",
-                      meta={"n_rhs_evals": int(sol.nfev),
-                            "n_steps": int(sol.nfev // 12) + 1,
-                            "hermiticity_deviation": herm_dev,
-                            "trace_drift": trace_drift,
-                            "min_eigenvalue": min_eig})
+    traj.meta.update(hermiticity_deviation=float(np.max(np.abs(raw - raw_dag))),
+                     trace_drift=float(np.max(np.abs(traces - traces[0]))),
+                     min_eigenvalue=min_eig)
+    return traj
 
 
 def oracle_propagate(h_of_t, psi0: np.ndarray, dt: float,

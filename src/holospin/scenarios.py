@@ -44,6 +44,10 @@ _QUBIT_INPUTS = {
     "+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
     "+i": np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
 }
+# the four inputs in the five-level space: states as columns, densities
+# along a leading axis (the stack layouts of the integrators)
+_INPUT_STACK = np.stack([embed_qubit(q[0], q[1]) for q in _QUBIT_INPUTS.values()], axis=1)
+_INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK.T])
 
 _SIX_AXIAL = (
     np.array([1.0, 0.0], dtype=complex),
@@ -177,8 +181,6 @@ class GateRun:
     return_delay_over_tau: float = 0.7 # pump-free retraction delay ratio
     phase: float = 0.0                 # Stokes relative phase (z / composite)
     target_angle: float = math.pi / 2  # nominal rotation angle of the target
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
 
 
 def default_gate_run(variant: str, **overrides) -> GateRun:
@@ -265,12 +267,12 @@ def _hamiltonian_for(pulses: PulseSet, config: str, params: ModelParams):
 
 
 def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
-    """Carry a state (vector or density) through the segment list."""
+    """Carry a state or a stack of states (vectors or densities) through the
+    segment list, one solve per segment."""
     channels = lindblad_channels(run.model)
     for pulses, config, window in segments:
         h_of_t = _hamiltonian_for(pulses, config, run.model)
-        spec = PropagationSpec(window[0], window[1], rel_tol=run.rel_tol,
-                               abs_tol=run.abs_tol, max_step=run.tau / 50.0)
+        spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
         if with_decoherence:
             state = lindblad_propagate(h_of_t, channels, state, spec).final()
         else:
@@ -316,21 +318,14 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         target = holonomy.compose_rx(run.phase)
 
     frame = np.diag([1.0, np.exp(1j * frame_phase), 1.0, 1.0, 1.0]).astype(complex)
-    process: dict[str, np.ndarray] = {}
-    leakages: dict[str, float] = {}
-    for label, qubit in _QUBIT_INPUTS.items():
-        psi0 = embed_qubit(qubit[0], qubit[1])
-        if with_decoherence:
-            final = _propagate_segments(density_from_state(psi0), segments, run, True)
-        else:
-            psi = _propagate_segments(psi0, segments, run, False)
-            final = density_from_state(psi)
-        final = frame @ final @ frame.conj().T
-        block, leak = project_qubit(final)
-        process[label] = block
-        leakages[label] = leak
-
-    leakage_final = max(leakages.values())
+    if with_decoherence:
+        finals = _propagate_segments(_INPUT_DENSITIES, segments, run, True)
+    else:
+        finals = [density_from_state(psi)
+                  for psi in _propagate_segments(_INPUT_STACK, segments, run, False).T]
+    blocks = [project_qubit(frame @ final @ frame.conj().T) for final in finals]
+    process = {label: block for label, (block, _) in zip(_QUBIT_INPUTS, blocks)}
+    leakage_final = max(leak for _, leak in blocks)
     fidelity = gate_fidelity(process, target)
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
@@ -404,12 +399,9 @@ def holonomy_propagation_deficit(variant: str, run: GateRun | None = None) -> fl
     run = run or default_gate_run(variant)
     segments, frame_phase = _segments(variant, run)
     frame = np.diag([1.0, np.exp(1j * frame_phase), 1.0, 1.0, 1.0]).astype(complex)
-    predicted = predicted_final_states(variant, run)
+    psis = frame @ _propagate_segments(_INPUT_STACK, segments, run, False)
     worst = 0.0
-    for label, q in _QUBIT_INPUTS.items():
-        psi = _propagate_segments(embed_qubit(q[0], q[1]), segments, run, False)
-        psi = frame @ psi
-        pred = predicted[label]
+    for pred, psi in zip(predicted_final_states(variant, run).values(), psis.T):
         norm2 = float(np.vdot(pred, pred).real)
         overlap = float(abs(np.vdot(pred, psi)) ** 2) / max(norm2, 1e-300)
         worst = max(worst, 1.0 - overlap)

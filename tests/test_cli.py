@@ -96,6 +96,38 @@ class TestKeyTables:
         assert [run.pump_amp for run in runs] == [0.3, None]
 
 
+# gate keys that a variant never reads (changing one moves no output)
+VARIANT_IGNORED = [
+    ("y_single_pass", "return_delay_over_tau"), ("y_single_pass", "stokes_phase_rad"),
+    ("y_closed_loop", "stokes_phase_rad"),
+    ("z_fractional", "amp_pump"), ("z_fractional", "return_delay_over_tau"),
+    ("z_fractional", "target_angle_rad"),
+    ("x_composite", "target_angle_rad"),
+]
+
+
+class TestVariantKeys:
+    @pytest.mark.parametrize("variant,key", VARIANT_IGNORED)
+    def test_key_the_variant_ignores_is_rejected(self, variant, key, tmp_path):
+        text = f"variant = {variant}\n{key} = 0.3\n"
+        with pytest.raises(cli.ConfigError) as info:
+            cli.parse_config(text, "gate")
+        assert repr(key) in str(info.value) and repr(variant) in str(info.value)
+        assert "line 2" in str(info.value)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant", ["y_single_pass", "y_closed_loop", "z_fractional",
+                                         "x_composite"])
+    def test_values_hold_only_the_keys_the_variant_reads(self, variant):
+        config = cli.parse_config(f"variant = {variant}\n", "gate")
+        ignored = {key for v, key in VARIANT_IGNORED if v == variant}
+        assert set(config.values) == EXPECTED_KEYS["gate"] - ignored
+        assert set(config.defaults_used) == set(config.values) - {"variant"}
+
+
 class TestParseConfig:
     def test_empty_document_resolves_reference_defaults(self):
         config = cli.parse_config("", "gate")

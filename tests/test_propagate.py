@@ -148,6 +148,94 @@ class TestLindblad:
                                          PropagationSpec(0.0, 1.0))
 
 
+def _leaky_h(t):
+    # non-Hermitian on purpose: |e2> decays and |1> feeds |0> one way only,
+    # so the norm of |e2> and the Hermiticity of |1><1| drift
+    h = np.zeros((DIM, DIM), dtype=complex)
+    h[4, 4] = -2e-3j
+    h[0, 1] = 1e-6
+    return h
+
+
+def _rabi_h(t):
+    h = np.zeros((DIM, DIM), dtype=complex)
+    h[0, 0], h[3, 3] = 0.37, -0.2
+    h[0, 3], h[3, 0] = 0.6 + 0.1j, 0.6 - 0.1j
+    return h
+
+
+# the four qubit inputs of a gate's channel reconstruction
+_QUBIT_INPUTS = [basis_state(0), basis_state(1),
+                 (basis_state(0) + basis_state(1)) / math.sqrt(2),
+                 (basis_state(0) + 1j * basis_state(1)) / math.sqrt(2)]
+
+
+class TestStacks:
+    def test_schrodinger_stack_matches_single_solves(self, params):
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        h_of_t = lambda t: model.build_h_y(t, ps, params)
+        spec = PropagationSpec(-950.0, 950.0, max_step=2.0, record_stride=100.0)
+        stack = propagate.schrodinger_propagate(h_of_t, np.stack(_QUBIT_INPUTS, axis=1), spec)
+        assert stack.states.shape == (len(stack.times), DIM, 4)
+        for k, psi in enumerate(_QUBIT_INPUTS):
+            single = propagate.schrodinger_propagate(h_of_t, psi, spec)
+            np.testing.assert_array_equal(single.times, stack.times)
+            assert np.max(np.abs(stack.states[:, :, k] - single.states)) < 1e-9
+
+    def test_lindblad_stack_matches_single_solves(self, params):
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        h_of_t = lambda t: model.build_h_y(t, ps, params)
+        chans = lindblad_channels(params)
+        assert len(chans) == 8
+        spec = PropagationSpec(-950.0, 950.0, max_step=2.0, record_stride=100.0)
+        inputs = [density_from_state(psi) for psi in _QUBIT_INPUTS]
+        stack = propagate.lindblad_propagate(h_of_t, chans, np.stack(inputs), spec)
+        assert stack.states.shape == (len(stack.times), 4, DIM, DIM)
+        for k, rho in enumerate(inputs):
+            single = propagate.lindblad_propagate(h_of_t, chans, rho, spec)
+            assert np.max(np.abs(stack.states[:, k] - single.states)) < 1e-9
+
+    def test_unnormalized_member_rejected(self):
+        stack = np.stack([basis_state(0), 0.5 * basis_state(1), basis_state(2)], axis=1)
+        with pytest.raises(ValueError, match="normalized"):
+            propagate.schrodinger_propagate(_zero_h, stack, PropagationSpec(0.0, 1.0))
+
+    def test_meta_covers_every_member(self):
+        # one drifting member between two copies of |a>, which none of the
+        # generators below moves: only a reduction over the stack sees it
+        spec = PropagationSpec(0.0, 100.0)
+        quiet = basis_state(2)
+        leaky = propagate.schrodinger_propagate(_leaky_h, basis_state(4), spec).meta
+        stack = propagate.schrodinger_propagate(
+            _leaky_h, np.stack([quiet, basis_state(4), quiet], axis=1), spec).meta
+        assert leaky["norm_drift"] > 0.1
+        assert stack["norm_drift"] == pytest.approx(leaky["norm_drift"], rel=1e-9)
+
+        def lindblad_meta(h_of_t, loud, channels):
+            rho_q = density_from_state(quiet)
+            members = [propagate.lindblad_propagate(h_of_t, channels, rho, spec).meta
+                       for rho in (rho_q, loud)]
+            stack = propagate.lindblad_propagate(h_of_t, channels,
+                                                 np.stack([rho_q, loud, rho_q]), spec).meta
+            return members, stack
+
+        (q, single), stack = lindblad_meta(_leaky_h, density_from_state(basis_state(1)), [])
+        assert q["hermiticity_deviation"] == 0.0 and single["hermiticity_deviation"] > 1e-5
+        assert stack["hermiticity_deviation"] == pytest.approx(
+            single["hermiticity_deviation"], rel=1e-9)
+
+        # the generator preserves the trace exactly, so the drift is rounding
+        decay = [model.LindbladChannel(0.05, 3, 0)]
+        (q, single), stack = lindblad_meta(_rabi_h, density_from_state(basis_state(0)), decay)
+        assert q["trace_drift"] == 0.0 and single["trace_drift"] > 0.0
+        assert 0.0 < stack["trace_drift"] < 1e-12
+
+        (q, single), stack = lindblad_meta(_zero_h, np.diag([1.0 + 1e-9, -1e-9, 0, 0, 0]), [])
+        assert q["min_eigenvalue"] == 0.0
+        assert single["min_eigenvalue"] == pytest.approx(-1e-9, rel=1e-6)
+        assert stack["min_eigenvalue"] == single["min_eigenvalue"]
+
+
 class TestOracle:
     def test_identity_action(self):
         psi = propagate.oracle_propagate(_zero_h, basis_state(2), 0.5, 0.0, 50.0)

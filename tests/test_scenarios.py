@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holospin import holonomy, scenarios
+from holospin.propagate import Trajectory
 from holospin.qcore import DIM, IDX_ONE, IDX_ZERO
 
 
@@ -139,6 +140,26 @@ class TestGateSimulation:
                 worst = max(worst, 1.0 - inside)
             psi = traj.final()
         assert worst < 1e-3
+
+    @pytest.mark.parametrize("with_decoherence", [True, False])
+    @pytest.mark.parametrize("variant,solves", [("y_closed_loop", 2), ("z_fractional", 2),
+                                                ("x_composite", 4)])
+    def test_one_solve_per_segment(self, variant, solves, with_decoherence, monkeypatch):
+        # the four qubit inputs share each segment's solve; the counting
+        # stand-ins return the input unchanged
+        calls = []
+
+        def counting(name):
+            def solve(h_of_t, *args):
+                state, spec = args[-2], args[-1]
+                calls.append(name)
+                return Trajectory(times=np.array([spec.t_start, spec.t_end]),
+                                  states=np.stack([state, state]), kind=name)
+            return solve
+        monkeypatch.setattr(scenarios, "lindblad_propagate", counting("density"))
+        monkeypatch.setattr(scenarios, "schrodinger_propagate", counting("state"))
+        scenarios.simulate_gate(variant, with_decoherence=with_decoherence)
+        assert len(calls) == solves
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
