@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -329,10 +329,9 @@ def _run_gate(config: RunConfig, out_dir: Path, seed=None):
         {"name": "quadrature_angle", "passed": True,
          "detail": f"geometric angle {report.angle_quadrature:.6f} rad; "
                    f"frame phase {report.frame_phase:.6f} rad"},
+        {"name": "final_state_prediction_overlap", "passed": True,
+         "detail": f"overlap {report.prediction_overlap:.6f}"},
     ]
-    if report.prediction_overlap is not None:
-        checks.append({"name": "final_state_prediction_overlap", "passed": True,
-                       "detail": f"overlap {report.prediction_overlap:.6f}"})
     for warning in report.warnings:
         checks.append({"name": "warning", "passed": True, "detail": warning})
     return ["gate_process.csv"], checks
@@ -380,8 +379,8 @@ def _run_validate(config: RunConfig, out_dir: Path):
         t = rng.uniform(*y_set.window())
         h = build_h_y(t, y_set, params)
         pair = darkspace.dark_states_y(darkspace.theta_track(y_set, t),
-                                       math.atan2(y_set.pump(t),
-                                                  math.hypot(y_set.stokes(t), y_set.driving(t))))
+                                       darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t),
+                                                              y_set.driving(t), limit=0.0))
         res = darkspace.darkness_residual(h, pair)
         worst = max(worst, max(res) / (1.0 + float(np.max(np.abs(h)))))
         t = rng.uniform(-(6.5 + 8.0) * v["tau_ps"], 8.0 * v["tau_ps"])
@@ -434,9 +433,7 @@ def _run_validate(config: RunConfig, out_dir: Path):
         k = float(rng.uniform(0.2, 5.0))
         scaled = make_z_pulseset(k * v["amp_stokes"], k * v["amp_driving"],
                                  6.5 * v["tau_ps"], v["tau_ps"], 0.7)
-        scaled_params = ModelParams(delta=k * params.delta, detuning=params.detuning,
-                                    gamma=params.gamma, gamma_hh=params.gamma_hh,
-                                    gamma_ee=params.gamma_ee)
+        scaled_params = replace(params, delta=k * params.delta)
         worst = max(worst, abs(holonomy.geometric_phase_z(scaled, scaled_params).angle - base_z))
     record("scale_invariance_z", worst < 1e-9, f"worst angle shift {worst:.3e} rad")
 

@@ -55,7 +55,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    kind: str                   # "state" | "density"
     meta: dict = field(default_factory=dict)
 
     def final(self) -> np.ndarray:
@@ -73,7 +72,7 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, kind: str) -> Trajectory:
         raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
                          f"t = {t_fail:.6g} ps")
     # DOP853 uses 12 stages per accepted/rejected step
-    return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape), kind=kind,
+    return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape),
                       meta={"n_rhs_evals": int(sol.nfev), "n_steps": int(sol.nfev // 12) + 1})
 
 

@@ -209,8 +209,10 @@ class GateReport:
     angle_quadrature: float
     with_decoherence: bool
     parameters: dict
+    # worst overlap <p|rho|p> over the four inputs between the holonomy-predicted
+    # five-level state p and the frame-corrected output rho
+    prediction_overlap: float
     warnings: list = field(default_factory=list)
-    prediction_overlap: float | None = None  # z variant: propagation vs prediction
 
 
 def _quarter_turn_pump_amp(run: GateRun) -> float:
@@ -323,7 +325,8 @@ def simulate_gate(variant: str, run: GateRun | None = None,
     else:
         finals = [density_from_state(psi)
                   for psi in _propagate_segments(_INPUT_STACK, segments, run, False).T]
-    blocks = [project_qubit(frame @ final @ frame.conj().T) for final in finals]
+    outputs = [frame @ final @ frame.conj().T for final in finals]
+    blocks = [project_qubit(rho) for rho in outputs]
     process = {label: block for label, (block, _) in zip(_QUBIT_INPUTS, blocks)}
     leakage_final = max(leak for _, leak in blocks)
     fidelity = gate_fidelity(process, target)
@@ -331,6 +334,8 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
     dark_map = _dark_subspace_map(variant, run, angle_quad)
     fid_dark = _state_average_fidelity(dark_map, target)
+    predicted = _predicted_final_states(variant, angle_quad, dark_map, frame_phase)
+    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
 
     report = GateReport(
         variant=variant,
@@ -341,71 +346,39 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         frame_phase=frame_phase,
         angle_quadrature=angle_quad,
         with_decoherence=with_decoherence,
-        parameters={
-            "amp": run.amp, "pump_amp": run.pump_amp, "tau": run.tau,
-            "tau0_over_tau": run.tau0_over_tau,
-            "return_delay_over_tau": run.return_delay_over_tau,
-            "phase": run.phase, "target_angle": run.target_angle,
-            "delta": run.model.delta, "detuning": run.model.detuning,
-            "gamma": run.model.gamma, "gamma_hh": run.model.gamma_hh,
-            "gamma_ee": run.model.gamma_ee,
-        },
+        parameters={**{k: v for k, v in vars(run).items() if k != "model"},
+                    **vars(run.model)},
+        prediction_overlap=overlap,
     )
     if leakage_final > 0.05:
         report.warnings.append(
             f"final leakage {leakage_final:.3f} exceeds 0.05: protocol failed adiabaticity")
-
-    if variant == "z_fractional":
-        psi = _propagate_segments(embed_qubit(0.0, 1.0), segments, run, False)
-        prediction = holonomy.predicted_final_state_z(angle_quad, run.phase)
-        report.prediction_overlap = float(abs(np.vdot(prediction, psi)) ** 2)
     return process, report
 
 
-def predicted_final_states(variant: str, run: GateRun) -> dict[str, np.ndarray]:
-    """Holonomy-predicted five-level output per qubit basis input.
+def _predicted_final_states(variant: str, angle: float, dark_map: np.ndarray,
+                            frame_phase: float) -> list[np.ndarray]:
+    """Holonomy-predicted five-level output per qubit input, each of unit norm.
 
     Logical-frame states (the z/composite frame rotation already applied),
     directly comparable with frame-corrected propagation output.
     """
-    segments, frame_phase = _segments(variant, run)
-    angle = _quadrature_angle(variant, run, segments)
-    out: dict[str, np.ndarray] = {}
-    if variant == "y_single_pass":
-        for label, q in _QUBIT_INPUTS.items():
-            c1 = math.cos(angle) * q[1] + math.sin(angle) * q[0]
-            c2 = -math.sin(angle) * q[1] + math.cos(angle) * q[0]
-            psi = np.zeros(DIM, dtype=complex)
-            psi[IDX_ANC] = -c1      # dark basis ends at (-|a>, |0>)
-            psi[IDX_ZERO] = c2
-            out[label] = psi
-        return out
-    dark_map = _dark_subspace_map(variant, run, angle)
-    for label, q in _QUBIT_INPUTS.items():
-        mapped = dark_map @ q
+    out = []
+    for q in _QUBIT_INPUTS.values():
         psi = np.zeros(DIM, dtype=complex)
-        psi[IDX_ZERO], psi[IDX_ONE] = mapped[0], mapped[1]
+        if variant == "y_single_pass":
+            # the dark basis ends at (-|a>, |0>)
+            psi[IDX_ANC] = -(math.cos(angle) * q[1] + math.sin(angle) * q[0])
+            psi[IDX_ZERO] = -math.sin(angle) * q[1] + math.cos(angle) * q[0]
+        else:
+            psi[IDX_ZERO], psi[IDX_ONE] = dark_map @ q
         if variant == "z_fractional":
             # residual ancilla amplitude; the frame rotation touches |1> only,
             # so the raw ancilla phase e^{-i phase} stays
             psi[IDX_ANC] = (q[1] * np.exp(-1j * frame_phase)
                             * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0))
-        out[label] = psi
+        out.append(psi)
     return out
-
-
-def holonomy_propagation_deficit(variant: str, run: GateRun | None = None) -> float:
-    """Worst overlap deficit between prediction and pure-state propagation."""
-    run = run or default_gate_run(variant)
-    segments, frame_phase = _segments(variant, run)
-    frame = np.diag([1.0, np.exp(1j * frame_phase), 1.0, 1.0, 1.0]).astype(complex)
-    psis = frame @ _propagate_segments(_INPUT_STACK, segments, run, False)
-    worst = 0.0
-    for pred, psi in zip(predicted_final_states(variant, run).values(), psis.T):
-        norm2 = float(np.vdot(pred, pred).real)
-        overlap = float(abs(np.vdot(pred, psi)) ** 2) / max(norm2, 1e-300)
-        worst = max(worst, 1.0 - overlap)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ class TestRun:
         lines = (tmp_path / "gate_process.csv").read_text().splitlines()
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("variant", cli.scenarios.VARIANTS)
+    def test_gate_manifest_reports_prediction_overlap(self, variant, tmp_path):
+        config = cli.parse_config(f"variant = {variant}\ndecoherence = false\n", "gate")
+        cli.run(config, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["error"] is None
+        details = {c["name"]: c["detail"] for c in manifest["checks"]}
+        assert 0.0 < float(details["final_state_prediction_overlap"].split()[-1]) <= 1.0
+
     def test_readout_scenario(self, tmp_path):
         config = cli.parse_config("input_state = zero\nduration_ps = 5000\n",
                                   "readout")
