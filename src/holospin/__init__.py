@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import cli, darkspace, holonomy, model, propagate, pulses, qcore, scenarios  # noqa: F401
+from . import darkspace, holonomy, model, propagate, pulses, qcore, scenarios  # noqa: F401

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
 from .model import (DELTA_DEFAULT, GAMMA_DEFAULT, GAMMA_EE_DEFAULT, GAMMA_HH_DEFAULT,
-                    ModelParams, build_h_y, build_h_z)
+                    ModelParams, build_h_y, build_h_z, drive_y)
 from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
@@ -442,11 +442,12 @@ def _run_validate(config: RunConfig, out_dir: Path):
                             0.5 * v["tau_ps"], v["tau_ps"])
     window = short.window(margin=4.0)
     psi0 = qcore.basis_state(IDX_ONE)
-    h_of_t = lambda t: build_h_y(t, short, params)
     spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, abs_tol=1e-12,
                            max_step=v["tau_ps"] / 50.0)
-    adaptive = schrodinger_propagate(h_of_t, psi0, spec).final()
-    oracle = oracle_propagate(h_of_t, psi0, v["tau_ps"] / 2000.0, window[0], window[1])
+    adaptive = schrodinger_propagate(drive_y(short, params), psi0, spec).final()
+    # the oracle builds H element-wise, independently of the drive template
+    oracle = oracle_propagate(lambda t: build_h_y(t, short, params), psi0,
+                              v["tau_ps"] / 2000.0, window[0], window[1])
     deficit = 1.0 - abs(np.vdot(oracle, adaptive)) ** 2
     record("propagator_cross_oracle", deficit < 1e-6, f"overlap deficit {deficit:.3e}")
 

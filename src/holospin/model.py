@@ -10,6 +10,13 @@ Two driven configurations of the five-level system are built here:
   and driving tuned to the midpoint of the two electron levels.  Used for
   the fractional-STIRAP z protocol.
 
+The same two Hamiltonians also come as drive templates, ``drive_y`` and
+``drive_z``: a ``Drive`` holds H(t) = h0 + sum_k f_k(t) K_k with the three
+real envelopes f_k and the fixed couplings K_k (the Stokes phase sits in
+its K_k), built and checked once per protocol segment.  The builders stay
+as the independent element-wise construction that tests and ``validate``
+compare against.
+
 Dissipation is Markovian: four equal exciton-recombination channels
 (|e1,2> -> |0,1>) plus hole and electron spin-flip channels.
 """
@@ -104,6 +111,54 @@ def build_h_z(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
         h[IDX_ONE, e] = -np.conj(om_s)
         h[IDX_ANC, e] = -om_d
     return h
+
+
+@dataclass(frozen=True, eq=False)
+class Drive:
+    """H(t) = h0 + sum_k f_k(t) K_k: a constant part plus fixed couplings K_k
+    under real envelopes f_k, given as ``terms`` of (f_k, K_k) pairs.
+
+    ``Drive(t)`` returns H(t); the integrators stack its terms once per solve.
+    """
+
+    h0: np.ndarray
+    terms: tuple
+
+    def __call__(self, t: float) -> np.ndarray:
+        h = self.h0.copy()
+        for envelope, coupling in self.terms:
+            h += envelope(t) * coupling
+        return h
+
+
+def _coupling(ground: int, amp: complex) -> np.ndarray:
+    """-amp |e><ground| - conj(amp) |ground><e| for both electron levels e."""
+    k = np.zeros((DIM, DIM), dtype=complex)
+    for e in (IDX_E1, IDX_E2):
+        k[e, ground] = -amp
+        k[ground, e] = -np.conj(amp)
+    return k
+
+
+def drive_y(pulses: PulseSet, params: ModelParams) -> Drive:
+    """The y-configuration Hamiltonian of ``build_h_y`` as a drive template."""
+    if abs(params.detuning + params.delta / 2.0) <= 1e-12 * max(1.0, abs(params.delta)):
+        raise ValueError("midpoint tuning reserved for z-configuration")
+    h0 = np.diag([0.0, 0.0, 0.0, -params.detuning,
+                  -(params.detuning + params.delta)]).astype(complex)
+    return Drive(h0, ((pulses.pump, _coupling(IDX_ZERO, 1.0)),
+                      (pulses.stokes, _coupling(IDX_ONE, np.exp(-1j * pulses.stokes_phase))),
+                      (pulses.driving, _coupling(IDX_ANC, 1.0))))
+
+
+def drive_z(pulses: PulseSet, params: ModelParams) -> Drive:
+    """The z-configuration Hamiltonian of ``build_h_z`` as a drive template;
+    the pump must be off, and its term is left out."""
+    if pulses.pump.amplitude != 0.0:
+        raise ValueError("z-configuration requires a vanishing pump envelope")
+    h0 = np.diag([0.0, 0.0, 0.0, params.delta / 2.0, -params.delta / 2.0]).astype(complex)
+    return Drive(h0, ((pulses.stokes, _coupling(IDX_ONE, np.exp(-1j * pulses.stokes_phase))),
+                      (pulses.driving, _coupling(IDX_ANC, 1.0))))
 
 
 @dataclass(frozen=True)

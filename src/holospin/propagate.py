@@ -6,6 +6,15 @@ The adaptive integrator is an explicit high-order embedded pair
 against decay ~1e-3 /ps) is mild enough that explicit stepping with a
 max-step cap resolves everything, which the exponential oracle verifies
 independently.
+
+Both integrators take the Hamiltonian as ``h_of_t``, and the type of that
+argument alone picks the right-hand side.  A ``model.Drive`` is stacked
+once per solve: each term becomes the generator of the equation (-iK for
+Schrodinger, the transposed 25x25 commutator superoperator for Lindblad,
+with the dissipator in the constant term), so an RHS call is the product
+of the coefficient vector [1, f_1(t), ...] with that stack, then one
+product with the states.  Any other callable is called on every RHS
+evaluation and must return the 5x5 H(t).
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import LindbladChannel
+from .model import Drive, LindbladChannel
 from .qcore import DIM, dense_expm
 
 
@@ -71,9 +80,28 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, kind: str) -> Trajectory:
         t_fail = sol.t[-1] if sol.t.size else float("nan")
         raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
                          f"t = {t_fail:.6g} ps")
-    # DOP853 uses 12 stages per accepted/rejected step
+    # DOP853 makes 12 RHS calls per accepted or rejected step, plus two at the
+    # start (the initial derivative and the step-size probe); the dense-output
+    # interpolant adds three for each step that holds a snapshot, which the
+    # floor absorbs only while at most three steps hold one (endpoints only)
     return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape),
-                      meta={"n_rhs_evals": int(sol.nfev), "n_steps": int(sol.nfev // 12) + 1})
+                      meta={"n_rhs_evals": int(sol.nfev), "n_steps": (int(sol.nfev) - 2) // 12})
+
+
+def _stacked_generator(drive: Drive, lift, constant=0.0):
+    """G(t) = [1, f_1(t), ...] @ S for the drive's terms stacked once as S, where
+    lift maps one 5x5 Hamiltonian term to its part of the generator and the
+    constant is added to the h0 term."""
+    parts = [lift(drive.h0) + constant] + [lift(k) for _, k in drive.terms]
+    shape = parts[0].shape
+    stack = np.stack(parts).reshape(len(parts), -1)
+    envelopes = [f for f, _ in drive.terms]
+
+    def generator(t):
+        coef = np.array([1.0] + [f(t) for f in envelopes], dtype=complex)
+        return coef.dot(stack).reshape(shape)
+
+    return generator
 
 
 def schrodinger_propagate(h_of_t, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
@@ -87,8 +115,14 @@ def schrodinger_propagate(h_of_t, psi0: np.ndarray, spec: PropagationSpec) -> Tr
     if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
 
-    def rhs(t, y):
-        return -1j * h_of_t(t).dot(y.reshape(psi0.shape)).ravel()
+    if isinstance(h_of_t, Drive):
+        generator = _stacked_generator(h_of_t, lambda h: -1j * h)
+
+        def rhs(t, y):
+            return generator(t).dot(y.reshape(psi0.shape)).ravel()
+    else:
+        def rhs(t, y):
+            return -1j * h_of_t(t).dot(y.reshape(psi0.shape)).ravel()
 
     traj = _solve(rhs, psi0, spec, "state")
     traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=0) - 1.0)))
@@ -108,6 +142,12 @@ def _dissipator_matrix(channels: list[LindbladChannel]) -> np.ndarray:
     return d
 
 
+def _commutator_matrix_t(h: np.ndarray) -> np.ndarray:
+    """Transposed superoperator of -i[h, rho] on the row-major vec(rho)."""
+    ident = np.eye(DIM, dtype=complex)
+    return (-1j * (np.kron(h, ident) - np.kron(ident, h.T))).T
+
+
 def lindblad_propagate(h_of_t, channels: list[LindbladChannel], rho0: np.ndarray,
                        spec: PropagationSpec) -> Trajectory:
     """Integrate the Markovian master equation
@@ -121,12 +161,18 @@ def lindblad_propagate(h_of_t, channels: list[LindbladChannel], rho0: np.ndarray
     dmat_t = _dissipator_matrix(channels).T
     vec_shape = rho0.shape[:-2] + (DIM * DIM,)
 
-    def rhs(t, y):
-        rho = y.reshape(rho0.shape)
-        h = h_of_t(t)
-        out = -1j * (h @ rho - rho @ h)
-        out += y.reshape(vec_shape).dot(dmat_t).reshape(rho0.shape)
-        return out.ravel()
+    if isinstance(h_of_t, Drive):
+        generator = _stacked_generator(h_of_t, _commutator_matrix_t, dmat_t)
+
+        def rhs(t, y):
+            return y.reshape(vec_shape).dot(generator(t)).ravel()
+    else:
+        def rhs(t, y):
+            rho = y.reshape(rho0.shape)
+            h = h_of_t(t)
+            out = -1j * (h @ rho - rho @ h)
+            out += y.reshape(vec_shape).dot(dmat_t).reshape(rho0.shape)
+            return out.ravel()
 
     traj = _solve(rhs, rho0, spec, "density")
     raw = traj.states

@@ -29,7 +29,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import holonomy
-from .model import ModelParams, build_h_y, build_h_z, lindblad_channels
+# build_h_y and build_h_z are not called here, but they stay importable by
+# name: perfbench/spans.py patches them in this module
+from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa: F401
+                    lindblad_channels)
 from .propagate import PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate
 from .pulses import (OFF, ConstantPulse, GaussianPulse, PulseSet,
                      make_y_pulseset, make_y_return_pulseset, make_z_pulseset)
@@ -156,8 +159,7 @@ def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
     stride = record_stride if record_stride is not None else duration / 400.0
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, abs_tol=1e-12,
                            max_step=min(50.0, duration / 100.0), record_stride=stride)
-    traj = lindblad_propagate(lambda t: build_h_y(t, pulses, params),
-                              lindblad_channels(params), rho0, spec)
+    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
     sign = 1.0 if polarization == "sigma_minus" else -1.0
@@ -263,9 +265,7 @@ def _segments(variant: str, run: GateRun) -> tuple[list[tuple[PulseSet, str, tup
 
 
 def _hamiltonian_for(pulses: PulseSet, config: str, params: ModelParams):
-    if config == "y":
-        return lambda t: build_h_y(t, pulses, params)
-    return lambda t: build_h_z(t, pulses, params)
+    return drive_y(pulses, params) if config == "y" else drive_z(pulses, params)
 
 
 def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
@@ -481,8 +481,7 @@ def run_readout(qubit_block: np.ndarray, duration: float,
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, abs_tol=1e-12,
                            max_step=min(50.0, duration / 100.0),
                            record_stride=duration / 2000.0)
-    traj = lindblad_propagate(lambda t: build_h_y(t, pulses, params),
-                              lindblad_channels(params), rho0, spec)
+    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real
     total = float(np.trapezoid(2.0 * params.gamma * excited, traj.times))
     final = traj.final()

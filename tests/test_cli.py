@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,3 +284,14 @@ class TestMain:
                            "--out", str(tmp_path / "out")])
         assert status == 0
         assert (tmp_path / "out" / "sweep_beta.csv").exists()
+
+    def test_module_entry_point_runs_once(self):
+        # the package must not import cli itself, or `python -m holospin.cli`
+        # runs the module body twice and warns about it on every run
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "holospin.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "RuntimeWarning" not in done.stderr

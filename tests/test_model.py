@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holospin import model, pulses
+from holospin import model, pulses, scenarios
 
 
 class TestZeeman:
@@ -101,6 +101,46 @@ class TestHamiltonianZ:
         h = model.build_h_z(-200.0, ps, params)
         assert np.max(np.abs(h[0, :])) == 0.0
         assert np.max(np.abs(h[:, 0])) == 0.0
+
+
+def _template_segments():
+    # the gate segments of every variant (z and the x composite's second loop
+    # carry a Stokes phase of +-pi/2) and init's constant drive
+    out = []
+    for variant in ("y_closed_loop", "z_fractional", "x_composite"):
+        segments, _ = scenarios._segments(variant, scenarios.default_gate_run(variant))
+        out += [(variant, pulseset, config, window) for pulseset, config, window in segments]
+    init = pulses.PulseSet(pump=pulses.ConstantPulse(0.05), stokes=pulses.OFF,
+                           driving=pulses.OFF, width=100.0)
+    return out + [("init", init, "y", (0.0, 1000.0))]
+
+
+class TestDriveTemplates:
+    @pytest.mark.parametrize("name,pulseset,config,window", _template_segments())
+    def test_matches_element_wise_builder(self, name, pulseset, config, window, params, rng):
+        build, template = ((model.build_h_y, model.drive_y) if config == "y"
+                           else (model.build_h_z, model.drive_z))
+        drive = template(pulseset, params)
+        for t in rng.uniform(*window, size=200):
+            np.testing.assert_array_equal(drive(float(t)), build(float(t), pulseset, params))
+
+    def test_z_leaves_the_pump_term_out(self, params):
+        ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.3)
+        drive = model.drive_z(ps, params)
+        envelopes = [f for f, _ in drive.terms]
+        assert len(envelopes) == 2
+        assert envelopes[0] is ps.stokes and envelopes[1] is ps.driving
+
+    def test_z_rejects_pump(self, params):
+        bad = pulses.PulseSet(pump=pulses.GaussianPulse(0.1, 0.0, 100.0), stokes=pulses.OFF,
+                              driving=pulses.OFF, width=100.0)
+        with pytest.raises(ValueError, match="pump"):
+            model.drive_z(bad, params)
+
+    def test_y_rejects_midpoint_detuning(self):
+        mp = model.ModelParams(delta=1e-3, detuning=-0.5e-3)
+        with pytest.raises(ValueError, match="midpoint"):
+            model.drive_y(_silent_pulseset(), mp)
 
 
 class TestChannels:

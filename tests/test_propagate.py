@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,74 @@ class TestStacks:
         assert q["min_eigenvalue"] == 0.0
         assert single["min_eigenvalue"] == pytest.approx(-1e-9, rel=1e-6)
         assert stack["min_eigenvalue"] == single["min_eigenvalue"]
+
+
+def _capture_rhs(monkeypatch):
+    """Replace the shared solve by a stand-in that keeps the RHS it is given."""
+    captured = []
+
+    def solve(rhs, y0, spec, kind):
+        captured.append(rhs)
+        return propagate.Trajectory(times=np.array([spec.t_start, spec.t_end]),
+                                    states=np.stack([y0, y0]))
+    monkeypatch.setattr(propagate, "_solve", solve)
+    return captured
+
+
+class TestDriveTemplates:
+    """A Drive is stacked once per solve; the templated RHS must equal the
+    per-call RHS of the same H(t) given as a plain callable."""
+
+    @pytest.mark.parametrize("make_pulses,template,build", [
+        (lambda: replace(pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0),
+                         stokes_phase=-0.9), model.drive_y, model.build_h_y),
+        (lambda: pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.7),
+         model.drive_z, model.build_h_z)])
+    def test_rhs_matches_callable_on_input_stack(self, make_pulses, template, build,
+                                                 params, rng, monkeypatch):
+        ps = make_pulses()
+        drive, plain = template(ps, params), lambda t: build(t, ps, params)
+        captured = _capture_rhs(monkeypatch)
+        spec = PropagationSpec(-1000.0, 1000.0)
+        psi = np.stack(_QUBIT_INPUTS, axis=1)
+        rho = np.stack([density_from_state(p) for p in _QUBIT_INPUTS])
+        for h_of_t in (drive, plain):
+            propagate.schrodinger_propagate(h_of_t, psi, spec)
+            propagate.lindblad_propagate(h_of_t, lindblad_channels(params), rho, spec)
+        schr_drive, lind_drive, schr_plain, lind_plain = captured
+        for t in rng.uniform(-1000.0, 1000.0, size=50):
+            for y_shape, templated, reference in ((psi.shape, schr_drive, schr_plain),
+                                                  (rho.shape, lind_drive, lind_plain)):
+                y = (rng.normal(size=y_shape) + 1j * rng.normal(size=y_shape)).ravel()
+                np.testing.assert_allclose(templated(t, y), reference(t, y),
+                                           rtol=0, atol=1e-14)
+
+    def test_oracle_accepts_drive(self, params):
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
+        drive = model.drive_y(ps, params)
+        via_drive = propagate.oracle_propagate(drive, basis_state(1), 5.0, -450.0, 450.0)
+        via_builder = propagate.oracle_propagate(lambda t: model.build_h_y(t, ps, params),
+                                                 basis_state(1), 5.0, -450.0, 450.0)
+        np.testing.assert_array_equal(via_drive, via_builder)
+
+
+class TestStepCount:
+    def test_n_steps_counts_solver_steps(self, params, monkeypatch):
+        # count DOP853's steps (accepted and rejected) at the source
+        from scipy.integrate._ivp import rk
+        steps = [0]
+        rk_step = rk.rk_step
+
+        def counting(*args, **kwargs):
+            steps[0] += 1
+            return rk_step(*args, **kwargs)
+        monkeypatch.setattr(rk, "rk_step", counting)
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        for h_of_t in (model.drive_y(ps, params), lambda t: model.build_h_y(t, ps, params)):
+            steps[0] = 0
+            traj = propagate.schrodinger_propagate(
+                h_of_t, basis_state(0), PropagationSpec(*ps.window(), max_step=2.0))
+            assert traj.meta["n_steps"] == steps[0]
 
 
 class TestOracle:

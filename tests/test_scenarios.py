@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holospin import darkspace, holonomy, propagate, scenarios
-from holospin.model import build_h_z
+from holospin.model import build_h_y, build_h_z
 from holospin.propagate import PropagationSpec, Trajectory
 from holospin.qcore import DIM, IDX_ONE, IDX_ZERO, basis_state
 
@@ -176,6 +176,19 @@ class TestGateSimulation:
         monkeypatch.setattr(scenarios, "schrodinger_propagate", counting("state"))
         scenarios.simulate_gate(variant, with_decoherence=with_decoherence)
         assert len(calls) == solves
+
+    @pytest.mark.parametrize("with_decoherence", [True, False])
+    # y_single_pass runs the first segment of y_closed_loop alone
+    @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional", "x_composite"])
+    def test_drive_matches_element_wise_hamiltonian(self, variant, with_decoherence,
+                                                    monkeypatch):
+        templated, _ = scenarios.simulate_gate(variant, with_decoherence=with_decoherence)
+        builders = {"y": build_h_y, "z": build_h_z}
+        monkeypatch.setattr(scenarios, "_hamiltonian_for",
+                            lambda ps, config, params: lambda t: builders[config](t, ps, params))
+        plain, _ = scenarios.simulate_gate(variant, with_decoherence=with_decoherence)
+        for label in plain:
+            assert np.max(np.abs(templated[label] - plain[label])) < 1e-12
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ breaks traced benchmark runs, so the contract is checked here."""
 from pathlib import Path
 
 import holospin
+import holospin.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
