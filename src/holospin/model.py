@@ -13,9 +13,9 @@ Two driven configurations of the five-level system are built here:
 The same two Hamiltonians also come as drive templates, ``drive_y`` and
 ``drive_z``: a ``Drive`` holds H(t) = h0 + sum_k f_k(t) K_k with the three
 real envelopes f_k and the fixed couplings K_k (the Stokes phase sits in
-its K_k), built and checked once per protocol segment.  The builders stay
-as the independent element-wise construction that tests and ``validate``
-compare against.
+its K_k), built and checked once per protocol segment.  Both integrators
+take only a ``Drive``; the builders are the independent element-wise
+construction that the exponential oracle and the invariant checks use.
 
 Dissipation is Markovian: four equal exciton-recombination channels
 (|e1,2> -> |0,1>) plus hole and electron spin-flip channels.
@@ -30,9 +30,6 @@ import numpy as np
 from .pulses import PulseSet
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
-BOHR_MAGNETON = 9.2740e-24   # J/T
-HBAR = 1.0546e-34            # J*s
-
 # Reference parameter set (rad/ps and 1/ps): electron Zeeman splitting for
 # B_x = 55 mT with |g| = 0.21, recombination 1/(2*gamma) = 800 ps, and
 # millisecond spin-flip times.
@@ -40,13 +37,6 @@ DELTA_DEFAULT = 1.016e-3
 GAMMA_DEFAULT = 6.25e-4
 GAMMA_HH_DEFAULT = 1e-9
 GAMMA_EE_DEFAULT = 1e-9
-
-
-def zeeman_from_field(b_field: float, g_factor: float) -> float:
-    """Electron Zeeman splitting |g| mu_B B / hbar, converted to rad/ps."""
-    if b_field < 0.0:
-        raise ValueError("magnetic field must be non-negative")
-    return abs(g_factor) * BOHR_MAGNETON * b_field / HBAR * 1e-12
 
 
 @dataclass(frozen=True)

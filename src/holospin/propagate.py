@@ -7,14 +7,13 @@ against decay ~1e-3 /ps) is mild enough that explicit stepping with a
 max-step cap resolves everything, which the exponential oracle verifies
 independently.
 
-Both integrators take the Hamiltonian as ``h_of_t``, and the type of that
-argument alone picks the right-hand side.  A ``model.Drive`` is stacked
-once per solve: each term becomes the generator of the equation (-iK for
+Both integrators take the Hamiltonian as a ``model.Drive``, stacked once
+per solve: each term becomes the generator of the equation (-iK for
 Schrodinger, the transposed 25x25 commutator superoperator for Lindblad,
 with the dissipator in the constant term), so an RHS call is the product
 of the coefficient vector [1, f_1(t), ...] with that stack, then one
-product with the states.  Any other callable is called on every RHS
-evaluation and must return the 5x5 H(t).
+product with the states.  The oracle takes any callable that returns the
+5x5 H(t).
 """
 
 from __future__ import annotations
@@ -28,23 +27,25 @@ from .model import Drive, LindbladChannel
 from .qcore import DIM, dense_expm
 
 
+# absolute tolerance of every adaptive solve; states and densities are O(1)
+ABS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Integration window, tolerances, and snapshot cadence."""
+    """Integration window, relative tolerance, and snapshot cadence."""
 
     t_start: float
     t_end: float
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     max_step: float = np.inf
     record_stride: float = 0.0   # 0 -> endpoints only
 
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        for tol in (self.rel_tol, self.abs_tol):
-            if not (0.0 < tol <= 1e-2):
-                raise ValueError("tolerances must lie in (0, 1e-2]")
+        if not (0.0 < self.rel_tol <= 1e-2):
+            raise ValueError("tolerances must lie in (0, 1e-2]")
         if self.max_step <= 0.0:
             raise ValueError("max_step must be positive")
         if self.record_stride < 0.0:
@@ -74,7 +75,7 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, kind: str) -> Trajectory:
     """One adaptive DOP853 solve for y0 of any shape (rhs maps flat to flat); the
     error norm is an RMS over all of y0, so one step size serves the whole stack."""
     sol = solve_ivp(rhs, (spec.t_start, spec.t_end), y0.ravel(), method="DOP853",
-                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=spec.max_step,
+                    rtol=spec.rel_tol, atol=ABS_TOL, max_step=spec.max_step,
                     t_eval=spec.sample_times(), dense_output=False)
     if sol.status == -1 or not sol.success:
         t_fail = sol.t[-1] if sol.t.size else float("nan")
@@ -104,7 +105,7 @@ def _stacked_generator(drive: Drive, lift, constant=0.0):
     return generator
 
 
-def schrodinger_propagate(h_of_t, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
+def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
     """Integrate d psi/dt = -i H(t) psi (hbar = 1 units) for one state (5,) or
     for k states stacked as columns (5, k), all in one solve.
 
@@ -115,14 +116,10 @@ def schrodinger_propagate(h_of_t, psi0: np.ndarray, spec: PropagationSpec) -> Tr
     if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
 
-    if isinstance(h_of_t, Drive):
-        generator = _stacked_generator(h_of_t, lambda h: -1j * h)
+    generator = _stacked_generator(drive, lambda h: -1j * h)
 
-        def rhs(t, y):
-            return generator(t).dot(y.reshape(psi0.shape)).ravel()
-    else:
-        def rhs(t, y):
-            return -1j * h_of_t(t).dot(y.reshape(psi0.shape)).ravel()
+    def rhs(t, y):
+        return generator(t).dot(y.reshape(psi0.shape)).ravel()
 
     traj = _solve(rhs, psi0, spec, "state")
     traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=0) - 1.0)))
@@ -148,7 +145,7 @@ def _commutator_matrix_t(h: np.ndarray) -> np.ndarray:
     return (-1j * (np.kron(h, ident) - np.kron(ident, h.T))).T
 
 
-def lindblad_propagate(h_of_t, channels: list[LindbladChannel], rho0: np.ndarray,
+def lindblad_propagate(drive: Drive, channels: list[LindbladChannel], rho0: np.ndarray,
                        spec: PropagationSpec) -> Trajectory:
     """Integrate the Markovian master equation
     d rho/dt = -i[H, rho] + sum_k (L rho L+ - {L+L, rho}/2)
@@ -158,21 +155,11 @@ def lindblad_propagate(h_of_t, channels: list[LindbladChannel], rho0: np.ndarray
     trace is monitored and an eigenvalue below -1e-8 raises.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    dmat_t = _dissipator_matrix(channels).T
     vec_shape = rho0.shape[:-2] + (DIM * DIM,)
+    generator = _stacked_generator(drive, _commutator_matrix_t, _dissipator_matrix(channels).T)
 
-    if isinstance(h_of_t, Drive):
-        generator = _stacked_generator(h_of_t, _commutator_matrix_t, dmat_t)
-
-        def rhs(t, y):
-            return y.reshape(vec_shape).dot(generator(t)).ravel()
-    else:
-        def rhs(t, y):
-            rho = y.reshape(rho0.shape)
-            h = h_of_t(t)
-            out = -1j * (h @ rho - rho @ h)
-            out += y.reshape(vec_shape).dot(dmat_t).reshape(rho0.shape)
-            return out.ravel()
+    def rhs(t, y):
+        return y.reshape(vec_shape).dot(generator(t)).ravel()
 
     traj = _solve(rhs, rho0, spec, "density")
     raw = traj.states

@@ -20,23 +20,12 @@ import numpy as np
 DIM = 5
 IDX_ZERO, IDX_ONE, IDX_ANC, IDX_E1, IDX_E2 = range(DIM)
 
-_NORM_EPS = 1e-14
-
 
 def basis_state(index: int) -> np.ndarray:
     """Unit vector along one basis direction."""
     psi = np.zeros(DIM, dtype=complex)
     psi[index] = 1.0
     return psi
-
-
-def normalize(state: np.ndarray) -> np.ndarray:
-    """Return state / ||state||; a (near-)zero vector is rejected."""
-    state = np.asarray(state, dtype=complex)
-    nrm = np.linalg.norm(state)
-    if nrm <= _NORM_EPS:
-        raise ValueError("degenerate state: zero norm")
-    return state / nrm
 
 
 def embed_qubit(alpha: complex, beta: complex) -> np.ndarray:
@@ -64,21 +53,6 @@ def project_qubit(rho: np.ndarray) -> tuple[np.ndarray, float]:
 def density_from_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
-
-
-def check_density(rho: np.ndarray, herm_tol: float = 1e-12,
-                  trace_tol: float = 1e-9, eig_floor: float = -1e-10) -> None:
-    """Raise if rho violates Hermiticity, unit trace, or positivity."""
-    rho = np.asarray(rho, dtype=complex)
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > herm_tol:
-        raise ValueError(f"density matrix not Hermitian (deviation {herm_dev:.3e})")
-    trace_dev = abs(np.trace(rho).real - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"density matrix trace off unity by {trace_dev:.3e}")
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if min_eig < eig_floor:
-        raise ValueError(f"density matrix not positive (min eigenvalue {min_eig:.3e})")
 
 
 # Pade-13 coefficients for the scaling-and-squaring matrix exponential.

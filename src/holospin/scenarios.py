@@ -39,7 +39,7 @@ from .pulses import (OFF, ConstantPulse, GaussianPulse, PulseSet,
 from .qcore import (DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO,
                     density_from_state, embed_qubit, project_qubit)
 
-VARIANTS = ("y_single_pass", "y_closed_loop", "z_fractional", "x_composite")
+VARIANTS = ("y_closed_loop", "z_fractional", "x_composite")
 
 _QUBIT_INPUTS = {
     "0": np.array([1.0, 0.0], dtype=complex),
@@ -157,7 +157,7 @@ def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
     else:
         pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF, width=duration)
     stride = record_stride if record_stride is not None else duration / 400.0
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, abs_tol=1e-12,
+    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol,
                            max_step=min(50.0, duration / 100.0), record_stride=stride)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
@@ -188,7 +188,6 @@ class GateRun:
 def default_gate_run(variant: str, **overrides) -> GateRun:
     """Reference parameters per variant (see the module docstring)."""
     base = {
-        "y_single_pass": GateRun(),
         "y_closed_loop": GateRun(),
         "z_fractional": GateRun(tau0_over_tau=6.5, phase=math.pi / 2),
         "x_composite": GateRun(tau0_over_tau=1.0, phase=math.pi / 2),
@@ -236,13 +235,11 @@ def _segments(variant: str, run: GateRun) -> tuple[list[tuple[PulseSet, str, tup
     ret_window = (-(tret + 8 * tau), tret + 8 * tau)
     fwd_window = (-(tau0 + 8 * tau), tau0 + 8 * tau)
 
-    if variant in ("y_single_pass", "y_closed_loop"):
+    if variant == "y_closed_loop":
         pump = run.pump_amp if run.pump_amp is not None else run.amp
         forward = make_y_pulseset(pump, run.amp, run.amp, tau0, tau)
-        segs = [(forward, "y", fwd_window)]
-        if variant == "y_closed_loop":
-            segs.append((make_y_return_pulseset(run.amp, run.amp, tret, tau), "y", ret_window))
-        return segs, 0.0
+        retract = make_y_return_pulseset(run.amp, run.amp, tret, tau)
+        return [(forward, "y", fwd_window), (retract, "y", ret_window)], 0.0
 
     if variant == "z_fractional":
         pulses = make_z_pulseset(run.amp, run.amp, tau0, tau, run.phase)
@@ -273,24 +270,24 @@ def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
     segment list, one solve per segment."""
     channels = lindblad_channels(run.model)
     for pulses, config, window in segments:
-        h_of_t = _hamiltonian_for(pulses, config, run.model)
+        drive = _hamiltonian_for(pulses, config, run.model)
         spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
         if with_decoherence:
-            state = lindblad_propagate(h_of_t, channels, state, spec).final()
+            state = lindblad_propagate(drive, channels, state, spec).final()
         else:
-            state = schrodinger_propagate(h_of_t, state, spec).final()
+            state = schrodinger_propagate(drive, state, spec).final()
     return state
 
 
 def _quadrature_angle(variant: str, run: GateRun, segments) -> float:
-    if variant.startswith("y") or variant == "x_composite":
-        return holonomy.geometric_angle_y(segments[0][0]).angle
-    return holonomy.geometric_phase_z(segments[0][0], run.model).angle
+    if variant == "z_fractional":
+        return holonomy.geometric_phase_z(segments[0][0], run.model).angle
+    return holonomy.geometric_angle_y(segments[0][0]).angle
 
 
 def _dark_subspace_map(variant: str, run: GateRun, angle: float) -> np.ndarray:
     """Predicted logical-frame qubit map from the quadrature angle alone."""
-    if variant in ("y_single_pass", "y_closed_loop"):
+    if variant == "y_closed_loop":
         return holonomy.predicted_ry(angle)
     if variant == "z_fractional":
         amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
@@ -312,7 +309,7 @@ def simulate_gate(variant: str, run: GateRun | None = None,
     segments, frame_phase = _segments(variant, run)
     angle_quad = _quadrature_angle(variant, run, segments)
 
-    if variant in ("y_single_pass", "y_closed_loop"):
+    if variant == "y_closed_loop":
         target = holonomy.predicted_ry(run.target_angle)
     elif variant == "z_fractional":
         target = holonomy.predicted_rz(run.phase)
@@ -366,12 +363,7 @@ def _predicted_final_states(variant: str, angle: float, dark_map: np.ndarray,
     out = []
     for q in _QUBIT_INPUTS.values():
         psi = np.zeros(DIM, dtype=complex)
-        if variant == "y_single_pass":
-            # the dark basis ends at (-|a>, |0>)
-            psi[IDX_ANC] = -(math.cos(angle) * q[1] + math.sin(angle) * q[0])
-            psi[IDX_ZERO] = -math.sin(angle) * q[1] + math.cos(angle) * q[0]
-        else:
-            psi[IDX_ZERO], psi[IDX_ONE] = dark_map @ q
+        psi[IDX_ZERO], psi[IDX_ONE] = dark_map @ q
         if variant == "z_fractional":
             # residual ancilla amplitude; the frame rotation touches |1> only,
             # so the raw ancilla phase e^{-i phase} stays
@@ -478,7 +470,7 @@ def run_readout(qubit_block: np.ndarray, duration: float,
         raise ValueError("qubit block must have unit trace")
 
     pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF, width=duration)
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, abs_tol=1e-12,
+    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol,
                            max_step=min(50.0, duration / 100.0),
                            record_stride=duration / 2000.0)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 from holospin import darkspace, holonomy, propagate, pulses, scenarios
-from holospin.model import ModelParams, build_h_y, build_h_z, lindblad_channels
+from holospin.model import ModelParams, build_h_y, build_h_z, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec
 from holospin.qcore import DIM, IDX_ONE, IDX_ZERO, basis_state, density_from_state
 
@@ -158,10 +158,8 @@ def test_criterion_06_z_holonomy_vs_propagation():
         ps = pulses.make_z_pulseset(0.5, 0.5, tau0, tau, phase)
         gamma_f = holonomy.geometric_phase_z(ps, PARAMS).angle
         angles[phase] = gamma_f
-        spec = PropagationSpec(-(tau0 + 8 * tau), 8 * tau, rel_tol=1e-8,
-                               abs_tol=1e-12, max_step=tau / 50.0)
-        traj = propagate.schrodinger_propagate(
-            lambda t: build_h_z(t, ps, PARAMS), basis_state(IDX_ONE), spec)
+        spec = PropagationSpec(-(tau0 + 8 * tau), 8 * tau, rel_tol=1e-8, max_step=tau / 50.0)
+        traj = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE), spec)
         prediction = holonomy.predicted_final_state_z(math.pi / 4, phase)  # e^{i phi}|1>
         overlap = float(abs(np.vdot(prediction, traj.final())) ** 2)
         worst = min(worst, overlap)
@@ -209,7 +207,10 @@ def test_criterion_07_gate_table_x_row():
 
 
 def test_criterion_08_propagator_cross_oracle():
+    # the adaptive solves take the drive templates, the oracle builds H
+    # element-wise: two independent constructions of the same H(t)
     worst_deficit = 0.0
+    builders = {"y": build_h_y, "z": build_h_z}
 
     # y closed loop, both segments
     run = scenarios.default_gate_run("y_closed_loop")
@@ -217,30 +218,30 @@ def test_criterion_08_propagator_cross_oracle():
     psi_a = basis_state(IDX_ONE)
     psi_o = basis_state(IDX_ONE)
     for pulseset, config, window in segments:
-        h_of_t = scenarios._hamiltonian_for(pulseset, config, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, abs_tol=1e-12,
-                               max_step=2.0)
-        psi_a = propagate.schrodinger_propagate(h_of_t, psi_a / np.linalg.norm(psi_a),
+        drive = scenarios._hamiltonian_for(pulseset, config, PARAMS)
+        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0)
+        psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
-        psi_o = propagate.oracle_propagate(h_of_t, psi_o, run.tau / 2000.0,
-                                           window[0], window[1])
+        psi_o = propagate.oracle_propagate(lambda t: builders[config](t, pulseset, PARAMS),
+                                           psi_o, run.tau / 2000.0, window[0], window[1])
     worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(psi_o, psi_a)) ** 2))
 
     # z protocol at the reference width
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    h_of_t = lambda t: build_h_z(t, ps, PARAMS)
-    spec = PropagationSpec(-1450.0, 800.0, rel_tol=1e-10, abs_tol=1e-12, max_step=2.0)
-    adaptive = propagate.schrodinger_propagate(h_of_t, basis_state(IDX_ONE), spec).final()
-    oracle = propagate.oracle_propagate(h_of_t, basis_state(IDX_ONE), 0.05, -1450.0, 800.0)
+    spec = PropagationSpec(-1450.0, 800.0, rel_tol=1e-10, max_step=2.0)
+    adaptive = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE),
+                                               spec).final()
+    oracle = propagate.oracle_propagate(lambda t: build_h_z(t, ps, PARAMS), basis_state(IDX_ONE),
+                                        0.05, -1450.0, 800.0)
     worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(oracle, adaptive)) ** 2))
 
     # Lindblad trace and positivity bookkeeping on both protocols
     worst_trace, worst_eig = 0.0, 0.0
     for pulseset, config, window in [segments[0], (ps, "z", (-1450.0, 800.0))]:
-        h_of_t = scenarios._hamiltonian_for(pulseset, config, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, abs_tol=1e-12,
-                               max_step=2.0, record_stride=100.0)
-        traj = propagate.lindblad_propagate(h_of_t, lindblad_channels(PARAMS),
+        drive = scenarios._hamiltonian_for(pulseset, config, PARAMS)
+        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0,
+                               record_stride=100.0)
+        traj = propagate.lindblad_propagate(drive, lindblad_channels(PARAMS),
                                             density_from_state(basis_state(IDX_ONE)), spec)
         worst_trace = max(worst_trace, traj.meta["trace_drift"])
         worst_eig = min(worst_eig, traj.meta["min_eigenvalue"])

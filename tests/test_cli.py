@@ -101,7 +101,6 @@ class TestKeyTables:
 
 # gate keys that a variant never reads (changing one moves no output)
 VARIANT_IGNORED = [
-    ("y_single_pass", "return_delay_over_tau"), ("y_single_pass", "stokes_phase_rad"),
     ("y_closed_loop", "stokes_phase_rad"),
     ("z_fractional", "amp_pump"), ("z_fractional", "return_delay_over_tau"),
     ("z_fractional", "target_angle_rad"),
@@ -122,13 +121,23 @@ class TestVariantKeys:
         assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("variant", ["y_single_pass", "y_closed_loop", "z_fractional",
-                                         "x_composite"])
+    @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional", "x_composite"])
     def test_values_hold_only_the_keys_the_variant_reads(self, variant):
         config = cli.parse_config(f"variant = {variant}\n", "gate")
         ignored = {key for v, key in VARIANT_IGNORED if v == variant}
         assert set(config.values) == EXPECTED_KEYS["gate"] - ignored
         assert set(config.defaults_used) == set(config.values) - {"variant"}
+
+    def test_single_pass_is_not_a_variant(self, tmp_path):
+        # the forward segment alone leaves the qubit in (-|a>, |0>): it is
+        # not a rotation of the qubit, so it is no gate variant
+        text = "variant = y_single_pass\n"
+        with pytest.raises(cli.ConfigError, match="'variant'"):
+            cli.parse_config(text, "gate")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestParseConfig:

@@ -4,25 +4,6 @@ import pytest
 from holospin import model, pulses, scenarios
 
 
-class TestZeeman:
-    def test_zero_field(self):
-        assert model.zeeman_from_field(0.0, -0.21) == 0.0
-
-    def test_reference_point(self):
-        # 55 mT at |g| = 0.21 gives about 1.016e-3 rad/ps (~ 1 GHz angular)
-        val = model.zeeman_from_field(0.055, -0.21)
-        assert val == pytest.approx(1.016e-3, rel=1e-3)
-
-    def test_linear_in_field(self):
-        one = model.zeeman_from_field(0.055, -0.21)
-        two = model.zeeman_from_field(0.110, -0.21)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-
-    def test_rejects_negative_field(self):
-        with pytest.raises(ValueError):
-            model.zeeman_from_field(-1.0, 0.2)
-
-
 class TestModelParams:
     def test_defaults_are_reference_values(self):
         mp = model.ModelParams()

@@ -13,30 +13,6 @@ def random_states():
                     min_size=5, max_size=5).map(np.array)
 
 
-class TestNormalize:
-    def test_scaling(self):
-        out = qcore.normalize(np.array([2.0, 0, 0, 0, 0]))
-        np.testing.assert_allclose(out, [1, 0, 0, 0, 0])
-
-    def test_symmetry(self):
-        out = qcore.normalize(np.array([1.0, 1.0, 0, 0, 0]))
-        np.testing.assert_allclose(out, np.array([1, 1, 0, 0, 0]) / np.sqrt(2))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            qcore.normalize(np.zeros(5))
-
-    @settings(deadline=None)
-    @given(random_states())
-    def test_idempotent(self, vec):
-        if np.linalg.norm(vec) < 1e-6:
-            return
-        once = qcore.normalize(vec)
-        twice = qcore.normalize(once)
-        assert np.max(np.abs(twice - once)) < 1e-12
-        assert abs(np.linalg.norm(once) - 1.0) < 1e-9
-
-
 class TestEmbedProject:
     def test_embed_basis(self):
         np.testing.assert_allclose(qcore.embed_qubit(1, 0), qcore.basis_state(0))
@@ -72,7 +48,7 @@ class TestEmbedProject:
     def test_block_trace_plus_leakage(self, vec):
         if np.linalg.norm(vec) < 1e-6:
             return
-        rho = qcore.density_from_state(qcore.normalize(vec))
+        rho = qcore.density_from_state(vec / np.linalg.norm(vec))
         block, leak = qcore.project_qubit(rho)
         assert abs(np.trace(block).real + leak - 1.0) < 1e-9
 
@@ -122,22 +98,3 @@ class TestDenseExpm:
         with pytest.raises(ValueError):
             qcore.dense_expm(bad)
 
-
-class TestCheckDensity:
-    def test_accepts_valid(self):
-        qcore.check_density(np.diag([0.25, 0.25, 0.25, 0.25, 0.0]).astype(complex))
-
-    def test_rejects_non_hermitian(self):
-        rho = np.diag([1.0, 0, 0, 0, 0]).astype(complex)
-        rho[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
-            qcore.check_density(rho)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            qcore.check_density(np.diag([0.5, 0, 0, 0, 0]).astype(complex))
-
-    def test_rejects_negative(self):
-        rho = np.diag([1.1, -0.1, 0, 0, 0]).astype(complex)
-        with pytest.raises(ValueError, match="positive"):
-            qcore.check_density(rho)
