@@ -141,16 +141,15 @@ SCENARIO_KEYS = {
         **_MODEL,
         "variant": (_enum(scenarios.VARIANTS), "y_closed_loop"),
         "decoherence": (_parse_bool, True),
-        "amp_stokes": _AMP,
+        "amp_stokes": (_non_negative, _variant_default("amp")),
         # None: the variant's rule (amp_stokes, or the quarter-turn tuning of
         # x_composite)
         "amp_pump": (_non_negative, None),
-        "tau_ps": _TAU,
+        "tau_ps": (_positive, _variant_default("tau")),
         "tau0_over_tau": (_non_negative, _variant_default("tau0_over_tau")),
-        "return_delay_over_tau": (_positive, 0.7),
+        "return_delay_over_tau": (_positive, _variant_default("return_delay_over_tau")),
         "stokes_phase_rad": (_finite, _variant_default("phase")),
-        "target_angle_rad": (_finite, math.pi / 2.0),
-        "sphere_points": (lambda text: int(_positive(text)), 400),
+        "target_angle_rad": (_finite, _variant_default("target_angle")),
     },
     "readout": {
         **_MODEL,
@@ -309,8 +308,7 @@ def _run_gate(config: RunConfig, out_dir: Path, seed=None):
                                               with_decoherence=v["decoherence"])
     if seed is not None:
         # consistency re-check with a rotated sphere point set
-        scenarios.gate_fidelity(process, report.target,
-                                sphere_points=v["sphere_points"], seed=seed)
+        scenarios.gate_fidelity(process, report.target, seed=seed)
     path = out_dir / "gate_process.csv"
     rows = []
     for label in ("0", "1", "+", "+i"):

@@ -37,7 +37,6 @@ class HolonomyResult:
     angle: float                 # rad, reported magnitude convention
     grid_points: int             # integrand evaluations used
     quad_error: float            # quadrature error estimate, rad
-    signed_angle: float          # line-integral value before the sign convention
 
 
 def _run_quad(integrand, pulses: PulseSet, limit: int):
@@ -61,7 +60,7 @@ def geometric_angle_y(pulses: PulseSet, limit: int = 200) -> HolonomyResult:
         return darkspace.sin_phi_y(pulses, t) * darkspace.theta_rate(pulses, t)
 
     value, err, neval = _run_quad(integrand, pulses, limit)
-    return HolonomyResult(angle=value, grid_points=neval, quad_error=err, signed_angle=value)
+    return HolonomyResult(angle=value, grid_points=neval, quad_error=err)
 
 
 def geometric_phase_z(pulses: PulseSet, params: ModelParams,
@@ -69,16 +68,14 @@ def geometric_phase_z(pulses: PulseSet, params: ModelParams,
     """Fractional-STIRAP geometric phase of the z protocol.
 
     The line integral of sin(phi_zeeman) theta'(t) dt is reported as a
-    magnitude in [0, pi/4] for the two-part-drive family (the signed
-    connection value is the negative of it and is kept in signed_angle).
-    Invariant under joint rescaling of amplitudes and Zeeman splitting.
+    magnitude in [0, pi/4] for the two-part-drive family.  Invariant under
+    joint rescaling of amplitudes and Zeeman splitting.
     """
     def integrand(t):
         return darkspace.sin_phi_z(pulses, t, params.delta) * darkspace.theta_rate(pulses, t)
 
     value, err, neval = _run_quad(integrand, pulses, limit)
-    return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err,
-                          signed_angle=-value)
+    return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err)
 
 
 def path_ordered_exponential(samples) -> np.ndarray:

@@ -81,12 +81,10 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, kind: str) -> Trajectory:
         t_fail = sol.t[-1] if sol.t.size else float("nan")
         raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
                          f"t = {t_fail:.6g} ps")
-    # DOP853 makes 12 RHS calls per accepted or rejected step, plus two at the
-    # start (the initial derivative and the step-size probe); the dense-output
-    # interpolant adds three for each step that holds a snapshot, which the
-    # floor absorbs only while at most three steps hold one (endpoints only)
+    # nfev counts every RHS call: 12 per accepted or rejected step, two at the
+    # start, and three more for each step whose interpolant yields a snapshot
     return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape),
-                      meta={"n_rhs_evals": int(sol.nfev), "n_steps": (int(sol.nfev) - 2) // 12})
+                      meta={"n_rhs_evals": int(sol.nfev)})
 
 
 def _stacked_generator(drive: Drive, lift, constant=0.0):

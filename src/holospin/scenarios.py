@@ -201,14 +201,12 @@ def default_gate_run(variant: str, **overrides) -> GateRun:
 class GateReport:
     """Outcome of one simulated gate."""
 
-    variant: str
     target: np.ndarray
     fidelity: float
     fidelity_dark_subspace: float
     leakage_final: float
     frame_phase: float
     angle_quadrature: float
-    with_decoherence: bool
     parameters: dict
     # worst overlap <p|rho|p> over the four inputs between the holonomy-predicted
     # five-level state p and the frame-corrected output rho
@@ -335,14 +333,12 @@ def simulate_gate(variant: str, run: GateRun | None = None,
     overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
 
     report = GateReport(
-        variant=variant,
         target=target,
         fidelity=fidelity,
         fidelity_dark_subspace=fid_dark,
         leakage_final=leakage_final,
         frame_phase=frame_phase,
         angle_quadrature=angle_quad,
-        with_decoherence=with_decoherence,
         parameters={**{k: v for k, v in vars(run).items() if k != "model"},
                     **vars(run.model)},
         prediction_overlap=overlap,
@@ -394,6 +390,10 @@ def _state_average_fidelity(map2, target) -> float:
     return total / len(_SIX_AXIAL)
 
 
+# points of the Fibonacci-sphere quadrature in gate_fidelity
+_SPHERE_POINTS = 400
+
+
 def _fibonacci_sphere(n: int, seed=None) -> np.ndarray:
     """Deterministic low-discrepancy qubit states; optional seeded rotation."""
     k = np.arange(n)
@@ -408,17 +408,14 @@ def _fibonacci_sphere(n: int, seed=None) -> np.ndarray:
     return states
 
 
-def gate_fidelity(process: dict, target: np.ndarray,
-                  sphere_points: int = 400, seed=None) -> float:
+def gate_fidelity(process: dict, target: np.ndarray, seed=None) -> float:
     """Input-state-averaged fidelity of a reconstructed channel.
 
     Computed two ways: the six-axial-state average (exact for a qubit
-    2-design) and a Fibonacci-sphere quadrature with >= 400 points.  The
-    two must agree within 1e-4; the six-state value is returned.
+    2-design) and a Fibonacci-sphere quadrature with 400 points, rotated by
+    the seed if one is given.  The two must agree within 1e-4; the
+    six-state value is returned.
     """
-    if sphere_points < 400:
-        raise ValueError("sphere quadrature needs at least 400 points")
-
     def one(psi):
         rho = np.outer(psi, psi.conj())
         out = _apply_channel(process, rho)
@@ -426,7 +423,7 @@ def gate_fidelity(process: dict, target: np.ndarray,
         return float(np.real(np.vdot(ideal, out @ ideal)))
 
     f_six = sum(one(s) for s in _SIX_AXIAL) / len(_SIX_AXIAL)
-    sphere = _fibonacci_sphere(sphere_points, seed=seed)
+    sphere = _fibonacci_sphere(_SPHERE_POINTS, seed=seed)
     f_sphere = sum(one(s) for s in sphere) / len(sphere)
     if abs(f_six - f_sphere) > 1e-4:
         raise ValueError(

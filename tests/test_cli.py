@@ -21,7 +21,7 @@ EXPECTED_KEYS = {
     "readout": MODEL_KEYS | {"input_state", "rabi_per_ps", "duration_ps", "rel_tol"},
     "gate": MODEL_KEYS | {"variant", "decoherence", "amp_stokes", "amp_pump", "tau_ps",
                           "tau0_over_tau", "return_delay_over_tau", "stokes_phase_rad",
-                          "target_angle_rad", "sphere_points"},
+                          "target_angle_rad"},
     "sweep-beta": {"sweep_ratios"},
     "sweep-gamma": {"sweep_ratios", "amp_stokes", "delta_rad_per_ps"},
     "validate": {"amp_pump", "amp_stokes", "amp_driving", "tau_ps", "delta_rad_per_ps",
@@ -30,7 +30,8 @@ EXPECTED_KEYS = {
 ALL_KEYS = set().union(*EXPECTED_KEYS.values())
 # every key a scenario does not read, plus keys that no scenario reads any more
 REJECTED = [(scenario, key) for scenario, keys in EXPECTED_KEYS.items()
-            for key in sorted(ALL_KEYS - keys) + ["abs_tol", "quad_tol", "pump_amp"]]
+            for key in sorted(ALL_KEYS - keys) + ["abs_tol", "quad_tol", "pump_amp",
+                                                  "sphere_points"]]
 
 
 def _readme_key_table() -> dict:
@@ -49,7 +50,7 @@ def _readme_key_table() -> dict:
 class TestKeyTables:
     def test_tables_hold_exactly_the_keys_that_matter(self):
         assert {s: set(t) for s, t in cli.SCENARIO_KEYS.items()} == EXPECTED_KEYS
-        assert sum(len(keys) for keys in EXPECTED_KEYS.values()) == 44
+        assert sum(len(keys) for keys in EXPECTED_KEYS.values()) == 43
 
     @pytest.mark.parametrize("scenario,key", REJECTED)
     def test_key_not_read_is_rejected(self, scenario, key, tmp_path):
@@ -158,7 +159,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("scenario,key", [("gate", "tau_ps"), ("init", "detuning_rad_per_ps"),
-                                              ("gate", "sphere_points"),
                                               ("sweep-beta", "sweep_ratios")])
     def test_non_finite_value_rejected(self, scenario, key, value):
         with pytest.raises(cli.ConfigError, match=key):
@@ -184,6 +184,16 @@ class TestParseConfig:
         config = cli.parse_config("variant = z_fractional\n", "gate")
         assert config.values["tau0_over_tau"] == 6.5
         assert config.values["stokes_phase_rad"] == pytest.approx(math.pi / 2)
+
+    @pytest.mark.parametrize("variant", cli.scenarios.VARIANTS)
+    def test_gate_defaults_are_the_reference_run(self, variant):
+        # one source: every gate key defaults to its field of the variant's GateRun
+        run = cli.scenarios.default_gate_run(variant)
+        for key, name in cli._GATE_FIELDS.items():
+            default = cli.SCENARIO_KEYS["gate"][key][1]
+            if callable(default):
+                default = default({"variant": variant})
+            assert default == getattr(run, name), key
 
     def test_sweep_ratio_validation(self):
         with pytest.raises(cli.ConfigError, match="sweep_ratios"):

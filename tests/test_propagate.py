@@ -55,12 +55,21 @@ class TestSchrodinger:
         traj = propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(1), spec)
         assert abs(traj.final()[2]) ** 2 >= 0.999
 
-    def test_norm_drift_bound(self, params):
+    def test_norm_drift_bound(self, params, monkeypatch):
+        # count DOP853's steps (accepted and rejected) at the source
+        from scipy.integrate._ivp import rk
+        steps = [0]
+        rk_step = rk.rk_step
+
+        def counting(*args, **kwargs):
+            steps[0] += 1
+            return rk_step(*args, **kwargs)
+        monkeypatch.setattr(rk, "rk_step", counting)
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         lo, hi = ps.window()
         spec = PropagationSpec(lo, hi, rel_tol=1e-10, max_step=2.0)
         traj = propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(0), spec)
-        bound = 10.0 * spec.rel_tol * math.sqrt(traj.meta["n_steps"])
+        bound = 10.0 * spec.rel_tol * math.sqrt(steps[0])
         assert traj.meta["norm_drift"] <= bound
 
     def test_rejects_unnormalized(self):
@@ -288,23 +297,6 @@ class TestDriveTemplates:
         via_builder = propagate.oracle_propagate(lambda t: model.build_h_y(t, ps, params),
                                                  basis_state(1), 5.0, -450.0, 450.0)
         np.testing.assert_array_equal(via_drive, via_builder)
-
-
-class TestStepCount:
-    def test_n_steps_counts_solver_steps(self, params, monkeypatch):
-        # count DOP853's steps (accepted and rejected) at the source
-        from scipy.integrate._ivp import rk
-        steps = [0]
-        rk_step = rk.rk_step
-
-        def counting(*args, **kwargs):
-            steps[0] += 1
-            return rk_step(*args, **kwargs)
-        monkeypatch.setattr(rk, "rk_step", counting)
-        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        traj = propagate.schrodinger_propagate(
-            model.drive_y(ps, params), basis_state(0), PropagationSpec(*ps.window(), max_step=2.0))
-        assert traj.meta["n_steps"] == steps[0]
 
 
 class TestOracle:

@@ -1,6 +1,7 @@
 """Every public module-level name in holospin has a use in the program: it
 is referenced in src/, scripts/ or perfbench/ beyond its own definition.
-A helper that only tests call is a helper that changes nothing."""
+A helper that only tests call is a helper that changes nothing.  Likewise
+every dataclass field is read as an attribute somewhere in the program."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,35 @@ def test_every_public_name_has_a_caller():
     assert unused <= EXEMPT, f"public names no program code uses: {sorted(unused - EXEMPT)}"
     # an exemption whose name gained a caller, or lost its definition, is stale
     assert EXEMPT <= unused, f"stale exemptions: {sorted(EXEMPT - unused)}"
+
+
+def _dataclass_fields(tree: ast.Module) -> set:
+    """(class, field) for every annotated field of a @dataclass class."""
+    fields = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        fields.update((node.name, item.target.id) for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return fields
+
+
+def _attribute_loads(tree: ast.Module) -> set:
+    """Attribute names read as `x.name`; string constants do not count, since
+    a field name can also be a config key."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    fields, loaded = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        fields |= _dataclass_fields(ast.parse(path.read_text(encoding="utf-8")))
+    for directory in PROGRAM:
+        for path in sorted(directory.rglob("*.py")):
+            loaded |= _attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in loaded)
+    assert not unread, f"dataclass fields no program code reads: {unread}"

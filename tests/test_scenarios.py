@@ -225,13 +225,6 @@ class TestGateFidelity:
         b = scenarios.gate_fidelity(process, target, seed=7)
         assert a == pytest.approx(b, abs=1e-4)
 
-    def test_rejects_small_sphere(self):
-        target = np.eye(2, dtype=complex)
-        process = {label: np.outer(q, q.conj())
-                   for label, q in scenarios._QUBIT_INPUTS.items()}
-        with pytest.raises(ValueError):
-            scenarios.gate_fidelity(process, target, sphere_points=100)
-
 
 class TestReadout:
     def test_spin_down_is_dark(self, params):
