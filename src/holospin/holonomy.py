@@ -28,6 +28,7 @@ from .qcore import DIM, IDX_ANC, IDX_ONE, dense_expm
 
 QUAD_ABS_TOL = 1e-10
 QUAD_ERROR_CEILING = 1e-6  # rad; results above this are rejected
+_QUAD_LIMIT = 200  # subintervals of the adaptive quadrature
 
 
 @dataclass(frozen=True)
@@ -39,17 +40,17 @@ class HolonomyResult:
     quad_error: float            # quadrature error estimate, rad
 
 
-def _run_quad(integrand, pulses: PulseSet, limit: int):
+def _run_quad(integrand, pulses: PulseSet):
     window = pulses.window()
     value, err, info = quad(integrand, window[0], window[1],
-                            epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=limit,
+                            epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT,
                             full_output=True)[:3]
     if err > QUAD_ERROR_CEILING:
         raise ValueError(f"holonomy quadrature did not converge (error estimate {err:.2e} rad)")
     return value, err, int(info["neval"])
 
 
-def geometric_angle_y(pulses: PulseSet, limit: int = 200) -> HolonomyResult:
+def geometric_angle_y(pulses: PulseSet) -> HolonomyResult:
     """Rotation angle of the y protocol: integral of sin(phi) theta'(t) dt.
 
     Depends only on envelope ratios, so it is invariant under a common
@@ -59,12 +60,11 @@ def geometric_angle_y(pulses: PulseSet, limit: int = 200) -> HolonomyResult:
     def integrand(t):
         return darkspace.sin_phi_y(pulses, t) * darkspace.theta_rate(pulses, t)
 
-    value, err, neval = _run_quad(integrand, pulses, limit)
+    value, err, neval = _run_quad(integrand, pulses)
     return HolonomyResult(angle=value, grid_points=neval, quad_error=err)
 
 
-def geometric_phase_z(pulses: PulseSet, params: ModelParams,
-                      limit: int = 200) -> HolonomyResult:
+def geometric_phase_z(pulses: PulseSet, params: ModelParams) -> HolonomyResult:
     """Fractional-STIRAP geometric phase of the z protocol.
 
     The line integral of sin(phi_zeeman) theta'(t) dt is reported as a
@@ -74,7 +74,7 @@ def geometric_phase_z(pulses: PulseSet, params: ModelParams,
     def integrand(t):
         return darkspace.sin_phi_z(pulses, t, params.delta) * darkspace.theta_rate(pulses, t)
 
-    value, err, neval = _run_quad(integrand, pulses, limit)
+    value, err, neval = _run_quad(integrand, pulses)
     return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err)
 
 

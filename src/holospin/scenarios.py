@@ -39,8 +39,6 @@ from .pulses import (OFF, ConstantPulse, GaussianPulse, PulseSet,
 from .qcore import (DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO,
                     density_from_state, embed_qubit, project_qubit)
 
-VARIANTS = ("y_closed_loop", "z_fractional", "x_composite")
-
 _QUBIT_INPUTS = {
     "0": np.array([1.0, 0.0], dtype=complex),
     "1": np.array([0.0, 1.0], dtype=complex),
@@ -185,29 +183,31 @@ class GateRun:
     target_angle: float = math.pi / 2  # nominal rotation angle of the target
 
 
+# reference parameters per variant (see the module docstring)
+_REFERENCE_RUNS = {
+    "y_closed_loop": GateRun(),
+    "z_fractional": GateRun(tau0_over_tau=6.5, phase=math.pi / 2),
+    "x_composite": GateRun(tau0_over_tau=1.0, phase=math.pi / 2),
+}
+VARIANTS = tuple(_REFERENCE_RUNS)
+
+
 def default_gate_run(variant: str, **overrides) -> GateRun:
-    """Reference parameters per variant (see the module docstring)."""
-    base = {
-        "y_closed_loop": GateRun(),
-        "z_fractional": GateRun(tau0_over_tau=6.5, phase=math.pi / 2),
-        "x_composite": GateRun(tau0_over_tau=1.0, phase=math.pi / 2),
-    }
-    if variant not in base:
+    """Reference parameters of a variant, with the given fields replaced."""
+    if variant not in _REFERENCE_RUNS:
         raise ValueError(f"unknown gate variant {variant!r}")
-    return replace(base[variant], **overrides)
+    return replace(_REFERENCE_RUNS[variant], **overrides)
 
 
 @dataclass
 class GateReport:
     """Outcome of one simulated gate."""
 
-    target: np.ndarray
     fidelity: float
     fidelity_dark_subspace: float
     leakage_final: float
     frame_phase: float
     angle_quadrature: float
-    parameters: dict
     # worst overlap <p|rho|p> over the four inputs between the holonomy-predicted
     # five-level state p and the frame-corrected output rho
     prediction_overlap: float
@@ -222,11 +222,32 @@ def _quarter_turn_pump_amp(run: GateRun) -> float:
         pulses = make_y_pulseset(amp_p, run.amp, run.amp, tau0, run.tau)
         return holonomy.geometric_angle_y(pulses).angle - math.pi / 4.0
 
+    # the forward angle grows with the pump peak, so the bracket's top is the
+    # largest angle the search can reach
+    reach = miss(run.amp) + math.pi / 4.0
+    if not reach >= math.pi / 4.0:
+        raise ValueError(
+            f"x_composite: no pump peak up to amp_stokes reaches the pi/4 forward angle at "
+            f"tau0_over_tau = {run.tau0_over_tau:g} (largest reachable angle {reach:.4f} rad); "
+            "set amp_pump or use a larger tau0_over_tau")
     return brentq(miss, 1e-4 * run.amp, run.amp, xtol=1e-12)
 
 
-def _segments(variant: str, run: GateRun) -> tuple[list[tuple[PulseSet, str, tuple]], float]:
-    """Pulse segments of a variant plus the final frame phase."""
+@dataclass(frozen=True)
+class _Plan:
+    """Everything a gate variant decides, from its run alone."""
+
+    segments: tuple          # (pulses, drive template, time window) per solve
+    frame_phase: float       # laser-frame phase applied to |1> after the solves
+    angle: float             # quadrature angle of the first segment
+    target: np.ndarray       # nominal 2x2 gate
+    dark_map: np.ndarray     # logical-frame qubit map predicted from the angle
+    # predicted ancilla amplitude that input |1> keeps (logical frame)
+    ancilla_one: complex = 0.0
+
+
+def _plan(variant: str, run: GateRun) -> _Plan:
+    """Segments, frame phase, quadrature angle, target and prediction of a variant."""
     tau = run.tau
     tau0 = run.tau0_over_tau * tau
     tret = run.return_delay_over_tau * tau
@@ -237,11 +258,25 @@ def _segments(variant: str, run: GateRun) -> tuple[list[tuple[PulseSet, str, tup
         pump = run.pump_amp if run.pump_amp is not None else run.amp
         forward = make_y_pulseset(pump, run.amp, run.amp, tau0, tau)
         retract = make_y_return_pulseset(run.amp, run.amp, tret, tau)
-        return [(forward, "y", fwd_window), (retract, "y", ret_window)], 0.0
+        angle = holonomy.geometric_angle_y(forward).angle
+        return _Plan(segments=((forward, drive_y, fwd_window), (retract, drive_y, ret_window)),
+                     frame_phase=0.0, angle=angle,
+                     target=holonomy.predicted_ry(run.target_angle),
+                     dark_map=holonomy.predicted_ry(angle))
 
     if variant == "z_fractional":
         pulses = make_z_pulseset(run.amp, run.amp, tau0, tau, run.phase)
-        return [(pulses, "z", (-(tau0 + 8 * tau), 8 * tau))], run.phase
+        angle = holonomy.geometric_phase_z(pulses, run.model).angle
+        amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
+        return _Plan(segments=((pulses, drive_z, (-(tau0 + 8 * tau), 8 * tau)),),
+                     frame_phase=run.phase, angle=angle,
+                     target=holonomy.predicted_rz(run.phase),
+                     dark_map=np.array([[1.0, 0.0], [0.0, amp1 * np.exp(1j * run.phase)]],
+                                       dtype=complex),
+                     # the frame rotation touches |1> only, so the raw
+                     # ancilla phase e^{-i phase} stays
+                     ancilla_one=(np.exp(-1j * run.phase)
+                                  * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0)))
 
     if variant == "x_composite":
         pump = run.pump_amp if run.pump_amp is not None else _quarter_turn_pump_amp(run)
@@ -253,22 +288,24 @@ def _segments(variant: str, run: GateRun) -> tuple[list[tuple[PulseSet, str, tup
                          stokes=GaussianPulse(run.amp, -tau0, tau),
                          driving=GaussianPulse(run.amp, +tau0, tau),
                          stokes_phase=chi, delay=tau0, width=tau)
-        return [(quarter, "y", fwd_window), (retract, "y", ret_window),
-                (raise_back, "y", ret_window), (lower, "y", fwd_window)], run.phase
+        angle = holonomy.geometric_angle_y(quarter).angle
+        # two quarter loops around the virtual phase gate
+        ry = holonomy.predicted_ry(angle)
+        return _Plan(segments=((quarter, drive_y, fwd_window), (retract, drive_y, ret_window),
+                               (raise_back, drive_y, ret_window), (lower, drive_y, fwd_window)),
+                     frame_phase=run.phase, angle=angle,
+                     target=holonomy.compose_rx(run.phase),
+                     dark_map=ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry)
 
     raise ValueError(f"unknown gate variant {variant!r}")
-
-
-def _hamiltonian_for(pulses: PulseSet, config: str, params: ModelParams):
-    return drive_y(pulses, params) if config == "y" else drive_z(pulses, params)
 
 
 def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
     """Carry a state or a stack of states (vectors or densities) through the
     segment list, one solve per segment."""
     channels = lindblad_channels(run.model)
-    for pulses, config, window in segments:
-        drive = _hamiltonian_for(pulses, config, run.model)
+    for pulses, template, window in segments:
+        drive = template(pulses, run.model)
         spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
         if with_decoherence:
             state = lindblad_propagate(drive, channels, state, spec).final()
@@ -277,70 +314,44 @@ def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
     return state
 
 
-def _quadrature_angle(variant: str, run: GateRun, segments) -> float:
-    if variant == "z_fractional":
-        return holonomy.geometric_phase_z(segments[0][0], run.model).angle
-    return holonomy.geometric_angle_y(segments[0][0]).angle
-
-
-def _dark_subspace_map(variant: str, run: GateRun, angle: float) -> np.ndarray:
-    """Predicted logical-frame qubit map from the quadrature angle alone."""
-    if variant == "y_closed_loop":
-        return holonomy.predicted_ry(angle)
-    if variant == "z_fractional":
-        amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
-        return np.array([[1.0, 0.0], [0.0, amp1 * np.exp(1j * run.phase)]], dtype=complex)
-    # composite: two quarter loops around the virtual phase gate
-    ry = holonomy.predicted_ry(angle)
-    return ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry
-
-
 def simulate_gate(variant: str, run: GateRun | None = None,
-                  with_decoherence: bool = True) -> tuple[dict, GateReport]:
+                  with_decoherence: bool = True, seed=None) -> tuple[dict, GateReport]:
     """Drive the four qubit basis inputs through the full five-level dynamics.
 
     Returns the reconstructed qubit process (projected blocks per input plus
     leakages) and a GateReport carrying the six-state average fidelity
-    against the variant's nominal target.
+    against the variant's nominal target, for the propagated channel and
+    for the dark-subspace prediction.  ``seed`` rotates the sphere points of
+    the consistency check inside both fidelity computations.
     """
     run = run or default_gate_run(variant)
-    segments, frame_phase = _segments(variant, run)
-    angle_quad = _quadrature_angle(variant, run, segments)
+    plan = _plan(variant, run)
 
-    if variant == "y_closed_loop":
-        target = holonomy.predicted_ry(run.target_angle)
-    elif variant == "z_fractional":
-        target = holonomy.predicted_rz(run.phase)
-    else:
-        target = holonomy.compose_rx(run.phase)
-
-    frame = np.diag([1.0, np.exp(1j * frame_phase), 1.0, 1.0, 1.0]).astype(complex)
+    frame = np.diag([1.0, np.exp(1j * plan.frame_phase), 1.0, 1.0, 1.0]).astype(complex)
     if with_decoherence:
-        finals = _propagate_segments(_INPUT_DENSITIES, segments, run, True)
+        finals = _propagate_segments(_INPUT_DENSITIES, plan.segments, run, True)
     else:
         finals = [density_from_state(psi)
-                  for psi in _propagate_segments(_INPUT_STACK, segments, run, False).T]
+                  for psi in _propagate_segments(_INPUT_STACK, plan.segments, run, False).T]
     outputs = [frame @ final @ frame.conj().T for final in finals]
     blocks = [project_qubit(rho) for rho in outputs]
     process = {label: block for label, (block, _) in zip(_QUBIT_INPUTS, blocks)}
     leakage_final = max(leak for _, leak in blocks)
-    fidelity = gate_fidelity(process, target)
+    fidelity = gate_fidelity(process, plan.target, seed=seed)
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
-    dark_map = _dark_subspace_map(variant, run, angle_quad)
-    fid_dark = _state_average_fidelity(dark_map, target)
-    predicted = _predicted_final_states(variant, angle_quad, dark_map, frame_phase)
+    dark_process = {label: plan.dark_map @ np.outer(q, q.conj()) @ plan.dark_map.conj().T
+                    for label, q in _QUBIT_INPUTS.items()}
+    fid_dark = gate_fidelity(dark_process, plan.target, seed=seed)
+    predicted = _predicted_final_states(plan)
     overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
 
     report = GateReport(
-        target=target,
         fidelity=fidelity,
         fidelity_dark_subspace=fid_dark,
         leakage_final=leakage_final,
-        frame_phase=frame_phase,
-        angle_quadrature=angle_quad,
-        parameters={**{k: v for k, v in vars(run).items() if k != "model"},
-                    **vars(run.model)},
+        frame_phase=plan.frame_phase,
+        angle_quadrature=plan.angle,
         prediction_overlap=overlap,
     )
     if leakage_final > 0.05:
@@ -349,8 +360,7 @@ def simulate_gate(variant: str, run: GateRun | None = None,
     return process, report
 
 
-def _predicted_final_states(variant: str, angle: float, dark_map: np.ndarray,
-                            frame_phase: float) -> list[np.ndarray]:
+def _predicted_final_states(plan: _Plan) -> list[np.ndarray]:
     """Holonomy-predicted five-level output per qubit input, each of unit norm.
 
     Logical-frame states (the z/composite frame rotation already applied),
@@ -359,12 +369,8 @@ def _predicted_final_states(variant: str, angle: float, dark_map: np.ndarray,
     out = []
     for q in _QUBIT_INPUTS.values():
         psi = np.zeros(DIM, dtype=complex)
-        psi[IDX_ZERO], psi[IDX_ONE] = dark_map @ q
-        if variant == "z_fractional":
-            # residual ancilla amplitude; the frame rotation touches |1> only,
-            # so the raw ancilla phase e^{-i phase} stays
-            psi[IDX_ANC] = (q[1] * np.exp(-1j * frame_phase)
-                            * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0))
+        psi[IDX_ZERO], psi[IDX_ONE] = plan.dark_map @ q
+        psi[IDX_ANC] = q[1] * plan.ancilla_one
         out.append(psi)
     return out
 
@@ -380,14 +386,6 @@ def _apply_channel(process: dict, rho2: np.ndarray) -> np.ndarray:
     ey = 2.0 * process["+i"] - e00 - e11
     return (rho2[0, 0].real * e00 + rho2[1, 1].real * e11
             + rho2[0, 1].real * ex - rho2[0, 1].imag * ey)
-
-
-def _state_average_fidelity(map2, target) -> float:
-    """Six-axial-state average of |<psi| target^+ M |psi>|^2 for a 2x2 map."""
-    total = 0.0
-    for s in _SIX_AXIAL:
-        total += abs(np.vdot(target @ s, map2 @ s)) ** 2
-    return total / len(_SIX_AXIAL)
 
 
 # points of the Fibonacci-sphere quadrature in gate_fidelity

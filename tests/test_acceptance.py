@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 from holospin import darkspace, holonomy, propagate, pulses, scenarios
-from holospin.model import ModelParams, build_h_y, build_h_z, drive_z, lindblad_channels
+from holospin.model import ModelParams, build_h_y, build_h_z, drive_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec
 from holospin.qcore import DIM, IDX_ONE, IDX_ZERO, basis_state, density_from_state
 
@@ -210,19 +210,19 @@ def test_criterion_08_propagator_cross_oracle():
     # the adaptive solves take the drive templates, the oracle builds H
     # element-wise: two independent constructions of the same H(t)
     worst_deficit = 0.0
-    builders = {"y": build_h_y, "z": build_h_z}
+    builders = {drive_y: build_h_y, drive_z: build_h_z}
 
     # y closed loop, both segments
     run = scenarios.default_gate_run("y_closed_loop")
-    segments, _ = scenarios._segments("y_closed_loop", run)
+    segments = scenarios._plan("y_closed_loop", run).segments
     psi_a = basis_state(IDX_ONE)
     psi_o = basis_state(IDX_ONE)
-    for pulseset, config, window in segments:
-        drive = scenarios._hamiltonian_for(pulseset, config, PARAMS)
+    for pulseset, template, window in segments:
+        drive = template(pulseset, PARAMS)
         spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0)
         psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
-        psi_o = propagate.oracle_propagate(lambda t: builders[config](t, pulseset, PARAMS),
+        psi_o = propagate.oracle_propagate(lambda t: builders[template](t, pulseset, PARAMS),
                                            psi_o, run.tau / 2000.0, window[0], window[1])
     worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(psi_o, psi_a)) ** 2))
 
@@ -237,8 +237,8 @@ def test_criterion_08_propagator_cross_oracle():
 
     # Lindblad trace and positivity bookkeeping on both protocols
     worst_trace, worst_eig = 0.0, 0.0
-    for pulseset, config, window in [segments[0], (ps, "z", (-1450.0, 800.0))]:
-        drive = scenarios._hamiltonian_for(pulseset, config, PARAMS)
+    for pulseset, template, window in [segments[0], (ps, drive_z, (-1450.0, 800.0))]:
+        drive = template(pulseset, PARAMS)
         spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0,
                                record_stride=100.0)
         traj = propagate.lindblad_propagate(drive, lindblad_channels(PARAMS),

@@ -90,7 +90,7 @@ class TestKeyTables:
     def test_gate_amp_pump_sets_pump_peak(self, tmp_path, monkeypatch):
         runs = []
 
-        def capture(variant, run, with_decoherence):
+        def capture(variant, run, with_decoherence, seed=None):
             runs.append(run)
             raise ValueError("captured")
         monkeypatch.setattr(cli.scenarios, "simulate_gate", capture)
@@ -285,6 +285,16 @@ class TestRun:
         assert manifest["exit_status"] == status
         assert "representable range" in manifest["error"]
 
+    @pytest.mark.parametrize("text", ["tau0_over_tau = 0.2\n", "amp_stokes = 0\n"])
+    def test_x_composite_unreachable_quarter_turn(self, text, tmp_path):
+        # no pump peak up to amp_stokes tunes the forward angle to pi/4: the
+        # error names the variant, the reachable angle and the way out
+        config = cli.parse_config("variant = x_composite\n" + text, "gate")
+        assert cli.run(config, tmp_path) == 2
+        error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+        assert "x_composite" in error and "largest reachable angle" in error
+        assert "amp_pump" in error and "tau0_over_tau" in error
+
 
 class TestMain:
     def test_config_error_exit_code(self, tmp_path):
@@ -303,6 +313,21 @@ class TestMain:
                            "--out", str(tmp_path / "out")])
         assert status == 0
         assert (tmp_path / "out" / "sweep_beta.csv").exists()
+
+    def test_seed_reaches_every_gate_fidelity(self, tmp_path, monkeypatch):
+        # --seed rotates the sphere points of every consistency check the gate runs
+        seeds = []
+        original = cli.scenarios.gate_fidelity
+
+        def recording(process, target, seed=None):
+            seeds.append(seed)
+            return original(process, target, seed=seed)
+        monkeypatch.setattr(cli.scenarios, "gate_fidelity", recording)
+        cfg = tmp_path / "gate.cfg"
+        cfg.write_text("variant = y_closed_loop\ndecoherence = false\n")
+        assert cli.main(["gate", "--config", str(cfg), "--seed", "7",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert seeds and all(seed == 7 for seed in seeds)
 
     def test_module_entry_point_runs_once(self):
         # the package must not import cli itself, or `python -m holospin.cli`

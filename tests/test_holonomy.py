@@ -59,10 +59,11 @@ class TestGeometricAngleY:
                 pulses.make_y_pulseset(0.5 * k, 0.5 * k, 0.5 * k, 150.0, 100.0)).angle
             assert abs(scaled - base) < 1e-9
 
-    def test_starved_quadrature_raises(self):
+    def test_starved_quadrature_raises(self, monkeypatch):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        monkeypatch.setattr(holonomy, "_QUAD_LIMIT", 2)
         with pytest.raises(ValueError, match="quadrature"):
-            holonomy.geometric_angle_y(ps, limit=2)
+            holonomy.geometric_angle_y(ps)
 
 
 class TestGeometricPhaseZ:

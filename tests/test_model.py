@@ -88,19 +88,21 @@ def _template_segments():
     # the gate segments of every variant (z and the x composite's second loop
     # carry a Stokes phase of +-pi/2) and init's constant drive
     out = []
-    for variant in ("y_closed_loop", "z_fractional", "x_composite"):
-        segments, _ = scenarios._segments(variant, scenarios.default_gate_run(variant))
-        out += [(variant, pulseset, config, window) for pulseset, config, window in segments]
+    for variant in scenarios.VARIANTS:
+        segments = scenarios._plan(variant, scenarios.default_gate_run(variant)).segments
+        out += [(variant, pulseset, template, window) for pulseset, template, window in segments]
     init = pulses.PulseSet(pump=pulses.ConstantPulse(0.05), stokes=pulses.OFF,
                            driving=pulses.OFF, width=100.0)
-    return out + [("init", init, "y", (0.0, 1000.0))]
+    return out + [("init", init, model.drive_y, (0.0, 1000.0))]
 
 
 class TestDriveTemplates:
-    @pytest.mark.parametrize("name,pulseset,config,window", _template_segments())
-    def test_matches_element_wise_builder(self, name, pulseset, config, window, params, rng):
-        build, template = ((model.build_h_y, model.drive_y) if config == "y"
-                           else (model.build_h_z, model.drive_z))
+    # the ids name a template by its configuration, y or z
+    @pytest.mark.parametrize("name,pulseset,template,window", _template_segments(),
+                             ids=lambda v: {model.drive_y: "y", model.drive_z: "z"}.get(v)
+                             if callable(v) else None)
+    def test_matches_element_wise_builder(self, name, pulseset, template, window, params, rng):
+        build = {model.drive_y: model.build_h_y, model.drive_z: model.build_h_z}[template]
         drive = template(pulseset, params)
         for t in rng.uniform(*window, size=200):
             np.testing.assert_array_equal(drive(float(t)), build(float(t), pulseset, params))

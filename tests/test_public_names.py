@@ -90,3 +90,52 @@ def test_every_dataclass_field_is_read():
             loaded |= _attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in loaded)
     assert not unread, f"dataclass fields no program code reads: {unread}"
+
+
+def _defaulted_parameters(tree: ast.Module) -> set:
+    """(function, parameter, positional index or None) for every parameter
+    with a default; a method's index does not count ``self``."""
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body}
+    params = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        offset = 1 if id(node) in methods else 0
+        params.update((node.name, a.arg, i - offset)
+                      for i, a in enumerate(positional) if i >= first)
+        params.update((node.name, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return params
+
+
+def _passed_arguments(tree: ast.Module) -> set:
+    """(function name, keyword or positional index) for every call; a call
+    that unpacks ``*args`` or ``**kwargs`` is recorded as passing "*" or "**"."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        passed.update((name, "*" if isinstance(arg, ast.Starred) else i)
+                      for i, arg in enumerate(node.args))
+        passed.update((name, "**" if kw.arg is None else kw.arg) for kw in node.keywords)
+    return passed
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter that no program call sets is a constant in
+    disguise; calls are matched by function name, as the guards above do."""
+    params, passed = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        params |= _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    for directory in PROGRAM:
+        for path in sorted(directory.rglob("*.py")):
+            passed |= _passed_arguments(ast.parse(path.read_text(encoding="utf-8")))
+    fixed = sorted(f"{func}.{param}" for func, param, index in params
+                   if not {(func, param), (func, index), (func, "*"), (func, "**")} & passed)
+    assert not fixed, f"parameters no program call sets (make them constants): {fixed}"

@@ -114,8 +114,7 @@ class TestGateSimulation:
         # the closed loop's forward segment alone carries the dark pair from
         # (|0>, |1>) to (-|a>, |0>), rotated by the quadrature angle
         run = scenarios.default_gate_run("y_closed_loop")
-        segments, _ = scenarios._segments("y_closed_loop", run)
-        forward, _, window = segments[0]
+        forward, _, window = scenarios._plan("y_closed_loop", run).segments[0]
         spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
         finals = propagate.schrodinger_propagate(drive_y(forward, run.model),
                                                  scenarios._INPUT_STACK, spec).final()
@@ -134,7 +133,7 @@ class TestGateSimulation:
         # the raw (unframed) holonomy prediction of the z protocol
         _, report = scenarios.simulate_gate("z_fractional", with_decoherence=False)
         run = scenarios.default_gate_run("z_fractional")
-        [(pulseset, _, window)], _ = scenarios._segments("z_fractional", run)
+        [(pulseset, _, window)] = scenarios._plan("z_fractional", run).segments
         spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
         psi = propagate.schrodinger_propagate(drive_z(pulseset, run.model),
                                               basis_state(IDX_ONE), spec).final()
@@ -151,11 +150,10 @@ class TestGateSimulation:
     def test_dark_space_residence_through_loop(self, params):
         # population outside the instantaneous dark pair never exceeds 1e-3
         run = scenarios.default_gate_run("y_closed_loop")
-        segments, _ = scenarios._segments("y_closed_loop", run)
         psi = basis_state(IDX_ONE)
         worst = 0.0
-        for pulseset, config, window in segments:
-            h_of_t = scenarios._hamiltonian_for(pulseset, config, params)
+        for pulseset, template, window in scenarios._plan("y_closed_loop", run).segments:
+            h_of_t = template(pulseset, params)
             spec = PropagationSpec(window[0], window[1], rel_tol=1e-10,
                                    max_step=2.0, record_stride=5.0)
             traj = propagate.schrodinger_propagate(h_of_t, psi / np.linalg.norm(psi),
