@@ -155,8 +155,7 @@ def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
     else:
         pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF, width=duration)
     stride = record_stride if record_stride is not None else duration / 400.0
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol,
-                           max_step=min(50.0, duration / 100.0), record_stride=stride)
+    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=stride)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
@@ -211,6 +210,8 @@ class GateReport:
     # worst overlap <p|rho|p> over the four inputs between the holonomy-predicted
     # five-level state p and the frame-corrected output rho
     prediction_overlap: float
+    # per segment solve: RHS evaluations and drift values (Trajectory.meta)
+    solver_stats: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
 
@@ -302,16 +303,20 @@ def _plan(variant: str, run: GateRun) -> _Plan:
 
 def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
     """Carry a state or a stack of states (vectors or densities) through the
-    segment list, one solve per segment."""
+    segment list, one solve per segment; returns the final state and each
+    solve's statistics (``Trajectory.meta``)."""
     channels = lindblad_channels(run.model)
+    stats = []
     for pulses, template, window in segments:
         drive = template(pulses, run.model)
-        spec = PropagationSpec(window[0], window[1], max_step=run.tau / 50.0)
+        spec = PropagationSpec(window[0], window[1])
         if with_decoherence:
-            state = lindblad_propagate(drive, channels, state, spec).final()
+            traj = lindblad_propagate(drive, channels, state, spec)
         else:
-            state = schrodinger_propagate(drive, state, spec).final()
-    return state
+            traj = schrodinger_propagate(drive, state, spec)
+        state = traj.final()
+        stats.append(traj.meta)
+    return state, stats
 
 
 def simulate_gate(variant: str, run: GateRun | None = None,
@@ -329,10 +334,10 @@ def simulate_gate(variant: str, run: GateRun | None = None,
 
     frame = np.diag([1.0, np.exp(1j * plan.frame_phase), 1.0, 1.0, 1.0]).astype(complex)
     if with_decoherence:
-        finals = _propagate_segments(_INPUT_DENSITIES, plan.segments, run, True)
+        finals, stats = _propagate_segments(_INPUT_DENSITIES, plan.segments, run, True)
     else:
-        finals = [density_from_state(psi)
-                  for psi in _propagate_segments(_INPUT_STACK, plan.segments, run, False).T]
+        psis, stats = _propagate_segments(_INPUT_STACK, plan.segments, run, False)
+        finals = [density_from_state(psi) for psi in psis.T]
     outputs = [frame @ final @ frame.conj().T for final in finals]
     blocks = [project_qubit(rho) for rho in outputs]
     process = {label: block for label, (block, _) in zip(_QUBIT_INPUTS, blocks)}
@@ -353,6 +358,7 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         frame_phase=plan.frame_phase,
         angle_quadrature=plan.angle,
         prediction_overlap=overlap,
+        solver_stats=stats,
     )
     if leakage_final > 0.05:
         report.warnings.append(
@@ -465,9 +471,7 @@ def run_readout(qubit_block: np.ndarray, duration: float,
         raise ValueError("qubit block must have unit trace")
 
     pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF, width=duration)
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol,
-                           max_step=min(50.0, duration / 100.0),
-                           record_stride=duration / 2000.0)
+    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=duration / 2000.0)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real
     total = float(np.trapezoid(2.0 * params.gamma * excited, traj.times))

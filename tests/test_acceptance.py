@@ -158,7 +158,7 @@ def test_criterion_06_z_holonomy_vs_propagation():
         ps = pulses.make_z_pulseset(0.5, 0.5, tau0, tau, phase)
         gamma_f = holonomy.geometric_phase_z(ps, PARAMS).angle
         angles[phase] = gamma_f
-        spec = PropagationSpec(-(tau0 + 8 * tau), 8 * tau, rel_tol=1e-8, max_step=tau / 50.0)
+        spec = PropagationSpec(-(tau0 + 8 * tau), 8 * tau, rel_tol=1e-8)
         traj = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE), spec)
         prediction = holonomy.predicted_final_state_z(math.pi / 4, phase)  # e^{i phi}|1>
         overlap = float(abs(np.vdot(prediction, traj.final())) ** 2)
@@ -219,7 +219,7 @@ def test_criterion_08_propagator_cross_oracle():
     psi_o = basis_state(IDX_ONE)
     for pulseset, template, window in segments:
         drive = template(pulseset, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0)
+        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
         psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
         psi_o = propagate.oracle_propagate(lambda t: builders[template](t, pulseset, PARAMS),
@@ -228,7 +228,7 @@ def test_criterion_08_propagator_cross_oracle():
 
     # z protocol at the reference width
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    spec = PropagationSpec(-1450.0, 800.0, rel_tol=1e-10, max_step=2.0)
+    spec = PropagationSpec(-1450.0, 800.0, rel_tol=1e-10)
     adaptive = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE),
                                                spec).final()
     oracle = propagate.oracle_propagate(lambda t: build_h_z(t, ps, PARAMS), basis_state(IDX_ONE),
@@ -239,8 +239,7 @@ def test_criterion_08_propagator_cross_oracle():
     worst_trace, worst_eig = 0.0, 0.0
     for pulseset, template, window in [segments[0], (ps, drive_z, (-1450.0, 800.0))]:
         drive = template(pulseset, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, max_step=2.0,
-                               record_stride=100.0)
+        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, record_stride=100.0)
         traj = propagate.lindblad_propagate(drive, lindblad_channels(PARAMS),
                                             density_from_state(basis_state(IDX_ONE)), spec)
         worst_trace = max(worst_trace, traj.meta["trace_drift"])

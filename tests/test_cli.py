@@ -247,10 +247,17 @@ class TestRun:
         config = cli.parse_config(text, "gate")
         assert cli.run(config, tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        details = {c["name"]: c["detail"] for c in manifest["checks"]}
-        assert "gate_fidelity" in details
+        assert "fidelity" in manifest["results"]
         lines = (tmp_path / "gate_process.csv").read_text().splitlines()
         assert len(lines) == 5
+
+    def test_gate_manifest_reports_solver_stats(self, tmp_path):
+        # one record per segment solve of the closed loop
+        config = cli.parse_config("variant = y_closed_loop\ndecoherence = false\n", "gate")
+        cli.run(config, tmp_path)
+        segments = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        assert len(segments) == 2
+        assert all(seg["n_rhs_evals"] > 0 for seg in segments)
 
     @pytest.mark.parametrize("variant", cli.scenarios.VARIANTS)
     def test_gate_manifest_reports_prediction_overlap(self, variant, tmp_path):
@@ -258,8 +265,7 @@ class TestRun:
         cli.run(config, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["error"] is None
-        details = {c["name"]: c["detail"] for c in manifest["checks"]}
-        assert 0.0 < float(details["final_state_prediction_overlap"].split()[-1]) <= 1.0
+        assert 0.0 < manifest["results"]["prediction_overlap"] <= 1.0
 
     def test_readout_scenario(self, tmp_path):
         config = cli.parse_config("input_state = zero\nduration_ps = 5000\n",

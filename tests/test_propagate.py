@@ -51,9 +51,27 @@ class TestSchrodinger:
         # pump off, driving early: |1> rides the dark state into |a>
         ps = pulses.make_y_pulseset(0.0, 0.5, 0.5, 100.0, 100.0)
         lo, hi = ps.window()
-        spec = PropagationSpec(lo, hi, rel_tol=1e-10, max_step=2.0)
+        spec = PropagationSpec(lo, hi, rel_tol=1e-10)
         traj = propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(1), spec)
         assert abs(traj.final()[2]) ** 2 >= 0.999
+
+    def test_lone_pulse_is_not_stepped_over(self, params):
+        # a 10 ps pulse at 5000 ps: the step cap from its width keeps the
+        # solve from striding across it while every field is ~0
+        pump = pulses.GaussianPulse(0.05, 5000.0, 10.0)
+        ps = pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF, width=10.0)
+        psi0 = basis_state(0)
+        adaptive = propagate.schrodinger_propagate(model.drive_y(ps, params), psi0,
+                                                   PropagationSpec(0.0, 6000.0, rel_tol=1e-10))
+        # oracle over the pulse region (|0> is stationary before it), then the
+        # exact free evolution under the diagonal H0 to the end of the window
+        lo, hi = 5000.0 - 80.0, 5000.0 + 80.0
+        psi = propagate.oracle_propagate(lambda t: model.build_h_y(t, ps, params), psi0,
+                                         0.05, lo, hi)
+        h0 = np.diag(model.build_h_y(0.0, ps, params))
+        expected = np.exp(-1j * h0 * (6000.0 - hi)) * psi
+        assert abs(expected[0]) ** 2 < 0.2
+        assert np.max(np.abs(adaptive.final() - expected)) < 1e-6
 
     def test_norm_drift_bound(self, params, monkeypatch):
         # count DOP853's steps (accepted and rejected) at the source
@@ -67,7 +85,7 @@ class TestSchrodinger:
         monkeypatch.setattr(rk, "rk_step", counting)
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         lo, hi = ps.window()
-        spec = PropagationSpec(lo, hi, rel_tol=1e-10, max_step=2.0)
+        spec = PropagationSpec(lo, hi, rel_tol=1e-10)
         traj = propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(0), spec)
         bound = 10.0 * spec.rel_tol * math.sqrt(steps[0])
         assert traj.meta["norm_drift"] <= bound
@@ -99,7 +117,7 @@ class TestLindblad:
     def test_matches_schrodinger_without_channels(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
         h_of_t = model.drive_y(ps, params)
-        spec = PropagationSpec(-500.0, 500.0, rel_tol=1e-10, max_step=2.0)
+        spec = PropagationSpec(-500.0, 500.0, rel_tol=1e-10)
         pure = propagate.schrodinger_propagate(h_of_t, basis_state(1), spec).final()
         mixed = propagate.lindblad_propagate(
             h_of_t, [], density_from_state(basis_state(1)), spec).final()
@@ -130,14 +148,12 @@ class TestLindblad:
         chans = lindblad_channels(params)
         rho0 = density_from_state(basis_state(1))
         traj = propagate.lindblad_propagate(_zero_h, chans, rho0,
-                                            PropagationSpec(0.0, 1e4, rel_tol=1e-10,
-                                                            max_step=100.0))
+                                            PropagationSpec(0.0, 1e4, rel_tol=1e-10))
         assert abs(traj.final()[1, 1].real - 1.0) <= 1e-5
 
     def test_trace_and_positivity_meta(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        spec = PropagationSpec(-950.0, 950.0, rel_tol=1e-10, max_step=2.0,
-                               record_stride=100.0)
+        spec = PropagationSpec(-950.0, 950.0, rel_tol=1e-10, record_stride=100.0)
         traj = propagate.lindblad_propagate(
             model.drive_y(ps, params), lindblad_channels(params),
             density_from_state(basis_state(0)), spec)
@@ -175,7 +191,7 @@ class TestStacks:
     def test_schrodinger_stack_matches_single_solves(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         h_of_t = model.drive_y(ps, params)
-        spec = PropagationSpec(-950.0, 950.0, max_step=2.0, record_stride=100.0)
+        spec = PropagationSpec(-950.0, 950.0, record_stride=100.0)
         stack = propagate.schrodinger_propagate(h_of_t, np.stack(_QUBIT_INPUTS, axis=1), spec)
         assert stack.states.shape == (len(stack.times), DIM, 4)
         for k, psi in enumerate(_QUBIT_INPUTS):
@@ -188,7 +204,7 @@ class TestStacks:
         h_of_t = model.drive_y(ps, params)
         chans = lindblad_channels(params)
         assert len(chans) == 8
-        spec = PropagationSpec(-950.0, 950.0, max_step=2.0, record_stride=100.0)
+        spec = PropagationSpec(-950.0, 950.0, record_stride=100.0)
         inputs = [density_from_state(psi) for psi in _QUBIT_INPUTS]
         stack = propagate.lindblad_propagate(h_of_t, chans, np.stack(inputs), spec)
         assert stack.states.shape == (len(stack.times), 4, DIM, DIM)
@@ -241,7 +257,7 @@ def _capture_rhs(monkeypatch):
     """Replace the shared solve by a stand-in that keeps the RHS it is given."""
     captured = []
 
-    def solve(rhs, y0, spec, kind):
+    def solve(rhs, y0, spec, drive, kind):
         captured.append(rhs)
         return propagate.Trajectory(times=np.array([spec.t_start, spec.t_end]),
                                     states=np.stack([y0, y0]))
@@ -309,7 +325,7 @@ class TestOracle:
         # solve, the element-wise builder for the oracle
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
         lo, hi = -1450.0, 800.0
-        spec = PropagationSpec(lo, hi, rel_tol=1e-10, max_step=2.0)
+        spec = PropagationSpec(lo, hi, rel_tol=1e-10)
         adaptive = propagate.schrodinger_propagate(model.drive_z(ps, params), basis_state(1),
                                                    spec).final()
         oracle = propagate.oracle_propagate(lambda t: model.build_h_z(t, ps, params),
