@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
 from .model import (DELTA_DEFAULT, GAMMA_DEFAULT, GAMMA_EE_DEFAULT, GAMMA_HH_DEFAULT,
-                    ModelParams, build_h_y, build_h_z, drive_y)
+                    ModelParams, build_h_y, build_h_z, drive_y, drive_z)
 from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
@@ -251,9 +251,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies; each returns (outputs, checks), the gate also a dict of
-# extra manifest blocks, and may raise for physics failures (mapped to exit
-# code 2).
+# Scenario bodies; each returns (outputs, checks), the gate, init and readout
+# also a dict of extra manifest blocks, and may raise for physics failures
+# (mapped to exit code 2).
 # ---------------------------------------------------------------------------
 
 def _run_sweep(config: RunConfig, out_dir: Path, which: str):
@@ -292,13 +292,10 @@ def _run_init(config: RunConfig, out_dir: Path):
                      s[IDX_ANC, IDX_ANC].real, s[IDX_E1, IDX_E1].real,
                      s[IDX_E2, IDX_E2].real, fid[i]))
     _write_csv(path, "t_ps,rho00,rho11,rho_aa,rho_e1e1,rho_e2e2,fidelity", rows)
-    checks = [
-        {"name": "trace_preserved", "passed": traj.meta["trace_drift"] < 1e-9,
-         "detail": f"trace drift {traj.meta['trace_drift']:.3e}"},
-        {"name": "final_fidelity", "passed": True,
-         "detail": f"preparation fidelity {fid[-1]:.6f} at t = {traj.times[-1]:.0f} ps"},
-    ]
-    return ["init.csv"], checks
+    checks = [{"name": "trace_preserved", "passed": traj.meta["trace_drift"] < 1e-9,
+               "detail": f"trace drift {traj.meta['trace_drift']:.3e}"}]
+    results = {"preparation_fidelity": float(fid[-1])}
+    return ["init.csv"], checks, {"results": results, "solver": [traj.meta]}
 
 
 def _run_gate(config: RunConfig, out_dir: Path, seed=None):
@@ -348,46 +345,46 @@ def _run_readout(config: RunConfig, out_dir: Path):
                  "true" if result.shelving_complete else "false")])
     checks = [{"name": "shelving_complete", "passed": result.shelving_complete,
                "detail": f"driven population left {result.driven_population_left:.3e}"}]
-    return ["readout.csv"], checks
+    return ["readout.csv"], checks, {"solver": result.solver_stats}
 
 
-def _run_validate(config: RunConfig, out_dir: Path):
-    """Fast invariant suite; any failed row flips the exit to 2."""
-    v = config.values
-    params = config.model_params()
-    rng = np.random.default_rng(20240811)
-    checks = []
+# ---------------------------------------------------------------------------
+# Invariant checks, shared by validate and the tests.  Each returns its worst
+# deviation and applies no bound; the caller picks the seed, the sample count
+# and the bound.  They reach build_h_*, darkspace, holonomy, qcore and the
+# propagators through this module's globals when they run, which is where
+# the benchmark tracer patches them.
+# ---------------------------------------------------------------------------
 
-    def record(name, passed, detail):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
+    """Worst ||H d|| / (1 + max|H|) over both dark states at n random times
+    of each protocol: the y set over its window, the z set over its gate
+    window [-(delay + 8 width), 8 width]."""
+    def scaled_residual(h, pair):
+        return max(darkspace.darkness_residual(h, pair)) / (1.0 + float(np.max(np.abs(h))))
 
-    # dark-state nullity on random times of both default protocols
-    y_set = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"],
-                            1.5 * v["tau_ps"], v["tau_ps"])
-    z_set = make_z_pulseset(v["amp_stokes"], v["amp_driving"], 6.5 * v["tau_ps"],
-                            v["tau_ps"], 0.7)
     worst = 0.0
-    for _ in range(200):
+    for _ in range(n):
         t = rng.uniform(*y_set.window())
-        h = build_h_y(t, y_set, params)
         pair = darkspace.dark_states_y(darkspace.theta_track(y_set, t),
                                        darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t),
                                                               y_set.driving(t), limit=0.0))
-        res = darkspace.darkness_residual(h, pair)
-        worst = max(worst, max(res) / (1.0 + float(np.max(np.abs(h)))))
-        t = rng.uniform(-(6.5 + 8.0) * v["tau_ps"], 8.0 * v["tau_ps"])
-        h = build_h_z(t, z_set, params)
+        worst = max(worst, scaled_residual(build_h_y(t, y_set, params), pair))
+        t = rng.uniform(-(z_set.delay + 8.0 * z_set.width), 8.0 * z_set.width)
         pair = darkspace.dark_states_z(darkspace.theta_track(z_set, t),
                                        darkspace.mixing_phi_z(params.delta, z_set.stokes(t),
                                                               z_set.driving(t)),
                                        z_set.stokes_phase)
-        res = darkspace.darkness_residual(h, pair)
-        worst = max(worst, max(res) / (1.0 + float(np.max(np.abs(h)))))
-    record("dark_state_nullity", worst < 1e-10, f"worst scaled residual {worst:.3e}")
+        worst = max(worst, scaled_residual(build_h_z(t, z_set, params), pair))
+    return worst
 
-    # analytic connection vs Richardson-extrapolated finite difference
+
+def connection_deviation(rng, n: int) -> float:
+    """Worst deviation of the Richardson-extrapolated finite-difference
+    connection of the y dark pair from the analytic one, at n random
+    (theta, phi)."""
     worst = 0.0
-    for _ in range(20):
+    for _ in range(n):
         theta = rng.uniform(0.05, math.pi / 2 - 0.05)
         phi = rng.uniform(0.05, math.pi / 2 - 0.05)
         exact = darkspace.connection_y(phi)
@@ -396,55 +393,96 @@ def _run_validate(config: RunConfig, out_dir: Path):
         fine = darkspace.connection_numeric(basis, theta, 5e-4)
         extrap = (4.0 * fine - coarse) / 3.0
         worst = max(worst, float(np.max(np.abs(extrap - exact))))
-    record("connection_oracle", worst < 1e-8, f"worst extrapolated deviation {worst:.3e}")
+    return worst
 
-    # matrix exponential: unitarity and the semigroup property
+
+def expm_defects(rng, n: int) -> tuple[float, float]:
+    """Worst unitarity and semigroup defects of dense_expm on n random
+    anti-Hermitian 5x5 matrices."""
     worst_u, worst_s = 0.0, 0.0
-    for _ in range(10):
+    for _ in range(n):
         m = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
         m = 0.5 * (m - m.conj().T)
         u = qcore.dense_expm(m, 0.7)
         worst_u = max(worst_u, float(np.max(np.abs(u.conj().T @ u - np.eye(DIM)))))
         left = qcore.dense_expm(m, 0.3) @ qcore.dense_expm(m, 0.4)
         worst_s = max(worst_s, float(np.max(np.abs(left - u))))
-    record("expm_unitary", worst_u < 1e-10, f"worst unitarity defect {worst_u:.3e}")
-    record("expm_semigroup", worst_s < 1e-10, f"worst semigroup defect {worst_s:.3e}")
+    return worst_u, worst_s
 
-    # scaling invariances of the two geometric angles
-    base_y = holonomy.geometric_angle_y(y_set).angle
-    worst = 0.0
-    for _ in range(10):
-        k = float(rng.uniform(0.2, 5.0))
-        scaled = make_y_pulseset(k * v["amp_pump"], k * v["amp_stokes"],
-                                 k * v["amp_driving"], 1.5 * v["tau_ps"], v["tau_ps"])
-        worst = max(worst, abs(holonomy.geometric_angle_y(scaled).angle - base_y))
-    record("scale_invariance_y", worst < 1e-9, f"worst angle shift {worst:.3e} rad")
-    base_z = holonomy.geometric_phase_z(z_set, params).angle
-    worst = 0.0
-    for _ in range(10):
-        k = float(rng.uniform(0.2, 5.0))
-        scaled = make_z_pulseset(k * v["amp_stokes"], k * v["amp_driving"],
-                                 6.5 * v["tau_ps"], v["tau_ps"], 0.7)
-        scaled_params = replace(params, delta=k * params.delta)
-        worst = max(worst, abs(holonomy.geometric_phase_z(scaled, scaled_params).angle - base_z))
-    record("scale_invariance_z", worst < 1e-9, f"worst angle shift {worst:.3e} rad")
 
-    # adaptive integrator against the exponential oracle on a short window
-    short = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"],
-                            0.5 * v["tau_ps"], v["tau_ps"])
-    window = short.window(margin=4.0)
+def _scaled(pulses, k: float):
+    """The pulse set with every envelope amplitude multiplied by k."""
+    return replace(pulses, **{name: replace(env, amplitude=k * env.amplitude)
+                              for name, env in (("pump", pulses.pump),
+                                                ("stokes", pulses.stokes),
+                                                ("driving", pulses.driving))})
+
+
+def scale_shift_y(y_set, scales) -> float:
+    """Worst shift of the y angle when every amplitude is scaled by k, for
+    each k in scales."""
+    base = holonomy.geometric_angle_y(y_set).angle
+    return max(abs(holonomy.geometric_angle_y(_scaled(y_set, k)).angle - base)
+               for k in map(float, scales))
+
+
+def scale_shift_z(z_set, params: ModelParams, scales) -> float:
+    """Worst shift of the z phase when every amplitude and the Zeeman
+    splitting are scaled by k, for each k in scales."""
+    base = holonomy.geometric_phase_z(z_set, params).angle
+    worst = 0.0
+    for k in map(float, scales):
+        scaled = holonomy.geometric_phase_z(_scaled(z_set, k),
+                                            replace(params, delta=k * params.delta))
+        worst = max(worst, abs(scaled.angle - base))
+    return worst
+
+
+def cross_oracle_deficit(template, pulses, params: ModelParams, window, dt: float) -> float:
+    """Overlap deficit 1 - |<oracle|adaptive>|^2 of |1> propagated over the
+    window: the adaptive solve (rel_tol 1e-10) takes the drive template, the
+    exponential oracle (step dt) builds H element-wise, so the two share no
+    construction of H(t)."""
+    build_h = {drive_y: build_h_y, drive_z: build_h_z}[template]
     psi0 = qcore.basis_state(IDX_ONE)
     spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
-    adaptive = schrodinger_propagate(drive_y(short, params), psi0, spec).final()
-    # the oracle builds H element-wise, independently of the drive template
-    oracle = oracle_propagate(lambda t: build_h_y(t, short, params), psi0,
-                              v["tau_ps"] / 2000.0, window[0], window[1])
-    deficit = 1.0 - abs(np.vdot(oracle, adaptive)) ** 2
-    record("propagator_cross_oracle", deficit < 1e-6, f"overlap deficit {deficit:.3e}")
+    adaptive = schrodinger_propagate(template(pulses, params), psi0, spec).final()
+    oracle = oracle_propagate(lambda t: build_h(t, pulses, params), psi0, dt,
+                              window[0], window[1])
+    return 1.0 - float(abs(np.vdot(oracle, adaptive)) ** 2)
 
-    rows = [(c["name"], "pass" if c["passed"] else "FAIL", c["detail"]) for c in checks]
+
+def _run_validate(config: RunConfig, out_dir: Path):
+    """Fast invariant suite; any failed row flips the exit to 2."""
+    v = config.values
+    params = config.model_params()
+    rng = np.random.default_rng(20240811)
+    tau = v["tau_ps"]
+    y_set = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 1.5 * tau, tau)
+    z_set = make_z_pulseset(v["amp_stokes"], v["amp_driving"], 6.5 * tau, tau, 0.7)
+    nullity = dark_state_nullity(y_set, z_set, params, rng, 200)
+    connection = connection_deviation(rng, 20)
+    unitary, semigroup = expm_defects(rng, 10)
+    shift_y = scale_shift_y(y_set, rng.uniform(0.2, 5.0, 10))
+    shift_z = scale_shift_z(z_set, params, rng.uniform(0.2, 5.0, 10))
+    short = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 0.5 * tau, tau)
+    deficit = cross_oracle_deficit(drive_y, short, params, short.window(margin=4.0),
+                                   tau / 2000.0)
+    rows = [
+        ("dark_state_nullity", nullity, 1e-10, f"worst scaled residual {nullity:.3e}"),
+        ("connection_oracle", connection, 1e-8,
+         f"worst extrapolated deviation {connection:.3e}"),
+        ("expm_unitary", unitary, 1e-10, f"worst unitarity defect {unitary:.3e}"),
+        ("expm_semigroup", semigroup, 1e-10, f"worst semigroup defect {semigroup:.3e}"),
+        ("scale_invariance_y", shift_y, 1e-9, f"worst angle shift {shift_y:.3e} rad"),
+        ("scale_invariance_z", shift_z, 1e-9, f"worst angle shift {shift_z:.3e} rad"),
+        ("propagator_cross_oracle", deficit, 1e-6, f"overlap deficit {deficit:.3e}"),
+    ]
+    checks = [{"name": name, "passed": bool(value < bound), "detail": detail}
+              for name, value, bound, detail in rows]
     _write_csv(out_dir / "validate.csv", "check,status,detail",
-               [(n, s, d.replace(",", ";")) for n, s, d in rows])
+               [(c["name"], "pass" if c["passed"] else "FAIL", c["detail"].replace(",", ";"))
+                for c in checks])
     return ["validate.csv"], checks
 
 
@@ -463,11 +501,11 @@ def run(config: RunConfig, out_dir: Path, seed=None) -> int:
         elif config.scenario == "sweep-gamma":
             outputs, checks = _run_sweep(config, out_dir, "gamma")
         elif config.scenario == "init":
-            outputs, checks = _run_init(config, out_dir)
+            outputs, checks, extra = _run_init(config, out_dir)
         elif config.scenario == "gate":
             outputs, checks, extra = _run_gate(config, out_dir, seed=seed)
         elif config.scenario == "readout":
-            outputs, checks = _run_readout(config, out_dir)
+            outputs, checks, extra = _run_readout(config, out_dir)
         elif config.scenario == "validate":
             outputs, checks = _run_validate(config, out_dir)
         else:  # pragma: no cover - parse_config guards this

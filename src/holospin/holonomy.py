@@ -1,4 +1,4 @@
-"""Geometric-phase quadrature, path-ordered exponentials, predicted gates.
+"""Geometric-phase quadrature and predicted gates.
 
 The rotation produced by a protocol is a path-ordered exponential of the
 gauge connection over the dark pair.  Because that connection stays
@@ -24,7 +24,6 @@ from scipy.integrate import quad
 from . import darkspace
 from .model import ModelParams
 from .pulses import PulseSet
-from .qcore import DIM, IDX_ANC, IDX_ONE, dense_expm
 
 QUAD_ABS_TOL = 1e-10
 QUAD_ERROR_CEILING = 1e-6  # rad; results above this are rejected
@@ -78,21 +77,6 @@ def geometric_phase_z(pulses: PulseSet, params: ModelParams) -> HolonomyResult:
     return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err)
 
 
-def path_ordered_exponential(samples) -> np.ndarray:
-    """Ordered product of exp(A_k * step_k), later samples applied later.
-
-    ``samples`` is an iterable of (matrix, step) pairs in path order; each
-    matrix is a (2x2) connection sample, each step the parameter increment.
-    Refining the partition converges at second order in the step.
-    """
-    u = np.eye(2, dtype=complex)
-    for a, step in samples:
-        if step <= 0.0:
-            raise ValueError("path steps must be positive")
-        u = dense_expm(np.asarray(a, dtype=complex), step) @ u
-    return u
-
-
 def predicted_ry(angle: float) -> np.ndarray:
     """Geometric y rotation [[cos, -sin], [sin, cos]] on (|0>, |1>)."""
     c, s = math.cos(angle), math.sin(angle)
@@ -102,18 +86,6 @@ def predicted_ry(angle: float) -> np.ndarray:
 def predicted_rz(phase: float) -> np.ndarray:
     """Phase gate diag(1, e^{i phase}): |0> untouched, |1> phased."""
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * phase)]], dtype=complex)
-
-
-def predicted_final_state_z(gamma_f: float, phase: float) -> np.ndarray:
-    """Predicted z-protocol output for input |1> at frozen ratio pi/4.
-
-    (1/sqrt2) [ e^{i phase}(sin g + cos g)|1> + (sin g - cos g)|a> ];
-    exactly e^{i phase}|1> when the accumulated phase g reaches pi/4.
-    """
-    psi = np.zeros(DIM, dtype=complex)
-    psi[IDX_ONE] = np.exp(1j * phase) * (math.sin(gamma_f) + math.cos(gamma_f)) / math.sqrt(2.0)
-    psi[IDX_ANC] = (math.sin(gamma_f) - math.cos(gamma_f)) / math.sqrt(2.0)
-    return psi
 
 
 # Quarter turn about y in the Bloch-sphere convention, exp(-i sigma_y pi/4).

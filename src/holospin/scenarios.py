@@ -448,6 +448,8 @@ class ReadoutResult:
     photons_to_spin_up: float
     shelving_complete: bool
     driven_population_left: float
+    # the one solve's RHS evaluations and drift values (Trajectory.meta)
+    solver_stats: list
 
 
 def run_readout(qubit_block: np.ndarray, duration: float,
@@ -484,4 +486,5 @@ def run_readout(qubit_block: np.ndarray, duration: float,
         photons_to_spin_up=total / 2.0,
         shelving_complete=driven_left < 1e-3,
         driven_population_left=driven_left,
+        solver_stats=[traj.meta],
     )

@@ -25,10 +25,11 @@ stated tolerances anyway (an honest red is preferred over a loosened bound):
 import math
 
 import numpy as np
-from holospin import darkspace, holonomy, propagate, pulses, scenarios
-from holospin.model import ModelParams, build_h_y, build_h_z, drive_y, drive_z, lindblad_channels
+from holospin import cli, holonomy, propagate, pulses, scenarios
+from holospin.model import ModelParams, build_h_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec
 from holospin.qcore import DIM, IDX_ONE, IDX_ZERO, basis_state, density_from_state
+from oracles import predicted_final_state_z
 
 PARAMS = ModelParams()
 
@@ -41,44 +42,18 @@ def _line(criterion: str, passed: bool, detail: str) -> str:
 
 
 def test_criterion_01_dark_state_nullity():
-    rng = np.random.default_rng(11)
     y_set = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
     z_set = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.6)
-    worst = 0.0
-    for _ in range(500):
-        t = rng.uniform(*y_set.window())
-        h = build_h_y(t, y_set, PARAMS)
-        pair = darkspace.dark_states_y(
-            darkspace.theta_track(y_set, t),
-            darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t), y_set.driving(t)))
-        bound = 1e-10 * (1.0 + float(np.max(np.abs(h))))
-        worst = max(worst, max(darkspace.darkness_residual(h, pair)) / bound)
-
-        t = rng.uniform(-1450.0, 800.0)
-        h = build_h_z(t, z_set, PARAMS)
-        pair = darkspace.dark_states_z(
-            darkspace.theta_track(z_set, t),
-            darkspace.mixing_phi_z(PARAMS.delta, z_set.stokes(t), z_set.driving(t)),
-            z_set.stokes_phase)
-        bound = 1e-10 * (1.0 + float(np.max(np.abs(h))))
-        worst = max(worst, max(darkspace.darkness_residual(h, pair)) / bound)
-    ok = worst < 1.0
-    msg = _line("criterion 01 dark-state nullity",
-                ok, f"worst residual at {worst:.3e} of the allowed bound over 1000 samples")
+    worst = cli.dark_state_nullity(y_set, z_set, PARAMS, np.random.default_rng(11), 500)
+    ok = worst < 1e-10
+    msg = _line("criterion 01 dark-state nullity", ok,
+                f"worst residual ||H d|| / (1 + max|H|) {worst:.3e} (< 1e-10) "
+                f"over 1000 samples")
     assert ok, msg
 
 
 def test_criterion_02_connection_oracle():
-    rng = np.random.default_rng(22)
-    worst = 0.0
-    for _ in range(100):
-        theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-        phi = rng.uniform(0.05, math.pi / 2 - 0.05)
-        basis = lambda th: darkspace.dark_states_y(th, phi)
-        coarse = darkspace.connection_numeric(basis, theta, 1e-3)
-        fine = darkspace.connection_numeric(basis, theta, 5e-4)
-        extrapolated = (4.0 * fine - coarse) / 3.0
-        worst = max(worst, float(np.max(np.abs(extrapolated - darkspace.connection_y(phi)))))
+    worst = cli.connection_deviation(np.random.default_rng(22), 100)
     ok = worst < 1e-8
     msg = _line("criterion 02 connection oracle", ok,
                 f"worst Richardson-extrapolated deviation {worst:.3e} (< 1e-8)")
@@ -160,7 +135,7 @@ def test_criterion_06_z_holonomy_vs_propagation():
         angles[phase] = gamma_f
         spec = PropagationSpec(-(tau0 + 8 * tau), 8 * tau, rel_tol=1e-8)
         traj = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE), spec)
-        prediction = holonomy.predicted_final_state_z(math.pi / 4, phase)  # e^{i phi}|1>
+        prediction = predicted_final_state_z(math.pi / 4, phase)  # e^{i phi}|1>
         overlap = float(abs(np.vdot(prediction, traj.final())) ** 2)
         worst = min(worst, overlap)
     ok = worst >= 0.999
@@ -210,7 +185,6 @@ def test_criterion_08_propagator_cross_oracle():
     # the adaptive solves take the drive templates, the oracle builds H
     # element-wise: two independent constructions of the same H(t)
     worst_deficit = 0.0
-    builders = {drive_y: build_h_y, drive_z: build_h_z}
 
     # y closed loop, both segments
     run = scenarios.default_gate_run("y_closed_loop")
@@ -222,18 +196,14 @@ def test_criterion_08_propagator_cross_oracle():
         spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
         psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
-        psi_o = propagate.oracle_propagate(lambda t: builders[template](t, pulseset, PARAMS),
+        psi_o = propagate.oracle_propagate(lambda t: build_h_y(t, pulseset, PARAMS),
                                            psi_o, run.tau / 2000.0, window[0], window[1])
     worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(psi_o, psi_a)) ** 2))
 
     # z protocol at the reference width
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    spec = PropagationSpec(-1450.0, 800.0, rel_tol=1e-10)
-    adaptive = propagate.schrodinger_propagate(drive_z(ps, PARAMS), basis_state(IDX_ONE),
-                                               spec).final()
-    oracle = propagate.oracle_propagate(lambda t: build_h_z(t, ps, PARAMS), basis_state(IDX_ONE),
-                                        0.05, -1450.0, 800.0)
-    worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(oracle, adaptive)) ** 2))
+    worst_deficit = max(worst_deficit,
+                        cli.cross_oracle_deficit(drive_z, ps, PARAMS, (-1450.0, 800.0), 0.05))
 
     # Lindblad trace and positivity bookkeeping on both protocols
     worst_trace, worst_eig = 0.0, 0.0
@@ -253,21 +223,10 @@ def test_criterion_08_propagator_cross_oracle():
 
 
 def test_criterion_09_scaling_invariances():
-    rng = np.random.default_rng(99)
-    base_y = holonomy.geometric_angle_y(
-        pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)).angle
-    base_z = holonomy.geometric_phase_z(
-        pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0), PARAMS).angle
-    worst_y, worst_z = 0.0, 0.0
-    for _ in range(100):
-        k = float(rng.uniform(0.1, 10.0))
-        scaled = holonomy.geometric_angle_y(
-            pulses.make_y_pulseset(0.5 * k, 0.5 * k, 0.5 * k, 150.0, 100.0)).angle
-        worst_y = max(worst_y, abs(scaled - base_y))
-        scaled = holonomy.geometric_phase_z(
-            pulses.make_z_pulseset(0.5 * k, 0.5 * k, 650.0, 100.0, 0.0),
-            ModelParams(delta=k * PARAMS.delta)).angle
-        worst_z = max(worst_z, abs(scaled - base_z))
+    scales = np.random.default_rng(99).uniform(0.1, 10.0, 100)
+    worst_y = cli.scale_shift_y(pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), scales)
+    worst_z = cli.scale_shift_z(pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0), PARAMS,
+                                scales)
     ok = worst_y < 1e-9 and worst_z < 1e-9
     msg = _line("criterion 09 scaling invariances", ok,
                 f"worst y-angle shift {worst_y:.3e} rad, worst z-phase shift "

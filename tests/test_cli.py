@@ -242,6 +242,22 @@ class TestRun:
         emitted = {p.name for p in tmp_path.iterdir()}
         assert emitted == set(manifest["outputs"])
 
+    def test_init_and_readout_manifests_report_results_and_solver(self, tmp_path):
+        config = cli.parse_config("duration_ps = 1000\nrecord_stride_ps = 250\n", "init")
+        cli.run(config, tmp_path / "init")
+        manifest = json.loads((tmp_path / "init" / "manifest.json").read_text())
+        # the preparation fidelity has no bound: a result, not a check
+        assert [c["name"] for c in manifest["checks"]] == ["trace_preserved"]
+        last = (tmp_path / "init" / "init.csv").read_text().splitlines()[-1]
+        assert manifest["results"]["preparation_fidelity"] == pytest.approx(
+            float(last.split(",")[-1]), rel=1e-11)
+        config = cli.parse_config("duration_ps = 5000\n", "readout")
+        cli.run(config, tmp_path / "readout")
+        readout = json.loads((tmp_path / "readout" / "manifest.json").read_text())
+        for solver in (manifest["solver"], readout["solver"]):
+            assert len(solver) == 1
+            assert solver[0]["n_rhs_evals"] > 0
+
     def test_gate_scenario(self, tmp_path):
         text = "variant = y_closed_loop\ndecoherence = false\n"
         config = cli.parse_config(text, "gate")
@@ -279,6 +295,10 @@ class TestRun:
         assert cli.run(config, tmp_path) == 0
         rows = (tmp_path / "validate.csv").read_text().splitlines()[1:]
         assert all(",pass," in row for row in rows)
+        # the benchmark fingerprints validate by its check -> status map
+        assert [row.split(",")[0] for row in rows] == [
+            "dark_state_nullity", "connection_oracle", "expm_unitary", "expm_semigroup",
+            "scale_invariance_y", "scale_invariance_z", "propagator_cross_oracle"]
 
     def test_manifest_written_on_failure(self, tmp_path):
         # a delay ratio far outside the family's range, injected past the

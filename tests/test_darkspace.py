@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holospin import darkspace, model, pulses
+from holospin import cli, darkspace, model, pulses
 from holospin.qcore import DIM
 
 angles = st.floats(0.0, math.pi / 2, allow_nan=False)
@@ -101,12 +101,7 @@ class TestConnection:
         assert np.max(np.abs(a)) < 1e-14
 
     def test_numeric_matches_analytic(self, rng):
-        for _ in range(25):
-            theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-            phi = rng.uniform(0.05, math.pi / 2 - 0.05)
-            num = darkspace.connection_numeric(
-                lambda th: darkspace.dark_states_y(th, phi), theta, 1e-5)
-            assert np.max(np.abs(num - darkspace.connection_y(phi))) < 1e-6
+        assert cli.connection_deviation(rng, 25) < 1e-8
 
     def test_second_order_convergence(self):
         phi = 0.7

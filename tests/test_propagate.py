@@ -320,19 +320,6 @@ class TestOracle:
         psi = propagate.oracle_propagate(_zero_h, basis_state(2), 0.5, 0.0, 50.0)
         np.testing.assert_allclose(psi, basis_state(2), atol=1e-14)
 
-    def test_agreement_with_adaptive_on_z(self, params):
-        # two independent constructions of H: the template for the adaptive
-        # solve, the element-wise builder for the oracle
-        ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-        lo, hi = -1450.0, 800.0
-        spec = PropagationSpec(lo, hi, rel_tol=1e-10)
-        adaptive = propagate.schrodinger_propagate(model.drive_z(ps, params), basis_state(1),
-                                                   spec).final()
-        oracle = propagate.oracle_propagate(lambda t: model.build_h_z(t, ps, params),
-                                            basis_state(1), 100.0 / 2000.0, lo, hi)
-        deficit = 1.0 - abs(np.vdot(oracle, adaptive)) ** 2
-        assert deficit < 1e-6
-
     def test_second_order_convergence(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
         h_of_t = lambda t: model.build_h_y(t, ps, params)

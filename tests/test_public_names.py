@@ -12,10 +12,6 @@ PROGRAM = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
 
 # public names kept without a caller in the program, each for its reason
 EXEMPT = {
-    # test oracles: the path-ordered product of the sampled connection checks
-    # the quadrature's gate, the z prediction checks propagation (criterion 06)
-    "path_ordered_exponential",
-    "predicted_final_state_z",
     # a pre-propagation adiabaticity diagnostic is planned for it (ROADMAP item 4)
     "adiabaticity_ratio",
 }

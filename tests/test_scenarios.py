@@ -7,6 +7,7 @@ from holospin import darkspace, holonomy, propagate, scenarios
 from holospin.model import drive_y, drive_z
 from holospin.propagate import PropagationSpec, Trajectory
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
+from oracles import predicted_final_state_z
 
 
 def _mixed_qubit():
@@ -138,7 +139,7 @@ class TestGateSimulation:
         psi = propagate.schrodinger_propagate(drive_z(pulseset, run.model),
                                               basis_state(IDX_ONE), spec).final()
         angle = holonomy.geometric_phase_z(pulseset, run.model).angle
-        prediction = holonomy.predicted_final_state_z(angle, run.phase)
+        prediction = predicted_final_state_z(angle, run.phase)
         expected = float(abs(np.vdot(prediction, psi)) ** 2)
         assert report.prediction_overlap == pytest.approx(expected, abs=1e-9)
 

@@ -25,3 +25,18 @@ def test_tracer_installs_and_restores(monkeypatch):
         now = vars(owner)
         assert set(now) == set(saved), owner
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def test_tracer_sees_validate(monkeypatch, tmp_path):
+    # validate's checks look up build_h_*, qcore and the oracle in cli, where
+    # the tracer patches them; checks moved elsewhere would count nothing
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    with spans.installed(tracer, holospin):
+        tracer.span("cli", holospin.cli.main)(["validate", "--out", str(tmp_path)])
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["model.build_h.calls"] > 0
+    assert metrics["qcore.dense_expm.calls"] > 0
+    assert [s["name"] for s in tracer.spans].count("propagate.oracle") == 1
