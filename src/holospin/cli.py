@@ -168,12 +168,16 @@ SCENARIO_KEYS = {
     },
 }
 SCENARIOS = tuple(SCENARIO_KEYS)
-# Gate keys that a variant never reads: setting one is a configuration error.
+# Gate keys that a run never reads: setting one is a configuration error.
+# The z drive has no one-photon detuning, and a run without decoherence
+# reads no decay rate.
 _VARIANT_IGNORES = {
     "y_closed_loop": ("stokes_phase_rad",),
-    "z_fractional": ("amp_pump", "return_delay_over_tau", "target_angle_rad"),
+    "z_fractional": ("amp_pump", "return_delay_over_tau", "target_angle_rad",
+                     "detuning_rad_per_ps"),
     "x_composite": ("target_angle_rad",),
 }
+_COHERENT_IGNORES = ("gamma_per_ps", "gamma_hh_per_ps", "gamma_ee_per_ps")
 # gate key -> GateRun field
 _GATE_FIELDS = {"amp_stokes": "amp", "amp_pump": "pump_amp", "tau_ps": "tau",
                 "tau0_over_tau": "tau0_over_tau",
@@ -230,10 +234,14 @@ def parse_config(text: str, scenario: str) -> RunConfig:
         else:
             values[key] = default(values) if callable(default) else default
     if scenario == "gate":
-        for key in _VARIANT_IGNORES[values["variant"]]:
+        ignored = _VARIANT_IGNORES[values["variant"]]
+        reader = f"gate variant {values['variant']!r}"
+        if not values["decoherence"]:
+            ignored += _COHERENT_IGNORES
+            reader += " without decoherence"
+        for key in ignored:
             if key in provided:
-                raise ConfigError(f"line {line_of[key]}: gate variant {values['variant']!r} "
-                                  f"does not read key {key!r}")
+                raise ConfigError(f"line {line_of[key]}: {reader} does not read key {key!r}")
             del values[key]
     return RunConfig(scenario=scenario, values=values,
                      defaults_used=sorted(set(values) - set(provided)))
@@ -251,9 +259,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies; each returns (outputs, checks), the gate, init and readout
-# also a dict of extra manifest blocks, and may raise for physics failures
-# (mapped to exit code 2).
+# Scenario bodies; each returns (outputs, checks), all but the sweeps also a
+# dict of extra manifest blocks, and may raise for physics failures (mapped
+# to exit code 2).
 # ---------------------------------------------------------------------------
 
 def _run_sweep(config: RunConfig, out_dir: Path, which: str):
@@ -358,8 +366,7 @@ def _run_readout(config: RunConfig, out_dir: Path):
 
 def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
     """Worst ||H d|| / (1 + max|H|) over both dark states at n random times
-    of each protocol: the y set over its window, the z set over its gate
-    window [-(delay + 8 width), 8 width]."""
+    of each protocol, each set over its window."""
     def scaled_residual(h, pair):
         return max(darkspace.darkness_residual(h, pair)) / (1.0 + float(np.max(np.abs(h))))
 
@@ -370,7 +377,7 @@ def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
                                        darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t),
                                                               y_set.driving(t), limit=0.0))
         worst = max(worst, scaled_residual(build_h_y(t, y_set, params), pair))
-        t = rng.uniform(-(z_set.delay + 8.0 * z_set.width), 8.0 * z_set.width)
+        t = rng.uniform(*z_set.window())
         pair = darkspace.dark_states_z(darkspace.theta_track(z_set, t),
                                        darkspace.mixing_phi_z(params.delta, z_set.stokes(t),
                                                               z_set.driving(t)),
@@ -438,18 +445,18 @@ def scale_shift_z(z_set, params: ModelParams, scales) -> float:
     return worst
 
 
-def cross_oracle_deficit(template, pulses, params: ModelParams, window, dt: float) -> float:
+def cross_oracle_deficit(template, pulses, params: ModelParams, window, dt: float) -> tuple:
     """Overlap deficit 1 - |<oracle|adaptive>|^2 of |1> propagated over the
-    window: the adaptive solve (rel_tol 1e-10) takes the drive template, the
-    exponential oracle (step dt) builds H element-wise, so the two share no
-    construction of H(t)."""
+    window, and the adaptive solve's ``Trajectory.meta``: the adaptive solve
+    (rel_tol 1e-10) takes the drive template, the exponential oracle (step
+    dt) builds H element-wise, so the two share no construction of H(t)."""
     build_h = {drive_y: build_h_y, drive_z: build_h_z}[template]
     psi0 = qcore.basis_state(IDX_ONE)
     spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
-    adaptive = schrodinger_propagate(template(pulses, params), psi0, spec).final()
+    adaptive = schrodinger_propagate(template(pulses, params), psi0, spec)
     oracle = oracle_propagate(lambda t: build_h(t, pulses, params), psi0, dt,
                               window[0], window[1])
-    return 1.0 - float(abs(np.vdot(oracle, adaptive)) ** 2)
+    return 1.0 - float(abs(np.vdot(oracle, adaptive.final())) ** 2), adaptive.meta
 
 
 def _run_validate(config: RunConfig, out_dir: Path):
@@ -466,8 +473,8 @@ def _run_validate(config: RunConfig, out_dir: Path):
     shift_y = scale_shift_y(y_set, rng.uniform(0.2, 5.0, 10))
     shift_z = scale_shift_z(z_set, params, rng.uniform(0.2, 5.0, 10))
     short = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 0.5 * tau, tau)
-    deficit = cross_oracle_deficit(drive_y, short, params, short.window(margin=4.0),
-                                   tau / 2000.0)
+    deficit, solver = cross_oracle_deficit(drive_y, short, params, short.window(margin=4.0),
+                                           tau / 2000.0)
     rows = [
         ("dark_state_nullity", nullity, 1e-10, f"worst scaled residual {nullity:.3e}"),
         ("connection_oracle", connection, 1e-8,
@@ -483,7 +490,7 @@ def _run_validate(config: RunConfig, out_dir: Path):
     _write_csv(out_dir / "validate.csv", "check,status,detail",
                [(c["name"], "pass" if c["passed"] else "FAIL", c["detail"].replace(",", ";"))
                 for c in checks])
-    return ["validate.csv"], checks
+    return ["validate.csv"], checks, {"solver": [solver]}
 
 
 def run(config: RunConfig, out_dir: Path, seed=None) -> int:
@@ -507,7 +514,7 @@ def run(config: RunConfig, out_dir: Path, seed=None) -> int:
         elif config.scenario == "readout":
             outputs, checks, extra = _run_readout(config, out_dir)
         elif config.scenario == "validate":
-            outputs, checks = _run_validate(config, out_dir)
+            outputs, checks, extra = _run_validate(config, out_dir)
         else:  # pragma: no cover - parse_config guards this
             raise ConfigError(f"unknown scenario {config.scenario!r}")
         if any(not c["passed"] for c in checks):

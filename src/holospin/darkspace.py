@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .pulses import PulseSet, TwoPartPulse
+from .pulses import PulseSet
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -153,29 +153,23 @@ def darkness_residual(hamiltonian: np.ndarray, pair: DarkPair) -> tuple[float, f
 def theta_limits(pulses: PulseSet) -> tuple[float, float]:
     """Continuous-extension values of theta at t -> -inf and t -> +inf.
 
-    Determined by which envelope's (latest/earliest) Gaussian component
-    dominates in each tail; a tie means the ratio freezes at the amplitude
-    ratio, as in the fractional-STIRAP family.
+    In each tail the envelope whose outermost Gaussian center lies further
+    out dominates.  A tie means the ratio freezes, each side weighted by its
+    amplitude times its number of centers there, as in the fractional-STIRAP
+    family.
     """
-    s = pulses.stokes
-    d = pulses.driving
-    if not (hasattr(s, "center") and (hasattr(d, "center") or isinstance(d, TwoPartPulse))):
+    s, d = pulses.stokes, pulses.driving
+    if not (s.centers and d.centers):
         raise ValueError("theta limits are defined only for the Gaussian pulse families")
-    s_amp, s_center = s.amplitude, s.center
-    if isinstance(d, TwoPartPulse):
-        d_amp = d.amplitude * (2.0 if d.early_center == d.late_center else 1.0)
-        d_early, d_late = d.early_center, d.late_center
-    else:
-        d_amp, d_early, d_late = d.amplitude, d.center, d.center
 
-    def one_side(s_wins: bool, tie: bool) -> float:
-        if tie:
-            return math.atan2(s_amp, d_amp)
-        return math.pi / 2.0 if s_wins else 0.0
+    def one_side(outermost) -> float:
+        s_edge, d_edge = outermost(s.centers), outermost(d.centers)
+        if s_edge == d_edge:
+            return math.atan2(s.amplitude * s.centers.count(s_edge),
+                              d.amplitude * d.centers.count(d_edge))
+        return math.pi / 2.0 if outermost(s_edge, d_edge) == s_edge else 0.0
 
-    early = one_side(s_center < d_early, s_center == d_early)
-    late = one_side(s_center > d_late, s_center == d_late)
-    return early, late
+    return one_side(min), one_side(max)
 
 
 def theta_track(pulses: PulseSet, t: float) -> float:

@@ -40,8 +40,14 @@ class HolonomyResult:
 
 
 def _run_quad(integrand, pulses: PulseSet):
-    window = pulses.window()
-    value, err, info = quad(integrand, window[0], window[1],
+    # The symmetric hull of the window, not the window itself: a z set's
+    # window ends 8 widths after its last pulse, and integrating over it
+    # instead moves the z angle by 1.6e-3 rad at delay ratio 0.1, 5.1e-5 at
+    # 0.5, 1.8e-8 at 1 and less than 2e-12 from 1.5 on.  Which range is right
+    # is open (ROADMAP item 1).
+    lo, hi = pulses.window()
+    half = max(-lo, hi)
+    value, err, info = quad(integrand, -half, half,
                             epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=_QUAD_LIMIT,
                             full_output=True)[:3]
     if err > QUAD_ERROR_CEILING:

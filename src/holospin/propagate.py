@@ -8,8 +8,8 @@ exponential oracle verifies independently.  The step size is capped at
 half the narrowest envelope width of the drive: an error estimate taken
 where every field has died out cannot see a pulse that lies wholly inside
 one step, so without the cap a solve may step over a lone pulse (Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.4).  A drive whose envelopes are
-all constant has no such pulse and runs uncapped.
+Norsett & Wanner, Solving ODEs I, sec. II.4).  A constant envelope's width
+is infinite, so a drive whose envelopes are all constant runs uncapped.
 
 Both integrators take the Hamiltonian as a ``model.Drive``, stacked once
 per solve: each term becomes the generator of the equation (-iK for
@@ -75,10 +75,10 @@ class Trajectory:
 def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, drive: Drive, kind: str) -> Trajectory:
     """One adaptive DOP853 solve for y0 of any shape (rhs maps flat to flat); the
     error norm is an RMS over all of y0, so one step size serves the whole stack."""
-    # the step cap of the module docstring; constant envelopes have no width
-    widths = [f.width for f, _ in drive.terms if hasattr(f, "width")]
+    # the step cap of the module docstring; a constant envelope's width is infinite
+    max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
     sol = solve_ivp(rhs, (spec.t_start, spec.t_end), y0.ravel(), method="DOP853",
-                    rtol=spec.rel_tol, atol=ABS_TOL, max_step=0.5 * min(widths, default=np.inf),
+                    rtol=spec.rel_tol, atol=ABS_TOL, max_step=max_step,
                     t_eval=spec.sample_times(), dense_output=False)
     if sol.status == -1 or not sol.success:
         t_fail = sol.t[-1] if sol.t.size else float("nan")

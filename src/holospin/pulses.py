@@ -34,6 +34,10 @@ class GaussianPulse:
         if self.amplitude < 0.0:
             raise ValueError("pulse amplitude must be non-negative")
 
+    @property
+    def centers(self) -> tuple:
+        return (self.center,)
+
     def __call__(self, t: float) -> float:
         x = (t - self.center) / self.width
         return self.amplitude * math.exp(-x * x)
@@ -58,6 +62,10 @@ class TwoPartPulse:
         if self.amplitude < 0.0:
             raise ValueError("pulse amplitude must be non-negative")
 
+    @property
+    def centers(self) -> tuple:
+        return (self.early_center, self.late_center)
+
     def __call__(self, t: float) -> float:
         xe = (t - self.early_center) / self.width
         xl = (t - self.late_center) / self.width
@@ -72,9 +80,12 @@ class TwoPartPulse:
 
 @dataclass(frozen=True)
 class ConstantPulse:
-    """Flat envelope, used for continuous pumping and readout drives."""
+    """Flat envelope, used for continuous pumping and readout drives: it has
+    no center and an infinite width."""
 
     amplitude: float
+    centers = ()
+    width = math.inf
 
     def __post_init__(self):
         if self.amplitude < 0.0:
@@ -92,43 +103,32 @@ OFF = ConstantPulse(0.0)
 
 @dataclass(frozen=True)
 class PulseSet:
-    """The three envelopes of one protocol segment plus the Stokes phase.
-
-    delay/width are kept for bookkeeping (integration windows, manifests);
-    the envelopes themselves already encode the geometry.
-    """
+    """The three envelopes of one protocol segment plus the Stokes phase."""
 
     pump: object
     stokes: object
     driving: object
     stokes_phase: float = 0.0
-    delay: float = 0.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("pulse-set width must be positive")
-        if self.delay < 0.0:
-            raise ValueError("pulse-set delay must be non-negative")
 
     def window(self, margin: float = 8.0) -> tuple[float, float]:
-        """Truncation window; Gaussian tails at the edges are < 1e-27 of peak."""
-        half = self.delay + margin * self.width
-        return (-half, half)
+        """Truncation window: margin widths before the earliest Gaussian center
+        and after the latest; at margin 8 the tails at the edges are < 1e-27
+        of peak."""
+        edges = [c + side * margin * env.width for env in (self.pump, self.stokes, self.driving)
+                 for c in env.centers for side in (-1.0, 1.0)]
+        if not edges:
+            raise ValueError("a pulse set without a Gaussian envelope has no window")
+        return (min(edges), max(edges))
 
 
 def make_y_pulseset(amp_p: float, amp_s: float, amp_d: float,
                     tau0: float, tau: float) -> PulseSet:
     """Forward y-rotation set: driving at -tau0, pump at 0, Stokes at +tau0."""
-    if tau <= 0.0:
-        raise ValueError("pulse width must be positive")
     return PulseSet(
         pump=GaussianPulse(amp_p, 0.0, tau),
         stokes=GaussianPulse(amp_s, +tau0, tau),
         driving=GaussianPulse(amp_d, -tau0, tau),
         stokes_phase=0.0,
-        delay=abs(tau0),
-        width=tau,
     )
 
 
@@ -140,15 +140,11 @@ def make_y_return_pulseset(amp_s: float, amp_d: float,
     pi/2 back to 0 with the second mixing angle pinned at zero, so no
     further geometric phase accumulates.
     """
-    if tau <= 0.0:
-        raise ValueError("pulse width must be positive")
     return PulseSet(
         pump=OFF,
         stokes=GaussianPulse(amp_s, -tau0, tau),
         driving=GaussianPulse(amp_d, +tau0, tau),
         stokes_phase=0.0,
-        delay=abs(tau0),
-        width=tau,
     )
 
 
@@ -160,13 +156,9 @@ def make_z_pulseset(amp_s: float, amp_d: float, tau0: float, tau: float,
     plus one at 0, so Stokes/driving -> amp_s/amp_d as t -> +inf.  phi is
     the relative phase of the Stokes field against the driving field.
     """
-    if tau <= 0.0:
-        raise ValueError("pulse width must be positive")
     return PulseSet(
         pump=OFF,
         stokes=GaussianPulse(amp_s, 0.0, tau),
         driving=TwoPartPulse(amp_d, -tau0, 0.0, tau),
         stokes_phase=phi,
-        delay=abs(tau0),
-        width=tau,
     )

@@ -151,9 +151,9 @@ def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
     params = params or ModelParams()
     drive = ConstantPulse(rabi)
     if polarization == "sigma_minus":
-        pulses = PulseSet(pump=drive, stokes=OFF, driving=OFF, width=duration)
+        pulses = PulseSet(pump=drive, stokes=OFF, driving=OFF)
     else:
-        pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF, width=duration)
+        pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF)
     stride = record_stride if record_stride is not None else duration / 400.0
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=stride)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
@@ -238,7 +238,7 @@ def _quarter_turn_pump_amp(run: GateRun) -> float:
 class _Plan:
     """Everything a gate variant decides, from its run alone."""
 
-    segments: tuple          # (pulses, drive template, time window) per solve
+    segments: tuple          # (pulses, drive template) per solve, over pulses.window()
     frame_phase: float       # laser-frame phase applied to |1> after the solves
     angle: float             # quadrature angle of the first segment
     target: np.ndarray       # nominal 2x2 gate
@@ -252,15 +252,13 @@ def _plan(variant: str, run: GateRun) -> _Plan:
     tau = run.tau
     tau0 = run.tau0_over_tau * tau
     tret = run.return_delay_over_tau * tau
-    ret_window = (-(tret + 8 * tau), tret + 8 * tau)
-    fwd_window = (-(tau0 + 8 * tau), tau0 + 8 * tau)
 
     if variant == "y_closed_loop":
         pump = run.pump_amp if run.pump_amp is not None else run.amp
         forward = make_y_pulseset(pump, run.amp, run.amp, tau0, tau)
         retract = make_y_return_pulseset(run.amp, run.amp, tret, tau)
         angle = holonomy.geometric_angle_y(forward).angle
-        return _Plan(segments=((forward, drive_y, fwd_window), (retract, drive_y, ret_window)),
+        return _Plan(segments=((forward, drive_y), (retract, drive_y)),
                      frame_phase=0.0, angle=angle,
                      target=holonomy.predicted_ry(run.target_angle),
                      dark_map=holonomy.predicted_ry(angle))
@@ -269,7 +267,7 @@ def _plan(variant: str, run: GateRun) -> _Plan:
         pulses = make_z_pulseset(run.amp, run.amp, tau0, tau, run.phase)
         angle = holonomy.geometric_phase_z(pulses, run.model).angle
         amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
-        return _Plan(segments=((pulses, drive_z, (-(tau0 + 8 * tau), 8 * tau)),),
+        return _Plan(segments=((pulses, drive_z),),
                      frame_phase=run.phase, angle=angle,
                      target=holonomy.predicted_rz(run.phase),
                      dark_map=np.array([[1.0, 0.0], [0.0, amp1 * np.exp(1j * run.phase)]],
@@ -288,12 +286,12 @@ def _plan(variant: str, run: GateRun) -> _Plan:
         lower = PulseSet(pump=GaussianPulse(pump, 0.0, tau),
                          stokes=GaussianPulse(run.amp, -tau0, tau),
                          driving=GaussianPulse(run.amp, +tau0, tau),
-                         stokes_phase=chi, delay=tau0, width=tau)
+                         stokes_phase=chi)
         angle = holonomy.geometric_angle_y(quarter).angle
         # two quarter loops around the virtual phase gate
         ry = holonomy.predicted_ry(angle)
-        return _Plan(segments=((quarter, drive_y, fwd_window), (retract, drive_y, ret_window),
-                               (raise_back, drive_y, ret_window), (lower, drive_y, fwd_window)),
+        return _Plan(segments=((quarter, drive_y), (retract, drive_y),
+                               (raise_back, drive_y), (lower, drive_y)),
                      frame_phase=run.phase, angle=angle,
                      target=holonomy.compose_rx(run.phase),
                      dark_map=ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry)
@@ -305,11 +303,11 @@ def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
     """Carry a state or a stack of states (vectors or densities) through the
     segment list, one solve per segment; returns the final state and each
     solve's statistics (``Trajectory.meta``)."""
-    channels = lindblad_channels(run.model)
+    channels = lindblad_channels(run.model) if with_decoherence else None
     stats = []
-    for pulses, template, window in segments:
+    for pulses, template in segments:
         drive = template(pulses, run.model)
-        spec = PropagationSpec(window[0], window[1])
+        spec = PropagationSpec(*pulses.window())
         if with_decoherence:
             traj = lindblad_propagate(drive, channels, state, spec)
         else:
@@ -472,7 +470,7 @@ def run_readout(qubit_block: np.ndarray, duration: float,
     if abs(np.trace(rho0).real - 1.0) > 1e-9:
         raise ValueError("qubit block must have unit trace")
 
-    pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF, width=duration)
+    pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF)
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=duration / 2000.0)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
     excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real

@@ -191,25 +191,26 @@ def test_criterion_08_propagator_cross_oracle():
     segments = scenarios._plan("y_closed_loop", run).segments
     psi_a = basis_state(IDX_ONE)
     psi_o = basis_state(IDX_ONE)
-    for pulseset, template, window in segments:
+    for pulseset, template in segments:
         drive = template(pulseset, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
+        window = pulseset.window()
+        spec = PropagationSpec(*window, rel_tol=1e-10)
         psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
         psi_o = propagate.oracle_propagate(lambda t: build_h_y(t, pulseset, PARAMS),
                                            psi_o, run.tau / 2000.0, window[0], window[1])
     worst_deficit = max(worst_deficit, 1.0 - float(abs(np.vdot(psi_o, psi_a)) ** 2))
 
-    # z protocol at the reference width
+    # z protocol at the reference width, over its window (-1450, 800)
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    worst_deficit = max(worst_deficit,
-                        cli.cross_oracle_deficit(drive_z, ps, PARAMS, (-1450.0, 800.0), 0.05))
+    deficit, _ = cli.cross_oracle_deficit(drive_z, ps, PARAMS, ps.window(), 0.05)
+    worst_deficit = max(worst_deficit, deficit)
 
     # Lindblad trace and positivity bookkeeping on both protocols
     worst_trace, worst_eig = 0.0, 0.0
-    for pulseset, template, window in [segments[0], (ps, drive_z, (-1450.0, 800.0))]:
+    for pulseset, template in [segments[0], (ps, drive_z)]:
         drive = template(pulseset, PARAMS)
-        spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, record_stride=100.0)
+        spec = PropagationSpec(*pulseset.window(), rel_tol=1e-10, record_stride=100.0)
         traj = propagate.lindblad_propagate(drive, lindblad_channels(PARAMS),
                                             density_from_state(basis_state(IDX_ONE)), spec)
         worst_trace = max(worst_trace, traj.meta["trace_drift"])

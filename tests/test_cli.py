@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from holospin import cli
@@ -104,30 +103,43 @@ class TestKeyTables:
 VARIANT_IGNORED = [
     ("y_closed_loop", "stokes_phase_rad"),
     ("z_fractional", "amp_pump"), ("z_fractional", "return_delay_over_tau"),
-    ("z_fractional", "target_angle_rad"),
+    ("z_fractional", "target_angle_rad"), ("z_fractional", "detuning_rad_per_ps"),
     ("x_composite", "target_angle_rad"),
 ]
+# and the keys that a variant run with decoherence = false never reads besides
+COHERENT_IGNORED = [(variant, key) for variant in cli.scenarios.VARIANTS
+                    for key in ("gamma_per_ps", "gamma_hh_per_ps", "gamma_ee_per_ps")]
+
+
+def _assert_rejected(text, variant, key, line, tmp_path):
+    with pytest.raises(cli.ConfigError) as info:
+        cli.parse_config(text, "gate")
+    assert repr(key) in str(info.value) and repr(variant) in str(info.value)
+    assert f"line {line}" in str(info.value)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestVariantKeys:
     @pytest.mark.parametrize("variant,key", VARIANT_IGNORED)
     def test_key_the_variant_ignores_is_rejected(self, variant, key, tmp_path):
-        text = f"variant = {variant}\n{key} = 0.3\n"
-        with pytest.raises(cli.ConfigError) as info:
-            cli.parse_config(text, "gate")
-        assert repr(key) in str(info.value) and repr(variant) in str(info.value)
-        assert "line 2" in str(info.value)
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(text)
-        assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert not (tmp_path / "out").exists()
+        _assert_rejected(f"variant = {variant}\n{key} = 0.3\n", variant, key, 2, tmp_path)
+
+    @pytest.mark.parametrize("variant,key", VARIANT_IGNORED + COHERENT_IGNORED)
+    def test_key_the_coherent_run_ignores_is_rejected(self, variant, key, tmp_path):
+        text = f"variant = {variant}\ndecoherence = false\n{key} = 0.3\n"
+        _assert_rejected(text, variant, key, 3, tmp_path)
 
     @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional", "x_composite"])
     def test_values_hold_only_the_keys_the_variant_reads(self, variant):
-        config = cli.parse_config(f"variant = {variant}\n", "gate")
-        ignored = {key for v, key in VARIANT_IGNORED if v == variant}
-        assert set(config.values) == EXPECTED_KEYS["gate"] - ignored
-        assert set(config.defaults_used) == set(config.values) - {"variant"}
+        for mode, ignored_pairs in (("true", VARIANT_IGNORED),
+                                    ("false", VARIANT_IGNORED + COHERENT_IGNORED)):
+            config = cli.parse_config(f"variant = {variant}\ndecoherence = {mode}\n", "gate")
+            ignored = {key for v, key in ignored_pairs if v == variant}
+            assert set(config.values) == EXPECTED_KEYS["gate"] - ignored
+            assert set(config.defaults_used) == set(config.values) - {"variant", "decoherence"}
 
     def test_single_pass_is_not_a_variant(self, tmp_path):
         # the forward segment alone leaves the qubit in (-|a>, |0>): it is
@@ -299,6 +311,9 @@ class TestRun:
         assert [row.split(",")[0] for row in rows] == [
             "dark_state_nullity", "connection_oracle", "expm_unitary", "expm_semigroup",
             "scale_invariance_y", "scale_invariance_z", "propagator_cross_oracle"]
+        # the cross-oracle row's adaptive solve reports like every other solve
+        [solve] = json.loads((tmp_path / "manifest.json").read_text())["solver"]
+        assert solve["n_rhs_evals"] > 0 and solve["norm_drift"] < 1e-8
 
     def test_manifest_written_on_failure(self, tmp_path):
         # a delay ratio far outside the family's range, injected past the

@@ -179,6 +179,10 @@ class TestAngleTracks:
         early, late = darkspace.theta_limits(z)
         assert early == 0.0
         assert late == pytest.approx(math.atan2(0.5, 0.25))
+        # tau0 = 0: both driving centers sit on the Stokes one in both tails
+        merged = pulses.make_z_pulseset(0.5, 0.25, 0.0, 100.0, 0.0)
+        tie = math.atan2(0.5, 2 * 0.25)
+        assert darkspace.theta_limits(merged) == (tie, tie)
 
     def test_theta_rate_matches_closed_form_y(self):
         # equal-amplitude delayed Gaussians: theta(t) = atan(exp(4 tau0 t / tau^2))

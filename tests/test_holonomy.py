@@ -24,8 +24,10 @@ def _trapezoid_angle_y(pulseset, n=400_001):
 
 
 def _trapezoid_phase_z(pulseset, delta, n=400_001):
+    # the symmetric hull of the window, as the quadrature takes it
     lo, hi = pulseset.window()
-    ts = np.linspace(lo, hi, n)
+    half = max(-lo, hi)
+    ts = np.linspace(-half, half, n)
     vals = [darkspace.sin_phi_z(pulseset, t, delta) * darkspace.theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)

@@ -20,8 +20,7 @@ class TestModelParams:
 
 
 def _silent_pulseset():
-    return pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF,
-                           width=100.0)
+    return pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF)
 
 
 class TestHamiltonianY:
@@ -73,7 +72,7 @@ class TestHamiltonianZ:
 
     def test_pump_rejected(self, params):
         bad = pulses.PulseSet(pump=pulses.ConstantPulse(0.1), stokes=pulses.OFF,
-                              driving=pulses.OFF, width=100.0)
+                              driving=pulses.OFF)
         with pytest.raises(ValueError, match="pump"):
             model.build_h_z(0.0, bad, params)
 
@@ -90,9 +89,10 @@ def _template_segments():
     out = []
     for variant in scenarios.VARIANTS:
         segments = scenarios._plan(variant, scenarios.default_gate_run(variant)).segments
-        out += [(variant, pulseset, template, window) for pulseset, template, window in segments]
+        out += [(variant, pulseset, template, pulseset.window())
+                for pulseset, template in segments]
     init = pulses.PulseSet(pump=pulses.ConstantPulse(0.05), stokes=pulses.OFF,
-                           driving=pulses.OFF, width=100.0)
+                           driving=pulses.OFF)
     return out + [("init", init, model.drive_y, (0.0, 1000.0))]
 
 
@@ -116,7 +116,7 @@ class TestDriveTemplates:
 
     def test_z_rejects_pump(self, params):
         bad = pulses.PulseSet(pump=pulses.GaussianPulse(0.1, 0.0, 100.0), stokes=pulses.OFF,
-                              driving=pulses.OFF, width=100.0)
+                              driving=pulses.OFF)
         with pytest.raises(ValueError, match="pump"):
             model.drive_z(bad, params)
 

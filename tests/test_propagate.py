@@ -59,7 +59,7 @@ class TestSchrodinger:
         # a 10 ps pulse at 5000 ps: the step cap from its width keeps the
         # solve from striding across it while every field is ~0
         pump = pulses.GaussianPulse(0.05, 5000.0, 10.0)
-        ps = pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF, width=10.0)
+        ps = pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF)
         psi0 = basis_state(0)
         adaptive = propagate.schrodinger_propagate(model.drive_y(ps, params), psi0,
                                                    PropagationSpec(0.0, 6000.0, rel_tol=1e-10))
@@ -98,7 +98,7 @@ class TestSchrodinger:
     def test_diagonal_hamiltonian_freezes_populations(self, params):
         # silent envelopes leave both Hamiltonians diagonal: phases only
         silent = pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF,
-                                 driving=pulses.OFF, width=100.0)
+                                 driving=pulses.OFF)
         psi0 = np.array([0.5, 0.5, 0.5, 0.5, 0.5], dtype=complex)
         psi0 /= np.linalg.norm(psi0)
         for template in (model.drive_y, model.drive_z):

@@ -135,3 +135,30 @@ def test_every_default_is_overridden_somewhere():
     fixed = sorted(f"{func}.{param}" for func, param, index in params
                    if not {(func, param), (func, index), (func, "*"), (func, "**")} & passed)
     assert not fixed, f"parameters no program call sets (make them constants): {fixed}"
+
+
+def _unused_imports(source: str) -> list:
+    """Names bound by module-level imports that the module never mentions; an
+    import line marked ``# noqa: F401`` is kept on purpose."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(name)
+    return unused
+
+
+def test_no_unused_imports():
+    found = []
+    for directory in (ROOT / "src", ROOT / "tests", ROOT / "scripts"):
+        for path in sorted(directory.rglob("*.py")):
+            found += [f"{path.relative_to(ROOT)}: {name}"
+                      for name in _unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found, f"imports nothing uses: {found}"

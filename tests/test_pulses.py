@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holospin import pulses
+from holospin import pulses, scenarios
 
 
 class TestGaussian:
@@ -61,7 +61,7 @@ class TestYPulseSet:
     def test_adiabaticity_product(self):
         # reference operating point: amplitude * width = 50
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        assert ps.pump(0.0) * ps.width == pytest.approx(50.0)
+        assert ps.pump(0.0) * ps.pump.width == pytest.approx(50.0)
 
     def test_return_set_swaps_order(self):
         ps = pulses.make_y_return_pulseset(0.5, 0.5, 70.0, 100.0)
@@ -101,17 +101,34 @@ class TestZPulseSet:
 
 def test_pulseset_validation():
     with pytest.raises(ValueError):
-        pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF,
-                        width=-1.0)
-    with pytest.raises(ValueError):
-        pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF,
-                        delay=-5.0, width=1.0)
-    with pytest.raises(ValueError):
         pulses.GaussianPulse(-0.1, 0.0, 10.0)
 
 
-def test_window_covers_support():
-    ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-    lo, hi = ps.window()
-    assert (lo, hi) == (-950.0, 950.0)
-    assert ps.stokes(hi) < 1e-27 * 0.5
+def _x_lower_set():
+    run = scenarios.default_gate_run("x_composite", pump_amp=0.3)
+    return scenarios._plan("x_composite", run).segments[-1][0]
+
+
+# each family's window from its envelopes, pinned to the spans written out
+# by hand before: tau = 100, delays tau0 = 150 (y), 70 (return), 650 (z)
+# and 100 (x), and validate's short set at margin 4
+@pytest.mark.parametrize("pulseset,margin,expected", [
+    (pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), 8.0, (-950.0, 950.0)),
+    (pulses.make_y_return_pulseset(0.5, 0.5, 70.0, 100.0), 8.0, (-870.0, 870.0)),
+    (pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.3), 8.0, (-1450.0, 800.0)),
+    (_x_lower_set(), 8.0, (-900.0, 900.0)),
+    (pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0), 4.0, (-450.0, 450.0)),
+], ids=["y", "y_return", "z", "x_lower", "validate_short"])
+def test_window_covers_support(pulseset, margin, expected):
+    lo, hi = pulseset.window(margin=margin)
+    assert (lo, hi) == expected
+    # every envelope has decayed to exp(-margin^2) of its peak at both edges
+    for env in (pulseset.pump, pulseset.stokes, pulseset.driving):
+        for edge in (lo, hi):
+            assert env(edge) <= env.amplitude * math.exp(-margin ** 2) * (1.0 + 1e-9)
+
+
+def test_window_needs_a_gaussian():
+    with pytest.raises(ValueError, match="no window"):
+        pulses.PulseSet(pump=pulses.ConstantPulse(0.1), stokes=pulses.OFF,
+                        driving=pulses.OFF).window()

@@ -115,8 +115,8 @@ class TestGateSimulation:
         # the closed loop's forward segment alone carries the dark pair from
         # (|0>, |1>) to (-|a>, |0>), rotated by the quadrature angle
         run = scenarios.default_gate_run("y_closed_loop")
-        forward, _, window = scenarios._plan("y_closed_loop", run).segments[0]
-        spec = PropagationSpec(window[0], window[1])
+        forward, _ = scenarios._plan("y_closed_loop", run).segments[0]
+        spec = PropagationSpec(*forward.window())
         finals = propagate.schrodinger_propagate(drive_y(forward, run.model),
                                                  scenarios._INPUT_STACK, spec).final()
         angle = holonomy.geometric_angle_y(forward).angle
@@ -134,8 +134,8 @@ class TestGateSimulation:
         # the raw (unframed) holonomy prediction of the z protocol
         _, report = scenarios.simulate_gate("z_fractional", with_decoherence=False)
         run = scenarios.default_gate_run("z_fractional")
-        [(pulseset, _, window)] = scenarios._plan("z_fractional", run).segments
-        spec = PropagationSpec(window[0], window[1])
+        [(pulseset, _)] = scenarios._plan("z_fractional", run).segments
+        spec = PropagationSpec(*pulseset.window())
         psi = propagate.schrodinger_propagate(drive_z(pulseset, run.model),
                                               basis_state(IDX_ONE), spec).final()
         angle = holonomy.geometric_phase_z(pulseset, run.model).angle
@@ -153,9 +153,9 @@ class TestGateSimulation:
         run = scenarios.default_gate_run("y_closed_loop")
         psi = basis_state(IDX_ONE)
         worst = 0.0
-        for pulseset, template, window in scenarios._plan("y_closed_loop", run).segments:
+        for pulseset, template in scenarios._plan("y_closed_loop", run).segments:
             h_of_t = template(pulseset, params)
-            spec = PropagationSpec(window[0], window[1], rel_tol=1e-10, record_stride=5.0)
+            spec = PropagationSpec(*pulseset.window(), rel_tol=1e-10, record_stride=5.0)
             traj = propagate.schrodinger_propagate(h_of_t, psi / np.linalg.norm(psi),
                                                    spec)
             for i, t in enumerate(traj.times):
