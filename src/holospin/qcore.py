@@ -30,14 +30,21 @@ def basis_state(index: int) -> np.ndarray:
     return psi
 
 
-def embed_qubit(alpha: complex, beta: complex) -> np.ndarray:
-    """Lift qubit amplitudes (alpha, beta) into the five-level space."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("qubit amplitudes are not normalized")
-    psi = np.zeros(DIM, dtype=complex)
-    psi[IDX_ZERO] = alpha
-    psi[IDX_ONE] = beta
-    return psi
+def lift_qubit(block: np.ndarray) -> np.ndarray:
+    """Place a 2-row array (a qubit state (2,), columns (2, k) or a map
+    (2, 2)) on the |0>, |1> rows of the five-level space; zeros elsewhere."""
+    block = np.asarray(block, dtype=complex)
+    lifted = np.zeros((DIM,) + block.shape[1:], dtype=complex)
+    lifted[[IDX_ZERO, IDX_ONE]] = block
+    return lifted
+
+
+def lift_density(block: np.ndarray) -> np.ndarray:
+    """The five-level density of a unit-trace 2x2 qubit density block."""
+    block = np.asarray(block, dtype=complex)
+    if abs(np.trace(block).real - 1.0) > 1e-9:
+        raise ValueError("qubit block must have unit trace")
+    return lift_qubit(lift_qubit(block.T).T)  # the rows, then the columns
 
 
 def project_qubit(rho: np.ndarray) -> tuple[np.ndarray, float]:

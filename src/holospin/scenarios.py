@@ -36,18 +36,15 @@ from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa
 from .propagate import PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate
 from .pulses import (OFF, ConstantPulse, GaussianPulse, PulseSet,
                      make_y_pulseset, make_y_return_pulseset, make_z_pulseset)
-from .qcore import (DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO,
-                    density_from_state, embed_qubit, project_qubit)
+from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
+                    lift_density, lift_qubit, project_qubit)
 
-_QUBIT_INPUTS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "+i": np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
-}
+# the four qubit inputs of a gate, as the columns of one 2x4 array
+_QUBIT_LABELS = ("0", "1", "+", "+i")
+_QUBITS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1j]]) / np.sqrt([1.0, 1.0, 2.0, 2.0])
 # the four inputs in the five-level space: states as columns, densities
 # along a leading axis (the stack layouts of the integrators)
-_INPUT_STACK = np.stack([embed_qubit(q[0], q[1]) for q in _QUBIT_INPUTS.values()], axis=1)
+_INPUT_STACK = lift_qubit(_QUBITS)
 _INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK.T])
 
 _SIX_AXIAL = (
@@ -133,11 +130,12 @@ def sweep_phase_z(ratios, amp: float = 0.5, params: ModelParams | None = None) -
 # Initialization (continuous optical pumping)
 # ---------------------------------------------------------------------------
 
-def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
+def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
                        duration: float, params: ModelParams | None = None,
                        record_stride: float | None = None,
                        rel_tol: float = 1e-9) -> tuple[Trajectory, np.ndarray]:
-    """Continuous single-field optical pumping with the full dissipation model.
+    """Continuous single-field optical pumping with the full dissipation model,
+    from a unit-trace 2x2 qubit density block.
 
     sigma_minus drives |0> (preparing spin up), sigma_plus drives |1>
     (preparing spin down).  Returns the trajectory and the signed
@@ -156,7 +154,8 @@ def run_initialization(polarization: str, rho0: np.ndarray, rabi: float,
         pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF)
     stride = record_stride if record_stride is not None else duration / 400.0
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=stride)
-    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
+    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params),
+                              lift_density(qubit_block), spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
     sign = 1.0 if polarization == "sigma_minus" else -1.0
@@ -196,6 +195,10 @@ def default_gate_run(variant: str, **overrides) -> GateRun:
     if variant not in _REFERENCE_RUNS:
         raise ValueError(f"unknown gate variant {variant!r}")
     return replace(_REFERENCE_RUNS[variant], **overrides)
+
+
+# final leakage above which a gate report warns and the gate scenario fails
+LEAKAGE_BOUND = 0.05
 
 
 @dataclass
@@ -242,9 +245,9 @@ class _Plan:
     frame_phase: float       # laser-frame phase applied to |1> after the solves
     angle: float             # quadrature angle of the first segment
     target: np.ndarray       # nominal 2x2 gate
-    dark_map: np.ndarray     # logical-frame qubit map predicted from the angle
-    # predicted ancilla amplitude that input |1> keeps (logical frame)
-    ancilla_one: complex = 0.0
+    # 5x2 map from a qubit input to its holonomy-predicted five-level output,
+    # in the logical frame (the frame rotation already applied)
+    predicted: np.ndarray
 
 
 def _plan(variant: str, run: GateRun) -> _Plan:
@@ -261,21 +264,20 @@ def _plan(variant: str, run: GateRun) -> _Plan:
         return _Plan(segments=((forward, drive_y), (retract, drive_y)),
                      frame_phase=0.0, angle=angle,
                      target=holonomy.predicted_ry(run.target_angle),
-                     dark_map=holonomy.predicted_ry(angle))
+                     predicted=lift_qubit(holonomy.predicted_ry(angle)))
 
     if variant == "z_fractional":
         pulses = make_z_pulseset(run.amp, run.amp, tau0, tau, run.phase)
         angle = holonomy.geometric_phase_z(pulses, run.model).angle
         amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
+        predicted = lift_qubit(np.diag([1.0, amp1 * np.exp(1j * run.phase)]))
+        # input |1> keeps an ancilla amplitude; the frame rotation touches |1>
+        # only, so the raw ancilla phase e^{-i phase} stays
+        predicted[IDX_ANC, 1] = (np.exp(-1j * run.phase)
+                                 * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0))
         return _Plan(segments=((pulses, drive_z),),
                      frame_phase=run.phase, angle=angle,
-                     target=holonomy.predicted_rz(run.phase),
-                     dark_map=np.array([[1.0, 0.0], [0.0, amp1 * np.exp(1j * run.phase)]],
-                                       dtype=complex),
-                     # the frame rotation touches |1> only, so the raw
-                     # ancilla phase e^{-i phase} stays
-                     ancilla_one=(np.exp(-1j * run.phase)
-                                  * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0)))
+                     target=holonomy.predicted_rz(run.phase), predicted=predicted)
 
     if variant == "x_composite":
         pump = run.pump_amp if run.pump_amp is not None else _quarter_turn_pump_amp(run)
@@ -294,7 +296,7 @@ def _plan(variant: str, run: GateRun) -> _Plan:
                                (raise_back, drive_y), (lower, drive_y)),
                      frame_phase=run.phase, angle=angle,
                      target=holonomy.compose_rx(run.phase),
-                     dark_map=ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry)
+                     predicted=lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry))
 
     raise ValueError(f"unknown gate variant {variant!r}")
 
@@ -338,16 +340,17 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         finals = [density_from_state(psi) for psi in psis.T]
     outputs = [frame @ final @ frame.conj().T for final in finals]
     blocks = [project_qubit(rho) for rho in outputs]
-    process = {label: block for label, (block, _) in zip(_QUBIT_INPUTS, blocks)}
+    process = {label: block for label, (block, _) in zip(_QUBIT_LABELS, blocks)}
     leakage_final = max(leak for _, leak in blocks)
     fidelity = gate_fidelity(process, plan.target, seed=seed)
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
-    dark_process = {label: plan.dark_map @ np.outer(q, q.conj()) @ plan.dark_map.conj().T
-                    for label, q in _QUBIT_INPUTS.items()}
+    dark_map = plan.predicted[[IDX_ZERO, IDX_ONE]]
+    dark_process = {label: dark_map @ np.outer(q, q.conj()) @ dark_map.conj().T
+                    for label, q in zip(_QUBIT_LABELS, _QUBITS.T)}
     fid_dark = gate_fidelity(dark_process, plan.target, seed=seed)
-    predicted = _predicted_final_states(plan)
-    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
+    predicted = plan.predicted @ _QUBITS
+    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted.T, outputs))
 
     report = GateReport(
         fidelity=fidelity,
@@ -358,25 +361,10 @@ def simulate_gate(variant: str, run: GateRun | None = None,
         prediction_overlap=overlap,
         solver_stats=stats,
     )
-    if leakage_final > 0.05:
-        report.warnings.append(
-            f"final leakage {leakage_final:.3f} exceeds 0.05: protocol failed adiabaticity")
+    if leakage_final > LEAKAGE_BOUND:
+        report.warnings.append(f"final leakage {leakage_final:.3f} exceeds "
+                               f"{LEAKAGE_BOUND}: protocol failed adiabaticity")
     return process, report
-
-
-def _predicted_final_states(plan: _Plan) -> list[np.ndarray]:
-    """Holonomy-predicted five-level output per qubit input, each of unit norm.
-
-    Logical-frame states (the z/composite frame rotation already applied),
-    directly comparable with frame-corrected propagation output.
-    """
-    out = []
-    for q in _QUBIT_INPUTS.values():
-        psi = np.zeros(DIM, dtype=complex)
-        psi[IDX_ZERO], psi[IDX_ONE] = plan.dark_map @ q
-        psi[IDX_ANC] = q[1] * plan.ancilla_one
-        out.append(psi)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +452,7 @@ def run_readout(qubit_block: np.ndarray, duration: float,
     params = params or ModelParams()
     if rabi is None:
         rabi = params.gamma
-    qubit_block = np.asarray(qubit_block, dtype=complex)
-    rho0 = np.zeros((DIM, DIM), dtype=complex)
-    rho0[:2, :2] = qubit_block
-    if abs(np.trace(rho0).real - 1.0) > 1e-9:
-        raise ValueError("qubit block must have unit trace")
-
+    rho0 = lift_density(qubit_block)
     pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF)
     spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=duration / 2000.0)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)

@@ -28,7 +28,7 @@ import numpy as np
 from holospin import cli, holonomy, propagate, pulses, scenarios
 from holospin.model import ModelParams, build_h_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec
-from holospin.qcore import DIM, IDX_ONE, IDX_ZERO, basis_state, density_from_state
+from holospin.qcore import IDX_ONE, basis_state, density_from_state
 from oracles import predicted_final_state_z
 
 PARAMS = ModelParams()
@@ -87,10 +87,7 @@ def test_criterion_04_phase_z_curve():
 
 
 def _initialization_curve(duration=40000.0):
-    rho0 = np.zeros((DIM, DIM), dtype=complex)
-    rho0[IDX_ZERO, IDX_ZERO] = 0.5
-    rho0[IDX_ONE, IDX_ONE] = 0.5
-    traj, fid = scenarios.run_initialization("sigma_minus", rho0, PARAMS.gamma,
+    traj, fid = scenarios.run_initialization("sigma_minus", np.diag([0.5, 0.5]), PARAMS.gamma,
                                              duration, PARAMS, record_stride=500.0)
     return traj, fid
 

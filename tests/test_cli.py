@@ -213,6 +213,17 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="40"):
             cli.parse_config("sweep_ratios = 0,64\n", "sweep-beta")
 
+    def test_init_snapshot_bound(self):
+        # parsing only: the snapshot grid of a rejected config is never built
+        with pytest.raises(cli.ConfigError, match="line 2: record_stride_ps"):
+            cli.parse_config("duration_ps = 8000\nrecord_stride_ps = 1e-6\n", "init")
+        with pytest.raises(cli.ConfigError, match="record_stride_ps"):
+            cli.parse_config("duration_ps = 100000\nrecord_stride_ps = 1\n", "init")
+        # one snapshot per stride from t = 0 plus the end point: 100,000 in all
+        cli.parse_config("duration_ps = 99999\nrecord_stride_ps = 1\n", "init")
+        # a zero stride stores the end points only
+        cli.parse_config("duration_ps = 8000\nrecord_stride_ps = 0\n", "init")
+
 
 class TestRun:
     def test_sweep_gamma_schema_and_plateau(self, tmp_path):
@@ -369,6 +380,21 @@ class TestMain:
         assert cli.main(["gate", "--config", str(cfg), "--seed", "7",
                          "--out", str(tmp_path / "out")]) == 0
         assert seeds and all(seed == 7 for seed in seeds)
+
+    @pytest.mark.parametrize("scenario", ["sweep-beta", "init", "validate"])
+    def test_seed_on_a_scenario_that_ignores_it_is_rejected(self, scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([scenario, "--seed", "3", "--out", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the gate ran")
+        monkeypatch.setattr(cli.scenarios, "simulate_gate", no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["gate", "--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_module_entry_point_runs_once(self):
         # the package must not import cli itself, or `python -m holospin.cli`

@@ -14,17 +14,38 @@ def random_states():
 
 class TestEmbedProject:
     def test_embed_basis(self):
-        np.testing.assert_allclose(qcore.embed_qubit(1, 0), qcore.basis_state(0))
-        np.testing.assert_allclose(qcore.embed_qubit(0, 1), qcore.basis_state(1))
+        np.testing.assert_array_equal(qcore.lift_qubit([1, 0]), qcore.basis_state(0))
+        np.testing.assert_array_equal(qcore.lift_qubit([0, 1]), qcore.basis_state(1))
 
     def test_embed_superposition(self):
-        psi = qcore.embed_qubit(1 / np.sqrt(2), 1j / np.sqrt(2))
+        psi = qcore.lift_qubit(np.array([1, 1j]) / np.sqrt(2))
         np.testing.assert_allclose(psi[:2], [1 / np.sqrt(2), 1j / np.sqrt(2)])
         assert np.all(psi[2:] == 0)
 
+    def test_lift_columns_and_map(self):
+        # each column of a (2, k) block, and each column of a 2x2 map, lands
+        # on the |0>, |1> rows of its own column
+        block = np.array([[1, 2, 3], [4j, 5j, 6j]])
+        lifted = qcore.lift_qubit(block)
+        assert lifted.shape == (5, 3)
+        for k in range(3):
+            np.testing.assert_array_equal(lifted[:, k], qcore.lift_qubit(block[:, k]))
+        gate = np.array([[0, 1], [1, 0]])
+        np.testing.assert_array_equal(qcore.lift_qubit(gate) @ [1, 0], qcore.basis_state(1))
+
+    def test_lift_density_projects_back(self):
+        block = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+        rho = qcore.lift_density(block)
+        assert rho.shape == (5, 5)
+        assert not rho[2:].any() and not rho[:, 2:].any()
+        back, leak = qcore.project_qubit(rho)
+        np.testing.assert_array_equal(back, block)
+        assert leak == 0.0
+
     def test_embed_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            qcore.embed_qubit(1.0, 1.0)
+        # a qubit density must have unit trace to become a five-level one
+        with pytest.raises(ValueError, match="unit trace"):
+            qcore.lift_density(np.diag([0.2, 0.2]))
 
     def test_project_pure_zero(self):
         block, leak = qcore.project_qubit(np.diag([1.0, 0, 0, 0, 0]).astype(complex))

@@ -11,17 +11,12 @@ from oracles import predicted_final_state_z
 
 
 def _mixed_qubit():
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    rho[IDX_ZERO, IDX_ZERO] = 0.5
-    rho[IDX_ONE, IDX_ONE] = 0.5
-    return rho
+    return np.diag([0.5, 0.5])
 
 
 class TestInitialization:
     def test_spin_up_is_preserved_under_sigma_minus(self, params):
-        rho0 = np.zeros((DIM, DIM), dtype=complex)
-        rho0[IDX_ONE, IDX_ONE] = 1.0
-        traj, fid = scenarios.run_initialization("sigma_minus", rho0, params.gamma,
+        traj, fid = scenarios.run_initialization("sigma_minus", np.diag([0.0, 1.0]), params.gamma,
                                                  4000.0, params)
         assert np.all(traj.states[:, IDX_ONE, IDX_ONE].real >= 0.9995)
         assert fid[-1] >= 0.9995
@@ -91,7 +86,7 @@ class TestGateSimulation:
                                                   with_decoherence=False)
         predicted = holonomy.predicted_ry(report.angle_quadrature)
         ideal = {label: predicted @ np.outer(q, q.conj()) @ predicted.conj().T
-                 for label, q in scenarios._QUBIT_INPUTS.items()}
+                 for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
         worst = max(float(np.max(np.abs(process[k] - ideal[k]))) for k in process)
         assert worst < 1e-2
         assert report.leakage_final < 1e-3
@@ -122,7 +117,7 @@ class TestGateSimulation:
         angle = holonomy.geometric_angle_y(forward).angle
         cos, sin = math.cos(angle), math.sin(angle)
         worst = 1.0
-        for q, psi in zip(scenarios._QUBIT_INPUTS.values(), finals.T):
+        for q, psi in zip(scenarios._QUBITS.T, finals.T):
             predicted = np.zeros(DIM, dtype=complex)
             predicted[IDX_ANC] = -(cos * q[1] + sin * q[0])
             predicted[IDX_ZERO] = -sin * q[1] + cos * q[0]
@@ -142,6 +137,29 @@ class TestGateSimulation:
         prediction = predicted_final_state_z(angle, run.phase)
         expected = float(abs(np.vdot(prediction, psi)) ** 2)
         assert report.prediction_overlap == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("variant", scenarios.VARIANTS)
+    def test_predicted_outputs_have_unit_norm(self, variant):
+        plan = scenarios._plan(variant, scenarios.default_gate_run(variant))
+        norms = np.linalg.norm(plan.predicted @ scenarios._QUBITS, axis=0)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    def test_y_prediction_is_the_holonomy_rotation(self):
+        # the rotation stays in the qubit: its |0>, |1> rows are the 2x2
+        # holonomy at the quadrature angle, and nothing reaches the other levels
+        plan = scenarios._plan("y_closed_loop", scenarios.default_gate_run("y_closed_loop"))
+        np.testing.assert_array_equal(plan.predicted[[IDX_ZERO, IDX_ONE]],
+                                      holonomy.predicted_ry(plan.angle))
+        assert np.all(plan.predicted[2:] == 0)
+
+    def test_x_prediction_is_the_composite_rotation(self):
+        # the pump is tuned to a pi/4 forward angle, where the two quarter
+        # loops around the phase gate make the composite x rotation
+        run = scenarios.default_gate_run("x_composite")
+        plan = scenarios._plan("x_composite", run)
+        np.testing.assert_allclose(plan.predicted[[IDX_ZERO, IDX_ONE]],
+                                   holonomy.compose_rx(run.phase), atol=1e-9)
+        assert np.all(plan.predicted[2:] == 0)
 
     @pytest.mark.parametrize("variant", ["y_closed_loop", "x_composite"])
     def test_adiabatic_gates_follow_prediction(self, variant):
@@ -201,7 +219,7 @@ class TestGateFidelity:
     def test_exact_target_channel_gives_unity(self):
         target = holonomy.predicted_ry(0.7)
         process = {label: target @ np.outer(q, q.conj()) @ target.conj().T
-                   for label, q in scenarios._QUBIT_INPUTS.items()}
+                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
         assert scenarios.gate_fidelity(process, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_known_rotation_error(self):
@@ -210,7 +228,7 @@ class TestGateFidelity:
         beta = 1.45
         actual = holonomy.predicted_ry(beta)
         process = {label: actual @ np.outer(q, q.conj()) @ actual.conj().T
-                   for label, q in scenarios._QUBIT_INPUTS.items()}
+                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
         fid = scenarios.gate_fidelity(process, holonomy.predicted_ry(math.pi / 2))
         expected = 1.0 - (2.0 / 3.0) * math.sin(beta - math.pi / 2) ** 2
         assert fid == pytest.approx(expected, abs=1e-6)
@@ -218,7 +236,7 @@ class TestGateFidelity:
     def test_sphere_seed_rotation_consistent(self):
         target = holonomy.predicted_rz(0.3)
         process = {label: target @ np.outer(q, q.conj()) @ target.conj().T
-                   for label, q in scenarios._QUBIT_INPUTS.items()}
+                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
         a = scenarios.gate_fidelity(process, target, seed=None)
         b = scenarios.gate_fidelity(process, target, seed=7)
         assert a == pytest.approx(b, abs=1e-4)
