@@ -375,7 +375,7 @@ def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
         t = rng.uniform(*y_set.window())
         pair = darkspace.dark_states_y(darkspace.theta_track(y_set, t),
                                        darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t),
-                                                              y_set.driving(t), limit=0.0))
+                                                              y_set.driving(t)))
         worst = max(worst, scaled_residual(build_h_y(t, y_set, params), pair))
         t = rng.uniform(*z_set.window())
         pair = darkspace.dark_states_z(darkspace.theta_track(z_set, t),
@@ -560,7 +560,9 @@ def main(argv=None) -> int:
             raise ConfigError("--seed is read only by gate, as a non-negative integer")
         text = args.config.read_text(encoding="utf-8") if args.config else ""
         config = parse_config(text, args.scenario)
-    except (ConfigError, OSError) as exc:
+        # an --out that is a file, or lies under one, fails here, before any solve
+        args.out.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

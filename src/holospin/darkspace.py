@@ -7,7 +7,8 @@ states).  Its orthonormal basis is parametrized by two mixing angles:
 * a second angle from the pump (y configuration) or from the electron
   Zeeman splitting against the total field strength (z configuration).
 
-The matrix-valued gauge connection over the dark pair drives the geometric
+The dark pair is one 5x2 frame D whose columns are (d1, d2).  The matrix-
+valued gauge connection D^dag dD/dtheta over it drives the geometric
 rotation; it is computed analytically and cross-checked against a
 finite-difference form here.
 """
@@ -15,7 +16,6 @@ finite-difference form here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +39,15 @@ def mixing_theta(omega_s: float, omega_d: float, limit: float | None = None) -> 
     return math.atan2(omega_s, omega_d)
 
 
-def mixing_phi_y(omega_p: float, omega_s: float, omega_d: float,
-                 limit: float | None = None) -> float:
-    """atan2(omega_p, hypot(omega_s, omega_d)) in [0, pi/2]."""
+def mixing_phi_y(omega_p: float, omega_s: float, omega_d: float) -> float:
+    """atan2(omega_p, hypot(omega_s, omega_d)) in [0, pi/2].
+
+    0 once all fields have vanished: in every y set's tails the pump is not
+    the outermost field, so that is the protocol's limit (as in sin_phi_y).
+    """
     if min(omega_p, omega_s, omega_d) < 0.0:
         raise ValueError("field amplitudes must be non-negative")
-    ground = math.hypot(omega_s, omega_d)
-    if omega_p == 0.0 and ground == 0.0:
-        if limit is None:
-            raise ValueError("mixing angle undefined for vanished fields; supply the protocol limit")
-        return limit
-    return math.atan2(omega_p, ground)
+    return math.atan2(omega_p, math.hypot(omega_s, omega_d))
 
 
 def mixing_phi_z(delta: float, omega_s: float, omega_d: float) -> float:
@@ -65,32 +63,22 @@ def mixing_phi_z(delta: float, omega_s: float, omega_d: float) -> float:
     return math.atan2(delta / 2.0, math.sqrt(2.0 * (omega_s ** 2 + omega_d ** 2)))
 
 
-@dataclass(frozen=True)
-class DarkPair:
-    """Ordered orthonormal basis (d1, d2) of the degenerate dark space."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-
-
-def dark_states_y(theta: float, phi: float) -> DarkPair:
-    """Dark pair of the y configuration; no support on the electron levels.
+def dark_states_y(theta: float, phi: float) -> np.ndarray:
+    """Dark frame (5x2, columns d1, d2) of the y configuration; no support on
+    the electron levels.
 
         d1 = cos(theta)|1> - sin(theta)|a>
         d2 = cos(phi)|0> - sin(phi) sin(theta)|1> - sin(phi) cos(theta)|a>
     """
-    d1 = np.zeros(DIM, dtype=complex)
-    d1[IDX_ONE] = math.cos(theta)
-    d1[IDX_ANC] = -math.sin(theta)
-    d2 = np.zeros(DIM, dtype=complex)
-    d2[IDX_ZERO] = math.cos(phi)
-    d2[IDX_ONE] = -math.sin(phi) * math.sin(theta)
-    d2[IDX_ANC] = -math.sin(phi) * math.cos(theta)
-    return DarkPair(d1, d2)
+    frame = np.zeros((DIM, 2), dtype=complex)
+    frame[IDX_ZERO, 1] = math.cos(phi)
+    frame[IDX_ONE] = math.cos(theta), -math.sin(phi) * math.sin(theta)
+    frame[IDX_ANC] = -math.sin(theta), -math.sin(phi) * math.cos(theta)
+    return frame
 
 
-def dark_states_z(theta: float, phi: float, stokes_phase: float) -> DarkPair:
-    """Dark pair of the midpoint-tuned z configuration.
+def dark_states_z(theta: float, phi: float, stokes_phase: float) -> np.ndarray:
+    """Dark frame (5x2, columns d1, d2) of the midpoint-tuned z configuration.
 
         d1 = cos(theta) e^{i phase}|1> - sin(theta)|a>
         d2 = cos(phi)(|e1> - |e2>)/sqrt2 + sin(phi) cos(theta)|a>
@@ -100,15 +88,12 @@ def dark_states_z(theta: float, phi: float, stokes_phase: float) -> DarkPair:
     (phi -> pi/2 when the fields vanish).
     """
     ph = np.exp(1j * stokes_phase)
-    d1 = np.zeros(DIM, dtype=complex)
-    d1[IDX_ONE] = math.cos(theta) * ph
-    d1[IDX_ANC] = -math.sin(theta)
-    d2 = np.zeros(DIM, dtype=complex)
-    d2[IDX_E1] = math.cos(phi) / math.sqrt(2.0)
-    d2[IDX_E2] = -math.cos(phi) / math.sqrt(2.0)
-    d2[IDX_ANC] = math.sin(phi) * math.cos(theta)
-    d2[IDX_ONE] = math.sin(phi) * math.sin(theta) * ph
-    return DarkPair(d1, d2)
+    frame = np.zeros((DIM, 2), dtype=complex)
+    frame[IDX_E1, 1] = math.cos(phi) / math.sqrt(2.0)
+    frame[IDX_E2, 1] = -math.cos(phi) / math.sqrt(2.0)
+    frame[IDX_ONE] = math.cos(theta) * ph, math.sin(phi) * math.sin(theta) * ph
+    frame[IDX_ANC] = -math.sin(theta), math.sin(phi) * math.cos(theta)
+    return frame
 
 
 def connection_y(phi: float) -> np.ndarray:
@@ -122,26 +107,22 @@ def connection_y(phi: float) -> np.ndarray:
 
 
 def connection_numeric(basis_at, theta: float, h: float) -> np.ndarray:
-    """Central-difference connection <psi_a(theta)|d/dtheta psi_b(theta)>.
+    """Central-difference connection D(theta)^dag (D(theta+h) - D(theta-h)) / 2h.
 
-    ``basis_at`` maps theta -> DarkPair.  Only the anti-Hermitian part is
-    returned (the Hermitian part is pure discretization noise).
+    ``basis_at`` maps theta -> 5x2 dark frame.  Only the anti-Hermitian part
+    is returned (the Hermitian part is pure discretization noise).
     """
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    here = basis_at(theta)
-    plus = basis_at(theta + h)
-    minus = basis_at(theta - h)
-    vecs = (here.d1, here.d2)
-    dvecs = ((plus.d1 - minus.d1) / (2.0 * h), (plus.d2 - minus.d2) / (2.0 * h))
-    a = np.array([[np.vdot(vecs[i], dvecs[j]) for j in range(2)] for i in range(2)])
+    a = basis_at(theta).conj().T @ ((basis_at(theta + h) - basis_at(theta - h)) / (2.0 * h))
     return 0.5 * (a - a.conj().T)
 
 
-def darkness_residual(hamiltonian: np.ndarray, pair: DarkPair) -> tuple[float, float]:
-    """Norms ||H d1||, ||H d2||; both vanish for a matched configuration."""
+def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Norms ||H d1||, ||H d2|| of the frame's columns; both vanish for a
+    matched configuration."""
     h = np.asarray(hamiltonian, dtype=complex)
-    return (float(np.linalg.norm(h @ pair.d1)), float(np.linalg.norm(h @ pair.d2)))
+    return np.array([np.linalg.norm(h @ pair[:, k]) for k in range(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +213,9 @@ def phi_rate_z(pulses: PulseSet, t: float, delta: float) -> float:
     return -half * fdot / (half * half + 2.0 * g2)
 
 
-def bright_splitting_z(pulses: PulseSet, t: float, params: ModelParams) -> float:
-    """Dark-to-bright eigenvalue splitting of the z configuration."""
-    f2 = 2.0 * (pulses.stokes(t) ** 2 + pulses.driving(t) ** 2)
-    return 2.0 * math.sqrt(f2 + (params.delta / 2.0) ** 2)
-
-
-def bright_splitting_y(pulses: PulseSet, t: float, params: ModelParams) -> float:
-    """Dark-to-bright eigenvalue splitting of the y configuration."""
+def bright_splitting(pulses: PulseSet, t: float, params: ModelParams) -> float:
+    """Dark-to-bright eigenvalue splitting; a z set's pump is off, so its
+    term adds nothing there."""
     f2 = 2.0 * (pulses.pump(t) ** 2 + pulses.stokes(t) ** 2 + pulses.driving(t) ** 2)
     return 2.0 * math.sqrt(f2 + (params.delta / 2.0) ** 2)
 
@@ -257,12 +233,9 @@ def adiabaticity_ratio(pulses: PulseSet, params: ModelParams, times,
         raise ValueError("config must be 'y' or 'z'")
     worst = 0.0
     for t in times:
-        if config == "y":
-            rate = max(abs(theta_rate(pulses, t)), abs(phi_rate_y(pulses, t)))
-            gap = bright_splitting_y(pulses, t, params)
-        else:
-            rate = max(abs(theta_rate(pulses, t)), abs(phi_rate_z(pulses, t, params.delta)))
-            gap = bright_splitting_z(pulses, t, params)
+        phi_rate = phi_rate_y(pulses, t) if config == "y" else phi_rate_z(pulses, t, params.delta)
+        rate = max(abs(theta_rate(pulses, t)), abs(phi_rate))
+        gap = bright_splitting(pulses, t, params)
         if gap > 0.0:
             worst = max(worst, rate / gap)
     return worst

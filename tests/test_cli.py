@@ -358,6 +358,25 @@ class TestMain:
         assert cli.main(["init", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path)]) == 1
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xffduration_ps = 5000\n")
+        out = tmp_path / "out"
+        assert cli.main(["init", "--config", str(bad), "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under_a_file"])
+    def test_out_that_is_a_file_is_a_config_error(self, below, tmp_path, capsys, monkeypatch):
+        # rejected by main before the scenario runs; the file stays as it was
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the scenario ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert cli.main(["sweep-beta", "--out", str(taken.joinpath(*below))]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+        assert list(tmp_path.iterdir()) == [taken]
+
     def test_sweep_runs_end_to_end(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("sweep_ratios = 0,3\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holospin import cli, darkspace, model, pulses
-from holospin.qcore import DIM
+from holospin.qcore import DIM, IDX_E1, IDX_E2
 
 angles = st.floats(0.0, math.pi / 2, allow_nan=False)
 inner_angles = st.floats(0.05, math.pi / 2 - 0.05)
@@ -28,8 +28,8 @@ class TestMixingAngles:
         # 3-4-5 construction: sqrt(0.09 + 0.16) = 0.5
         assert darkspace.mixing_phi_y(0.5, 0.3, 0.4) == pytest.approx(math.pi / 4)
         assert darkspace.mixing_phi_y(0.5, 0.0, 0.0) == pytest.approx(math.pi / 2)
-        with pytest.raises(ValueError):
-            darkspace.mixing_phi_y(0.0, 0.0, 0.0)
+        # all fields gone: the y protocol's tail limit
+        assert darkspace.mixing_phi_y(0.0, 0.0, 0.0) == 0.0
 
     def test_phi_z_values(self):
         assert darkspace.mixing_phi_z(1e-3, 0.0, 0.0) == pytest.approx(math.pi / 2)
@@ -49,42 +49,39 @@ class TestMixingAngles:
 class TestDarkStatesY:
     def test_bare_limit(self):
         pair = darkspace.dark_states_y(0.0, 0.0)
-        np.testing.assert_allclose(pair.d1, [0, 1, 0, 0, 0])
-        np.testing.assert_allclose(pair.d2, [1, 0, 0, 0, 0])
+        np.testing.assert_allclose(pair[:, 0], [0, 1, 0, 0, 0])
+        np.testing.assert_allclose(pair[:, 1], [1, 0, 0, 0, 0])
 
     def test_transferred_limit(self):
         pair = darkspace.dark_states_y(math.pi / 2, 0.0)
-        np.testing.assert_allclose(pair.d1, [0, 0, -1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(pair[:, 0], [0, 0, -1, 0, 0], atol=1e-15)
 
     @settings(deadline=None)
     @given(angles, angles)
     def test_orthonormal_no_electron_support(self, theta, phi):
         pair = darkspace.dark_states_y(theta, phi)
-        assert abs(np.vdot(pair.d1, pair.d2)) < 1e-12
-        assert abs(np.linalg.norm(pair.d1) - 1) < 1e-12
-        assert abs(np.linalg.norm(pair.d2) - 1) < 1e-12
-        assert pair.d1[3] == 0 and pair.d1[4] == 0
-        assert pair.d2[3] == 0 and pair.d2[4] == 0
+        assert pair.shape == (DIM, 2)
+        assert np.max(np.abs(pair.conj().T @ pair - np.eye(2))) < 1e-12
+        assert np.all(pair[[IDX_E1, IDX_E2]] == 0)
 
 
 class TestDarkStatesZ:
     def test_field_free_limit(self):
         pair = darkspace.dark_states_z(0.0, math.pi / 2, 0.4)
-        np.testing.assert_allclose(pair.d1, [0, np.exp(0.4j), 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(pair.d2, [0, 0, 1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(pair[:, 0], [0, np.exp(0.4j), 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(pair[:, 1], [0, 0, 1, 0, 0], atol=1e-15)
 
     def test_equal_mixing(self):
         pair = darkspace.dark_states_z(math.pi / 4, math.pi / 2, 0.0)
-        np.testing.assert_allclose(pair.d2, [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0],
+        np.testing.assert_allclose(pair[:, 1], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0],
                                    atol=1e-15)
 
     @settings(deadline=None)
     @given(angles, angles, st.floats(-math.pi, math.pi))
     def test_orthonormal(self, theta, phi, phase):
         pair = darkspace.dark_states_z(theta, phi, phase)
-        assert abs(np.vdot(pair.d1, pair.d2)) < 1e-12
-        assert abs(np.linalg.norm(pair.d1) - 1) < 1e-12
-        assert abs(np.linalg.norm(pair.d2) - 1) < 1e-12
+        assert pair.shape == (DIM, 2)
+        assert np.max(np.abs(pair.conj().T @ pair - np.eye(2))) < 1e-12
 
 
 class TestConnection:
@@ -111,12 +108,13 @@ class TestConnection:
         err_h2 = np.max(np.abs(darkspace.connection_numeric(basis, 0.5, 1e-2) - exact))
         assert err_h2 == pytest.approx(err_h / 4.0, rel=0.1)
 
-    def test_z_family_offdiagonal_magnitude(self):
-        # |<d2|d(d1)/dtheta>| equals sin(phi) for the z dark pair as well
-        phi = 0.9
+    @pytest.mark.parametrize("theta,phi,phase", [(0.6, 0.9, 0.3), (0.2, 1.3, -2.0),
+                                                 (1.1, 0.4, 3.0)])
+    def test_z_family_is_minus_the_y_connection(self, theta, phi, phase):
+        # the z pair's d2 enters with the opposite sign, whatever the Stokes phase
         num = darkspace.connection_numeric(
-            lambda th: darkspace.dark_states_z(th, phi, 0.3), 0.6, 1e-5)
-        assert abs(num[1, 0]) == pytest.approx(math.sin(phi), abs=1e-6)
+            lambda th: darkspace.dark_states_z(th, phi, phase), theta, 1e-5)
+        np.testing.assert_allclose(num, -darkspace.connection_y(phi), rtol=0, atol=1e-6)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):

@@ -108,33 +108,71 @@ def _defaulted_parameters(tree: ast.Module) -> set:
     return params
 
 
-def _passed_arguments(tree: ast.Module) -> set:
-    """(function name, keyword or positional index) for every call; a call
-    that unpacks ``*args`` or ``**kwargs`` is recorded as passing "*" or "**"."""
-    passed = set()
+def _call_arguments(tree: ast.Module) -> list:
+    """(function name, {keyword or positional index: argument node}) for
+    every call; a call that unpacks ``*args`` or ``**kwargs`` has the key
+    "*" or "**"."""
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        passed.update((name, "*" if isinstance(arg, ast.Starred) else i)
-                      for i, arg in enumerate(node.args))
-        passed.update((name, "**" if kw.arg is None else kw.arg) for kw in node.keywords)
-    return passed
+        args = {"*" if isinstance(arg, ast.Starred) else i: arg
+                for i, arg in enumerate(node.args)}
+        args.update(("**" if kw.arg is None else kw.arg, kw.value) for kw in node.keywords)
+        calls.append((name, args))
+    return calls
+
+
+def _parameters_and_calls() -> tuple:
+    params, calls = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        params |= _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    for directory in PROGRAM:
+        for path in sorted(directory.rglob("*.py")):
+            calls += _call_arguments(ast.parse(path.read_text(encoding="utf-8")))
+    return params, calls
 
 
 def test_every_default_is_overridden_somewhere():
     """A defaulted parameter that no program call sets is a constant in
     disguise; calls are matched by function name, as the guards above do."""
-    params, passed = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        params |= _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
-    for directory in PROGRAM:
-        for path in sorted(directory.rglob("*.py")):
-            passed |= _passed_arguments(ast.parse(path.read_text(encoding="utf-8")))
+    params, calls = _parameters_and_calls()
+    passed = {(name, key) for name, args in calls for key in args}
     fixed = sorted(f"{func}.{param}" for func, param, index in params
                    if not {(func, param), (func, index), (func, "*"), (func, "**")} & passed)
     assert not fixed, f"parameters no program call sets (make them constants): {fixed}"
+
+
+def _literal(node) -> str | None:
+    """The node's source form if it is a literal, else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
+
+
+def test_no_argument_is_a_constant():
+    """A defaulted parameter that every program call sets, always to the same
+    literal, is a constant in disguise too; a call that omits it uses the
+    default, and one that unpacks arguments may pass anything."""
+    params, calls = _parameters_and_calls()
+    constant = []
+    for func, param, index in params:
+        values = set()
+        for name, args in calls:
+            if name != func:
+                continue
+            if "*" in args or "**" in args:
+                values.add(None)
+            else:
+                node = args.get(param, args.get(index))
+                values.add(None if node is None else _literal(node))
+        if len(values) == 1 and None not in values:
+            constant.append(f"{func}.{param} = {values.pop()}")
+    assert not constant, f"parameters every program call sets to one literal: {sorted(constant)}"
 
 
 def _unused_imports(source: str) -> list:

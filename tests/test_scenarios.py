@@ -180,10 +180,8 @@ class TestGateSimulation:
                 pair = darkspace.dark_states_y(
                     darkspace.theta_track(pulseset, t),
                     darkspace.mixing_phi_y(pulseset.pump(t), pulseset.stokes(t),
-                                           pulseset.driving(t), limit=0.0))
-                state = traj.states[i]
-                inside = (abs(np.vdot(pair.d1, state)) ** 2
-                          + abs(np.vdot(pair.d2, state)) ** 2)
+                                           pulseset.driving(t)))
+                inside = np.linalg.norm(pair.conj().T @ traj.states[i]) ** 2
                 worst = max(worst, 1.0 - inside)
             psi = traj.final()
         assert worst < 1e-3
