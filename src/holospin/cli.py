@@ -346,10 +346,8 @@ def _run_readout(config: RunConfig, out_dir: Path):
                                    rel_tol=v["rel_tol"])
     path = out_dir / "readout.csv"
     _write_csv(path,
-               "input,expected_photons,photons_to_spin_down,photons_to_spin_up,"
-               "driven_population_left,shelving_complete",
-               [(v["input_state"], result.total_photons, result.photons_to_spin_down,
-                 result.photons_to_spin_up, result.driven_population_left,
+               "input,expected_photons,driven_population_left,shelving_complete",
+               [(v["input_state"], result.total_photons, result.driven_population_left,
                  "true" if result.shelving_complete else "false")])
     checks = [{"name": "shelving_complete", "passed": result.shelving_complete,
                "detail": f"driven population left {result.driven_population_left:.3e}"}]

@@ -6,9 +6,10 @@ Hamiltonians, with no extra factor of two anywhere).
 
 Two protocol families are provided:
 
-* y rotation: three delayed Gaussians (driving early at -tau0, pump at 0,
-  Stokes late at +tau0), plus a pump-free return set with the Stokes and
-  driving order swapped.
+* y rotation: three delayed Gaussians (driving at -tau0, pump at 0, Stokes
+  at +tau0).  The delay's sign sets the sweep direction: a negative delay
+  with the pump off is the return pass that closes a loop (STIRAP run in
+  reverse order).
 * z rotation (fractional STIRAP): Stokes Gaussian at 0 and a two-part
   driving field (Gaussian at -tau0 plus Gaussian at 0), so the two
   envelopes terminate with a frozen amplitude ratio.
@@ -123,27 +124,17 @@ class PulseSet:
 
 def make_y_pulseset(amp_p: float, amp_s: float, amp_d: float,
                     tau0: float, tau: float) -> PulseSet:
-    """Forward y-rotation set: driving at -tau0, pump at 0, Stokes at +tau0."""
+    """y-rotation set: driving at -tau0, pump at 0, Stokes at +tau0.
+
+    The sign of tau0 sets the sweep direction: a positive delay carries the
+    Stokes/driving mixing angle from 0 to pi/2, a negative one from pi/2
+    back to 0.  With amp_p = 0 and a negative delay this is the pump-free
+    return pass of a closed y loop, which adds no geometric angle.
+    """
     return PulseSet(
         pump=GaussianPulse(amp_p, 0.0, tau),
         stokes=GaussianPulse(amp_s, +tau0, tau),
         driving=GaussianPulse(amp_d, -tau0, tau),
-        stokes_phase=0.0,
-    )
-
-
-def make_y_return_pulseset(amp_s: float, amp_d: float,
-                           tau0: float, tau: float) -> PulseSet:
-    """Pump-free retraction set (Stokes early, driving late).
-
-    Used to close the y-rotation loop: it carries the mixing angle from
-    pi/2 back to 0 with the second mixing angle pinned at zero, so no
-    further geometric phase accumulates.
-    """
-    return PulseSet(
-        pump=OFF,
-        stokes=GaussianPulse(amp_s, -tau0, tau),
-        driving=GaussianPulse(amp_d, +tau0, tau),
         stokes_phase=0.0,
     )
 

@@ -9,7 +9,11 @@ carries the Stokes/driving mixing angle from 0 to pi/2 while accumulating
 the geometric angle, then a pump-free return pass that retracts the angle
 to 0 without adding phase.  The return delay is a plumbing choice; its
 default (0.7 tau) sits in the adiabatic sweet spot of the delayed-Gaussian
-family.
+family.  Every y segment is one ``make_y_pulseset`` set, given by its pump
+peak, its signed delay (+tau0 forward, -tau_ret back) and its Stokes phase.
+The x rotation is that loop, its pump tuned to a pi/4 forward angle, then
+its mirror: the two sets in reverse order, delays negated, Stokes phase
+-phase.
 
 The z rotation carries the Stokes relative phase into the spin state.  On
 the bare qubit block the propagator is exactly independent of that phase
@@ -34,8 +38,7 @@ from . import holonomy
 from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa: F401
                     lindblad_channels)
 from .propagate import PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate
-from .pulses import (OFF, ConstantPulse, GaussianPulse, PulseSet,
-                     make_y_pulseset, make_y_return_pulseset, make_z_pulseset)
+from .pulses import OFF, ConstantPulse, PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
 
@@ -218,13 +221,20 @@ class GateReport:
     warnings: list = field(default_factory=list)
 
 
+def _y_sets(run: GateRun, *passes) -> tuple:
+    """One y segment per (pump peak, signed delay, Stokes phase) pass, with
+    the run's Stokes/driving peak and width."""
+    return tuple(replace(make_y_pulseset(pump, run.amp, run.amp, delay, run.tau),
+                         stokes_phase=phase) for pump, delay, phase in passes)
+
+
 def _quarter_turn_pump_amp(run: GateRun) -> float:
     """Pump peak that tunes the forward-pass geometric angle to pi/4."""
     tau0 = run.tau0_over_tau * run.tau
 
     def miss(amp_p):
-        pulses = make_y_pulseset(amp_p, run.amp, run.amp, tau0, run.tau)
-        return holonomy.geometric_angle_y(pulses).angle - math.pi / 4.0
+        forward, = _y_sets(run, (amp_p, tau0, 0.0))
+        return holonomy.geometric_angle_y(forward).angle - math.pi / 4.0
 
     # the forward angle grows with the pump peak, so the bracket's top is the
     # largest angle the search can reach
@@ -258,10 +268,9 @@ def _plan(variant: str, run: GateRun) -> _Plan:
 
     if variant == "y_closed_loop":
         pump = run.pump_amp if run.pump_amp is not None else run.amp
-        forward = make_y_pulseset(pump, run.amp, run.amp, tau0, tau)
-        retract = make_y_return_pulseset(run.amp, run.amp, tret, tau)
-        angle = holonomy.geometric_angle_y(forward).angle
-        return _Plan(segments=((forward, drive_y), (retract, drive_y)),
+        loop = _y_sets(run, (pump, tau0, 0.0), (0.0, -tret, 0.0))
+        angle = holonomy.geometric_angle_y(loop[0]).angle
+        return _Plan(segments=tuple((pulses, drive_y) for pulses in loop),
                      frame_phase=0.0, angle=angle,
                      target=holonomy.predicted_ry(run.target_angle),
                      predicted=lift_qubit(holonomy.predicted_ry(angle)))
@@ -281,19 +290,13 @@ def _plan(variant: str, run: GateRun) -> _Plan:
 
     if variant == "x_composite":
         pump = run.pump_amp if run.pump_amp is not None else _quarter_turn_pump_amp(run)
-        chi = -run.phase  # frame phase carried by the second loop's pulses
-        quarter = make_y_pulseset(pump, run.amp, run.amp, tau0, tau)
-        retract = make_y_return_pulseset(run.amp, run.amp, tret, tau)
-        raise_back = replace(make_y_pulseset(0.0, run.amp, run.amp, tret, tau), stokes_phase=chi)
-        lower = PulseSet(pump=GaussianPulse(pump, 0.0, tau),
-                         stokes=GaussianPulse(run.amp, -tau0, tau),
-                         driving=GaussianPulse(run.amp, +tau0, tau),
-                         stokes_phase=chi)
-        angle = holonomy.geometric_angle_y(quarter).angle
-        # two quarter loops around the virtual phase gate
+        chi = -run.phase  # frame phase carried by the mirror loop's pulses
+        # the y loop, then its mirror: two quarter loops around the virtual phase gate
+        sets = _y_sets(run, (pump, tau0, 0.0), (0.0, -tret, 0.0),
+                       (0.0, tret, chi), (pump, -tau0, chi))
+        angle = holonomy.geometric_angle_y(sets[0]).angle
         ry = holonomy.predicted_ry(angle)
-        return _Plan(segments=((quarter, drive_y), (retract, drive_y),
-                               (raise_back, drive_y), (lower, drive_y)),
+        return _Plan(segments=tuple((pulses, drive_y) for pulses in sets),
                      frame_phase=run.phase, angle=angle,
                      target=holonomy.compose_rx(run.phase),
                      predicted=lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry))
@@ -430,8 +433,6 @@ class ReadoutResult:
     """Expected photon counts of a continuous readout drive."""
 
     total_photons: float
-    photons_to_spin_down: float
-    photons_to_spin_up: float
     shelving_complete: bool
     driven_population_left: float
     # the one solve's RHS evaluations and drift values (Trajectory.meta)
@@ -441,7 +442,8 @@ class ReadoutResult:
 def run_readout(qubit_block: np.ndarray, duration: float,
                 params: ModelParams | None = None, rabi: float | None = None,
                 rel_tol: float = 1e-9) -> ReadoutResult:
-    """Continuous drive of |1> with the full dissipation model.
+    """Continuous drive of |1> with the full dissipation model: the
+    sigma_plus pumping run of ``run_initialization``, read as photons.
 
     Expected emissions are the time integral of 2 gamma (rho_e1e1 +
     rho_e2e2); the four recombination channels are equal, so exactly half
@@ -452,10 +454,8 @@ def run_readout(qubit_block: np.ndarray, duration: float,
     params = params or ModelParams()
     if rabi is None:
         rabi = params.gamma
-    rho0 = lift_density(qubit_block)
-    pulses = PulseSet(pump=OFF, stokes=ConstantPulse(rabi), driving=OFF)
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=duration / 2000.0)
-    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params), rho0, spec)
+    traj, _ = run_initialization("sigma_plus", qubit_block, rabi, duration, params,
+                                 record_stride=duration / 2000.0, rel_tol=rel_tol)
     excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real
     total = float(np.trapezoid(2.0 * params.gamma * excited, traj.times))
     final = traj.final()
@@ -463,8 +463,6 @@ def run_readout(qubit_block: np.ndarray, duration: float,
                         + final[IDX_E2, IDX_E2].real)
     return ReadoutResult(
         total_photons=total,
-        photons_to_spin_down=total / 2.0,
-        photons_to_spin_up=total / 2.0,
         shelving_complete=driven_left < 1e-3,
         driven_population_left=driven_left,
         solver_stats=[traj.meta],

@@ -171,7 +171,7 @@ class TestAngleTracks:
     def test_theta_limits_families(self):
         y_fwd = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         assert darkspace.theta_limits(y_fwd) == (0.0, pytest.approx(math.pi / 2))
-        y_ret = pulses.make_y_return_pulseset(0.5, 0.5, 70.0, 100.0)
+        y_ret = pulses.make_y_pulseset(0.0, 0.5, 0.5, -70.0, 100.0)
         assert darkspace.theta_limits(y_ret) == (pytest.approx(math.pi / 2), 0.0)
         z = pulses.make_z_pulseset(0.5, 0.25, 650.0, 100.0, 0.0)
         early, late = darkspace.theta_limits(z)

@@ -64,7 +64,8 @@ class TestYPulseSet:
         assert ps.pump(0.0) * ps.pump.width == pytest.approx(50.0)
 
     def test_return_set_swaps_order(self):
-        ps = pulses.make_y_return_pulseset(0.5, 0.5, 70.0, 100.0)
+        # a negative delay runs the sweep backwards: Stokes first, driving last
+        ps = pulses.make_y_pulseset(0.0, 0.5, 0.5, -70.0, 100.0)
         assert ps.stokes(-70.0) == pytest.approx(0.5)     # Stokes early
         assert ps.driving(70.0) == pytest.approx(0.5)     # driving late
         assert ps.pump(12.3) == 0.0
@@ -110,11 +111,11 @@ def _x_lower_set():
 
 
 # each family's window from its envelopes, pinned to the spans written out
-# by hand before: tau = 100, delays tau0 = 150 (y), 70 (return), 650 (z)
+# by hand before: tau = 100, delays tau0 = 150 (y), -70 (return), 650 (z)
 # and 100 (x), and validate's short set at margin 4
 @pytest.mark.parametrize("pulseset,margin,expected", [
     (pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), 8.0, (-950.0, 950.0)),
-    (pulses.make_y_return_pulseset(0.5, 0.5, 70.0, 100.0), 8.0, (-870.0, 870.0)),
+    (pulses.make_y_pulseset(0.0, 0.5, 0.5, -70.0, 100.0), 8.0, (-870.0, 870.0)),
     (pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.3), 8.0, (-1450.0, 800.0)),
     (_x_lower_set(), 8.0, (-900.0, 900.0)),
     (pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0), 4.0, (-450.0, 450.0)),

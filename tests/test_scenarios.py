@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ class TestGateSimulation:
                                    holonomy.compose_rx(run.phase), atol=1e-9)
         assert np.all(plan.predicted[2:] == 0)
 
+    def test_x_composite_is_the_y_loop_and_its_mirror(self):
+        # x's first two segments are y's loop at the same run; its last two
+        # are that loop mirrored: reverse order, delays negated (Stokes and
+        # driving envelopes swapped) and Stokes phase chi = -phase
+        run = scenarios.default_gate_run("x_composite", pump_amp=0.3)
+        x_segments = scenarios._plan("x_composite", run).segments
+        loop = scenarios._plan("y_closed_loop", run).segments
+        assert x_segments[:2] == loop
+        mirror = tuple((replace(pulses, stokes=pulses.driving, driving=pulses.stokes,
+                                stokes_phase=-run.phase), template)
+                       for pulses, template in reversed(loop))
+        assert x_segments[2:] == mirror
+
     @pytest.mark.parametrize("variant", ["y_closed_loop", "x_composite"])
     def test_adiabatic_gates_follow_prediction(self, variant):
         _, report = scenarios.simulate_gate(variant, with_decoherence=False)
@@ -250,8 +264,3 @@ class TestReadout:
     def test_rejects_bad_trace(self, params):
         with pytest.raises(ValueError):
             scenarios.run_readout(np.diag([0.2, 0.2]).astype(complex), 1000.0, params)
-
-    def test_split_is_even(self, params):
-        result = scenarios.run_readout(np.diag([1.0, 0.0]).astype(complex),
-                                       5000.0, params)
-        assert result.photons_to_spin_down == pytest.approx(result.total_photons / 2)

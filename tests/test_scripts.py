@@ -1,13 +1,19 @@
-"""The two experiment scripts under scripts/, run in-process."""
+"""The scripts under scripts/, run in-process."""
 
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def _script(name):
+    return runpy.run_path(str(SCRIPTS / name), run_name=name)
+
+
 def _main(name):
-    return runpy.run_path(str(SCRIPTS / name), run_name=name)["main"]
+    return _script(name)["main"]
 
 
 def test_gate_table_coherent(capsys):
@@ -29,3 +35,21 @@ def test_reproduce_curves(tmp_path):
                           ("init", "init.csv")):
         assert (tmp_path / scenario / csv).is_file()
         assert (tmp_path / scenario / "manifest.json").is_file()
+
+
+@pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout")
+def test_compare_parent_finds_the_anchor_sweeps_unchanged():
+    # the working tree against its own HEAD: each tree runs in its own
+    # interpreter, so the same sweeps give byte-identical files
+    compare = _script("compare_parent.py")["compare"]
+    lines = compare("HEAD", reference_keys=("sweep_beta", "sweep_gamma"), workloads=())
+    assert len(lines) == 4
+    assert all(line.endswith(": identical") for line in lines), lines
+
+
+def test_compare_parent_reports_differences():
+    script = _script("compare_parent.py")
+    assert script["compare_csv"]("a,b\n1,x\n", "a,b\n1,x\n") == "identical"
+    assert script["compare_csv"]("a,b\n1,x\n", "a\n1.5\n") == \
+        "columns dropped: b; largest numeric difference 5.000e-01"
+    assert script["compare_json"]({"f": [1.0, "y"]}, {"f": [1.0, "z"]}) == "differs at .f[1]"
