@@ -16,11 +16,12 @@ finite-difference form here.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
 from .model import ModelParams
-from .pulses import PulseSet
+from .pulses import GaussianPulse, PulseSet, TwoPartPulse
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -43,7 +44,7 @@ def mixing_phi_y(omega_p: float, omega_s: float, omega_d: float) -> float:
     """atan2(omega_p, hypot(omega_s, omega_d)) in [0, pi/2].
 
     0 once all fields have vanished: in every y set's tails the pump is not
-    the outermost field, so that is the protocol's limit (as in sin_phi_y).
+    the outermost field, so that is the protocol's limit (as in angle_rate_y).
     """
     if min(omega_p, omega_s, omega_d) < 0.0:
         raise ValueError("field amplitudes must be non-negative")
@@ -170,19 +171,76 @@ def theta_rate(pulses: PulseSet, t: float) -> float:
     return (pulses.stokes.derivative(t) * om_d - om_s * pulses.driving.derivative(t)) / denom
 
 
-def sin_phi_y(pulses: PulseSet, t: float) -> float:
-    """sin of the pump mixing angle; 0 outside the pulse support."""
-    om_p = pulses.pump(t)
-    norm = math.sqrt(om_p ** 2 + pulses.stokes(t) ** 2 + pulses.driving(t) ** 2)
-    if norm == 0.0:
-        return 0.0
-    return om_p / norm
+def _fields(envelope, kind) -> tuple:
+    """The envelope's fields in declaration order, read once per integrand."""
+    if type(envelope) is not kind:
+        raise ValueError(f"the holonomy integrand needs a {kind.__name__} here, "
+                         f"not {type(envelope).__name__}")
+    return astuple(envelope)
 
 
-def sin_phi_z(pulses: PulseSet, t: float, delta: float) -> float:
-    """sin of the Zeeman mixing angle; 1 outside the pulse support."""
+# The two closures below are the holonomy integrands sin(phi) * theta'(t).
+# They inline GaussianPulse/TwoPartPulse values and derivatives, theta_rate
+# and sin(phi) in the same operation order, so each value is bit-identical
+# to the one built from the envelope methods; a Gaussian's value and slope
+# share one exp.
+
+def angle_rate_y(pulses: PulseSet):
+    """t -> sin(phi_pump) * d theta/dt for a make_y_pulseset set (0 where the
+    fields have vanished)."""
+    a_p, c_p, w_p = _fields(pulses.pump, GaussianPulse)
+    a_s, c_s, w_s = _fields(pulses.stokes, GaussianPulse)
+    a_d, c_d, w_d = _fields(pulses.driving, GaussianPulse)
+    exp, sqrt = math.exp, math.sqrt
+
+    def rate(t: float) -> float:
+        x = (t - c_p) / w_p
+        om_p = a_p * exp(-x * x)
+        x = (t - c_s) / w_s
+        e = exp(-x * x)
+        om_s = a_s * e
+        ds = -2.0 * x / w_s * a_s * e
+        x = (t - c_d) / w_d
+        e = exp(-x * x)
+        om_d = a_d * e
+        dd = -2.0 * x / w_d * a_d * e
+        norm = sqrt(om_p ** 2 + om_s ** 2 + om_d ** 2)
+        sin_phi = 0.0 if norm == 0.0 else om_p / norm
+        denom = om_s * om_s + om_d * om_d
+        if denom == 0.0:
+            return 0.0
+        return sin_phi * ((ds * om_d - om_s * dd) / denom)
+
+    return rate
+
+
+def angle_rate_z(pulses: PulseSet, delta: float):
+    """t -> sin(phi_zeeman) * d theta/dt for a make_z_pulseset set; the pump
+    is off and does not enter."""
+    a_s, c_s, w_s = _fields(pulses.stokes, GaussianPulse)
+    a_d, c_e, c_l, w_d = _fields(pulses.driving, TwoPartPulse)
+    exp, hypot = math.exp, math.hypot
     half = delta / 2.0
-    return half / math.hypot(half, math.sqrt(2.0) * math.hypot(pulses.stokes(t), pulses.driving(t)))
+    root2 = math.sqrt(2.0)
+
+    def rate(t: float) -> float:
+        x = (t - c_s) / w_s
+        e = exp(-x * x)
+        om_s = a_s * e
+        ds = -2.0 * x / w_s * a_s * e
+        xe = (t - c_e) / w_d
+        xl = (t - c_l) / w_d
+        ee = exp(-xe * xe)
+        el = exp(-xl * xl)
+        om_d = a_d * (ee + el)
+        dd = -2.0 * a_d / w_d * (xe * ee + xl * el)
+        sin_phi = half / hypot(half, root2 * hypot(om_s, om_d))
+        denom = om_s * om_s + om_d * om_d
+        if denom == 0.0:
+            return 0.0
+        return sin_phi * ((ds * om_d - om_s * dd) / denom)
+
+    return rate
 
 
 def phi_rate_y(pulses: PulseSet, t: float) -> float:

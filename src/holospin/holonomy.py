@@ -11,6 +11,10 @@ angle obtained by quadrature:
 * z protocol: the same construction with the Zeeman mixing angle gives the
   fractional-STIRAP phase; at value pi/4 the driven population returns to
   |1> and the Stokes phase is carried into the spin state.
+
+Each integrand sin(phi) theta'(t) is built once per pulse set, as one flat
+closure (darkspace.angle_rate_y / angle_rate_z), and handed to scipy's
+adaptive quad over the symmetric hull of the set's window.
 """
 
 from __future__ import annotations
@@ -62,10 +66,7 @@ def geometric_angle_y(pulses: PulseSet) -> HolonomyResult:
     rescaling of the three amplitudes; it does not involve the Zeeman
     splitting.
     """
-    def integrand(t):
-        return darkspace.sin_phi_y(pulses, t) * darkspace.theta_rate(pulses, t)
-
-    value, err, neval = _run_quad(integrand, pulses)
+    value, err, neval = _run_quad(darkspace.angle_rate_y(pulses), pulses)
     return HolonomyResult(angle=value, grid_points=neval, quad_error=err)
 
 
@@ -76,10 +77,7 @@ def geometric_phase_z(pulses: PulseSet, params: ModelParams) -> HolonomyResult:
     magnitude in [0, pi/4] for the two-part-drive family.  Invariant under
     joint rescaling of amplitudes and Zeeman splitting.
     """
-    def integrand(t):
-        return darkspace.sin_phi_z(pulses, t, params.delta) * darkspace.theta_rate(pulses, t)
-
-    value, err, neval = _run_quad(integrand, pulses)
+    value, err, neval = _run_quad(darkspace.angle_rate_z(pulses, params.delta), pulses)
     return HolonomyResult(angle=abs(value), grid_points=neval, quad_error=err)
 
 

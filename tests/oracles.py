@@ -23,6 +23,23 @@ def path_ordered_exponential(samples) -> np.ndarray:
     return u
 
 
+def sin_phi_y(pulses, t: float) -> float:
+    """sin of the pump mixing angle from the envelope methods; 0 outside the
+    pulse support."""
+    om_p = pulses.pump(t)
+    norm = math.sqrt(om_p ** 2 + pulses.stokes(t) ** 2 + pulses.driving(t) ** 2)
+    if norm == 0.0:
+        return 0.0
+    return om_p / norm
+
+
+def sin_phi_z(pulses, t: float, delta: float) -> float:
+    """sin of the Zeeman mixing angle from the envelope methods; 1 outside
+    the pulse support."""
+    half = delta / 2.0
+    return half / math.hypot(half, math.sqrt(2.0) * math.hypot(pulses.stokes(t), pulses.driving(t)))
+
+
 def predicted_final_state_z(gamma_f: float, phase: float) -> np.ndarray:
     """Predicted z-protocol output for input |1> at frozen ratio pi/4.
 

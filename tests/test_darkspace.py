@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from holospin import cli, darkspace, model, pulses
 from holospin.qcore import DIM, IDX_E1, IDX_E2
+from oracles import sin_phi_y, sin_phi_z
 
 angles = st.floats(0.0, math.pi / 2, allow_nan=False)
 inner_angles = st.floats(0.05, math.pi / 2 - 0.05)
@@ -200,16 +201,64 @@ class TestAngleTracks:
 
     def test_sin_phi_tracks(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        assert darkspace.sin_phi_y(ps, 0.0) == pytest.approx(
+        assert sin_phi_y(ps, 0.0) == pytest.approx(
             math.sin(darkspace.mixing_phi_y(ps.pump(0), ps.stokes(0), ps.driving(0))))
-        assert darkspace.sin_phi_y(ps, 1e6) == 0.0  # dead fields -> limit 0
+        assert sin_phi_y(ps, 1e6) == 0.0  # dead fields -> limit 0
         z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
-        assert darkspace.sin_phi_z(z, 1e6, params.delta) == 1.0
-        assert darkspace.sin_phi_z(z, 0.0, params.delta) < 1e-3
+        assert sin_phi_z(z, 1e6, params.delta) == 1.0
+        assert sin_phi_z(z, 0.0, params.delta) < 1e-3
 
     def test_rate_zero_outside_support(self):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         assert darkspace.theta_rate(ps, 1e7) == 0.0
+
+
+def _y_sets():
+    for ratio in (0.0, 1.5, 6.5, 19.2):
+        for amps in ((0.5, 0.5, 0.5), (0.1, 1.85, 0.35), (3.0, 0.05, 1.2)):
+            yield pulses.make_y_pulseset(*amps, ratio * 100.0, 100.0)
+    # the pump-free return pass of a closed loop
+    yield pulses.make_y_pulseset(0.0, 0.5, 0.5, -6.5 * 100.0, 100.0)
+
+
+def _z_sets():
+    for ratio in (0.0, 1.5, 6.5, 19.2):
+        for amp_s, amp_d, scale in ((0.5, 0.5, 1.0), (0.1, 0.1, 0.2), (1.85, 0.35, 3.7)):
+            yield pulses.make_z_pulseset(amp_s, amp_d, ratio * 100.0, 100.0, 0.7), scale
+
+
+def _probe_times(pulseset):
+    # the window, beyond it where every field underflows, and t = 0
+    lo, hi = pulseset.window()
+    return [*np.linspace(1.5 * lo, 1.5 * hi, 601), -1e6, 0.0, 1e6]
+
+
+class TestAngleRates:
+    """The flat integrands equal sin(phi) * theta'(t) built from the envelope
+    methods, bit for bit."""
+
+    def test_y_closure_is_exact(self):
+        for ps in _y_sets():
+            rate = darkspace.angle_rate_y(ps)
+            for t in _probe_times(ps):
+                assert rate(t) == sin_phi_y(ps, t) * darkspace.theta_rate(ps, t), (ps, t)
+
+    def test_z_closure_is_exact(self, params):
+        for ps, scale in _z_sets():
+            delta = scale * params.delta
+            rate = darkspace.angle_rate_z(ps, delta)
+            for t in _probe_times(ps):
+                assert rate(t) == sin_phi_z(ps, t, delta) * darkspace.theta_rate(ps, t), (ps, t)
+
+    def test_rejects_other_envelope_kinds(self, params):
+        y = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
+        with pytest.raises(ValueError, match="TwoPartPulse"):
+            darkspace.angle_rate_z(y, params.delta)
+        with pytest.raises(ValueError, match="GaussianPulse"):
+            darkspace.angle_rate_y(z)
+        with pytest.raises(ValueError, match="ConstantPulse"):
+            darkspace.angle_rate_y(pulses.PulseSet(pulses.OFF, y.stokes, y.driving))
 
 
 class TestAdiabaticityRatio:

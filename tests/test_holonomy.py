@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from holospin import cli, darkspace, holonomy, pulses
 from holospin.qcore import dense_expm
-from oracles import path_ordered_exponential, predicted_final_state_z
+from oracles import path_ordered_exponential, predicted_final_state_z, sin_phi_y, sin_phi_z
 
 # Frozen expected values, cross-checked below against a dense trapezoid
 # integration that is independent of the adaptive quadrature.
@@ -18,7 +18,7 @@ GAMMA_F_AT_6P5 = 0.7778434166171311
 def _trapezoid_angle_y(pulseset, n=400_001):
     lo, hi = pulseset.window()
     ts = np.linspace(lo, hi, n)
-    vals = [darkspace.sin_phi_y(pulseset, t) * darkspace.theta_rate(pulseset, t)
+    vals = [sin_phi_y(pulseset, t) * darkspace.theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)
 
@@ -28,7 +28,7 @@ def _trapezoid_phase_z(pulseset, delta, n=400_001):
     lo, hi = pulseset.window()
     half = max(-lo, hi)
     ts = np.linspace(-half, half, n)
-    vals = [darkspace.sin_phi_z(pulseset, t, delta) * darkspace.theta_rate(pulseset, t)
+    vals = [sin_phi_z(pulseset, t, delta) * darkspace.theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)
 
@@ -95,6 +95,7 @@ class TestGeometricPhaseZ:
         # (delta/2)/(Os^2+Od^2) * (Os dOd - Od dOs)/sqrt(2(Os^2+Od^2)+(delta/2)^2)
         # equals -sin(phi) theta'(t) pointwise
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
+        rate = darkspace.angle_rate_z(ps, params.delta)
         for _ in range(50):
             t = rng.uniform(-1200.0, 700.0)
             om_s, om_d = ps.stokes(t), ps.driving(t)
@@ -103,9 +104,10 @@ class TestGeometricPhaseZ:
             line = (half / (om_s ** 2 + om_d ** 2)
                     * (om_s * dd - om_d * ds)
                     / math.sqrt(2 * (om_s ** 2 + om_d ** 2) + half ** 2))
-            mixing = -(darkspace.sin_phi_z(ps, t, params.delta)
+            mixing = -(sin_phi_z(ps, t, params.delta)
                        * darkspace.theta_rate(ps, t))
             assert line == pytest.approx(mixing, abs=1e-15, rel=1e-9)
+            assert line == pytest.approx(-rate(t), abs=1e-15, rel=1e-9)
 
     def test_joint_scale_invariance(self, params):
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
@@ -148,7 +150,7 @@ class TestPathOrderedExponential:
         edges = np.linspace(lo, hi, 2001)
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = edges[1] - edges[0]
-        samples = [(darkspace.connection_y(math.asin(darkspace.sin_phi_y(ps, t)))
+        samples = [(darkspace.connection_y(math.asin(sin_phi_y(ps, t)))
                     * darkspace.theta_rate(ps, t), dt) for t in mids]
         u = path_ordered_exponential(samples)
         assert np.max(np.abs(u - holonomy.predicted_ry(beta))) < 1e-6

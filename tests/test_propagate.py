@@ -7,7 +7,7 @@ import pytest
 from holospin import model, propagate, pulses
 from holospin.model import ModelParams, lindblad_channels
 from holospin.propagate import PropagationSpec
-from holospin.qcore import DIM, basis_state, density_from_state
+from holospin.qcore import DIM, basis_state, dense_expm, density_from_state
 
 
 _zero_h = model.Drive(np.zeros((DIM, DIM), dtype=complex), ())
@@ -334,3 +334,19 @@ class TestOracle:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             propagate.oracle_propagate(_zero_h, basis_state(0), 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1, propagate._ORACLE_BLOCK, 2 * propagate._ORACLE_BLOCK + 1])
+    def test_blocks_equal_one_exponential_per_step(self, n, params):
+        # the batched exponentials of a block, applied in order, are the
+        # per-step midpoint product bit for bit, at and across block edges
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
+        h_of_t = lambda t: model.build_h_y(t, ps, params)
+        lo, hi = -450.0, 450.0
+        step = (hi - lo) / n
+        psi = basis_state(1)
+        for k in range(n):
+            psi = dense_expm(-1j * h_of_t(lo + (k + 0.5) * step), step) @ psi
+        # a step a little over (hi - lo) / n gives exactly n oracle steps
+        blocked = propagate.oracle_propagate(h_of_t, basis_state(1), (hi - lo) / (n - 0.5),
+                                             lo, hi)
+        np.testing.assert_array_equal(blocked, psi)

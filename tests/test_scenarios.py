@@ -80,6 +80,14 @@ class TestSweeps:
         with pytest.raises(ValueError, match="40"):
             scenarios.sweep_phase_z([0.0, 50.0])
 
+    def test_probe_ratios_still_fail_to_converge(self):
+        # the benchmark's known failing probe (perfbench/workloads.py): the
+        # adaptive t-domain quadrature misses the integrand's narrow spike
+        # here.  ROADMAP item 1 inverts this test, together with
+        # perfbench/reference.json, when the quadrature moves to theta.
+        with pytest.raises(ValueError, match="holonomy quadrature did not converge"):
+            scenarios.sweep_angle_y([19.2, 19.25])
+
 
 class TestGateSimulation:
     def test_y_closed_loop_matches_prediction(self):
