@@ -310,13 +310,13 @@ def _run_init(config: RunConfig, out_dir: Path):
     return ["init.csv"], checks, {"results": results, "solver": [traj.meta]}
 
 
-def _run_gate(config: RunConfig, out_dir: Path, seed=None):
+def _run_gate(config: RunConfig, out_dir: Path):
     v = config.values
     run = scenarios.default_gate_run(
         v["variant"], model=config.model_params(),
         **{name: v[key] for key, name in _GATE_FIELDS.items() if key in v})
     process, report = scenarios.simulate_gate(v["variant"], run,
-                                              with_decoherence=v["decoherence"], seed=seed)
+                                              with_decoherence=v["decoherence"])
     # a complex block viewed as floats is its entries' (re, im) pairs in row order
     _write_csv(out_dir / "gate_process.csv",
                "input,b00_re,b00_im,b01_re,b01_im,b10_re,b10_im,b11_re,b11_im",
@@ -371,12 +371,12 @@ def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
     worst = 0.0
     for _ in range(n):
         t = rng.uniform(*y_set.window())
-        pair = darkspace.dark_states_y(darkspace.theta_track(y_set, t),
+        pair = darkspace.dark_states_y(darkspace.mixing_theta(y_set.stokes(t), y_set.driving(t)),
                                        darkspace.mixing_phi_y(y_set.pump(t), y_set.stokes(t),
                                                               y_set.driving(t)))
         worst = max(worst, scaled_residual(build_h_y(t, y_set, params), pair))
         t = rng.uniform(*z_set.window())
-        pair = darkspace.dark_states_z(darkspace.theta_track(z_set, t),
+        pair = darkspace.dark_states_z(darkspace.mixing_theta(z_set.stokes(t), z_set.driving(t)),
                                        darkspace.mixing_phi_z(params.delta, z_set.stokes(t),
                                                               z_set.driving(t)),
                                        z_set.stokes_phase)
@@ -491,7 +491,7 @@ def _run_validate(config: RunConfig, out_dir: Path):
     return ["validate.csv"], checks, {"solver": [solver]}
 
 
-def run(config: RunConfig, out_dir: Path, seed=None) -> int:
+def run(config: RunConfig, out_dir: Path) -> int:
     """Execute one scenario; always writes a manifest, even on failure."""
     started = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +508,7 @@ def run(config: RunConfig, out_dir: Path, seed=None) -> int:
         elif config.scenario == "init":
             outputs, checks, extra = _run_init(config, out_dir)
         elif config.scenario == "gate":
-            outputs, checks, extra = _run_gate(config, out_dir, seed=seed)
+            outputs, checks, extra = _run_gate(config, out_dir)
         elif config.scenario == "readout":
             outputs, checks, extra = _run_readout(config, out_dir)
         elif config.scenario == "validate":
@@ -549,13 +549,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="gate only: non-negative rotation seed for the sphere "
-                             "points of the gate's fidelity consistency check")
+                        help="gate only: a non-negative integer, accepted so that "
+                             "existing gate command lines keep working; it changes "
+                             "no output")
     args = parser.parse_args(argv)
 
     try:
         if args.seed is not None and (args.scenario != "gate" or args.seed < 0):
-            raise ConfigError("--seed is read only by gate, as a non-negative integer")
+            raise ConfigError("--seed is accepted only by gate, as a non-negative integer")
         text = args.config.read_text(encoding="utf-8") if args.config else ""
         config = parse_config(text, args.scenario)
         # an --out that is a file, or lies under one, fails here, before any solve
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    status = run(config, args.out, seed=args.seed)
+    status = run(config, args.out)
     if status != 0:
         print(f"scenario {args.scenario} finished with failures (exit {status}); "
               f"see {args.out / 'manifest.json'}", file=sys.stderr)

@@ -25,18 +25,14 @@ from .pulses import GaussianPulse, PulseSet, TwoPartPulse
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
-def mixing_theta(omega_s: float, omega_d: float, limit: float | None = None) -> float:
+def mixing_theta(omega_s: float, omega_d: float) -> float:
     """atan2(omega_s, omega_d) in [0, pi/2].
 
-    When both fields have vanished the angle is defined only as a limit of
-    the protocol; the caller must supply it explicitly.
+    0 once both fields have vanished: then neither |1> nor |a> couples, so
+    every theta gives a dark frame (the convention of mixing_phi_y).
     """
     if omega_s < 0.0 or omega_d < 0.0:
         raise ValueError("field amplitudes must be non-negative")
-    if omega_s == 0.0 and omega_d == 0.0:
-        if limit is None:
-            raise ValueError("mixing angle undefined for vanished fields; supply the protocol limit")
-        return limit
     return math.atan2(omega_s, omega_d)
 
 
@@ -127,39 +123,10 @@ def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level angle tracks evaluated from a PulseSet.  Rates use the
+# Protocol-level angle rates evaluated from a PulseSet.  They use the
 # envelopes' analytic derivatives through the exact ratio formulas, so no
 # finite differencing enters the holonomy quadrature.
 # ---------------------------------------------------------------------------
-
-def theta_limits(pulses: PulseSet) -> tuple[float, float]:
-    """Continuous-extension values of theta at t -> -inf and t -> +inf.
-
-    In each tail the envelope whose outermost Gaussian center lies further
-    out dominates.  A tie means the ratio freezes, each side weighted by its
-    amplitude times its number of centers there, as in the fractional-STIRAP
-    family.
-    """
-    s, d = pulses.stokes, pulses.driving
-    if not (s.centers and d.centers):
-        raise ValueError("theta limits are defined only for the Gaussian pulse families")
-
-    def one_side(outermost) -> float:
-        s_edge, d_edge = outermost(s.centers), outermost(d.centers)
-        if s_edge == d_edge:
-            return math.atan2(s.amplitude * s.centers.count(s_edge),
-                              d.amplitude * d.centers.count(d_edge))
-        return math.pi / 2.0 if outermost(s_edge, d_edge) == s_edge else 0.0
-
-    return one_side(min), one_side(max)
-
-
-def theta_track(pulses: PulseSet, t: float) -> float:
-    """Mixing angle theta at time t, with tail values from theta_limits."""
-    early, late = theta_limits(pulses)
-    return mixing_theta(pulses.stokes(t), pulses.driving(t),
-                        limit=early if t < 0.0 else late)
-
 
 def theta_rate(pulses: PulseSet, t: float) -> float:
     """d theta / dt from the envelope derivatives (exact ratio formula)."""

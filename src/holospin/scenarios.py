@@ -304,11 +304,12 @@ def _plan(variant: str, run: GateRun) -> _Plan:
     raise ValueError(f"unknown gate variant {variant!r}")
 
 
-def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
-    """Carry a state or a stack of states (vectors or densities) through the
-    segment list, one solve per segment; returns the final state and each
-    solve's statistics (``Trajectory.meta``)."""
+def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple:
+    """Carry the four qubit inputs through the segment list, one solve per
+    segment, as densities (with decoherence) or as states; returns the four
+    output densities and each solve's statistics (``Trajectory.meta``)."""
     channels = lindblad_channels(run.model) if with_decoherence else None
+    state = _INPUT_DENSITIES if with_decoherence else _INPUT_STACK
     stats = []
     for pulses, template in segments:
         drive = template(pulses, run.model)
@@ -319,39 +320,36 @@ def _propagate_segments(state, segments, run: GateRun, with_decoherence: bool):
             traj = schrodinger_propagate(drive, state, spec)
         state = traj.final()
         stats.append(traj.meta)
+    if not with_decoherence:
+        state = [density_from_state(psi) for psi in state.T]
     return state, stats
 
 
 def simulate_gate(variant: str, run: GateRun | None = None,
-                  with_decoherence: bool = True, seed=None) -> tuple[dict, GateReport]:
+                  with_decoherence: bool = True) -> tuple[dict, GateReport]:
     """Drive the four qubit basis inputs through the full five-level dynamics.
 
     Returns the reconstructed qubit process (projected blocks per input plus
     leakages) and a GateReport carrying the six-state average fidelity
     against the variant's nominal target, for the propagated channel and
-    for the dark-subspace prediction.  ``seed`` rotates the sphere points of
-    the consistency check inside both fidelity computations.
+    for the dark-subspace prediction.
     """
     run = run or default_gate_run(variant)
     plan = _plan(variant, run)
 
     frame = np.diag([1.0, np.exp(1j * plan.frame_phase), 1.0, 1.0, 1.0]).astype(complex)
-    if with_decoherence:
-        finals, stats = _propagate_segments(_INPUT_DENSITIES, plan.segments, run, True)
-    else:
-        psis, stats = _propagate_segments(_INPUT_STACK, plan.segments, run, False)
-        finals = [density_from_state(psi) for psi in psis.T]
+    finals, stats = _propagate_segments(plan.segments, run, with_decoherence)
     outputs = [frame @ final @ frame.conj().T for final in finals]
     blocks = [project_qubit(rho) for rho in outputs]
     process = {label: block for label, (block, _) in zip(_QUBIT_LABELS, blocks)}
     leakage_final = max(leak for _, leak in blocks)
-    fidelity = gate_fidelity(process, plan.target, seed=seed)
+    fidelity = gate_fidelity(process, plan.target)
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
     dark_map = plan.predicted[[IDX_ZERO, IDX_ONE]]
     dark_process = {label: dark_map @ np.outer(q, q.conj()) @ dark_map.conj().T
                     for label, q in zip(_QUBIT_LABELS, _QUBITS.T)}
-    fid_dark = gate_fidelity(dark_process, plan.target, seed=seed)
+    fid_dark = gate_fidelity(dark_process, plan.target)
     predicted = plan.predicted @ _QUBITS
     overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted.T, outputs))
 
@@ -383,45 +381,17 @@ def _apply_channel(process: dict, rho2: np.ndarray) -> np.ndarray:
             + rho2[0, 1].real * ex - rho2[0, 1].imag * ey)
 
 
-# points of the Fibonacci-sphere quadrature in gate_fidelity
-_SPHERE_POINTS = 400
-
-
-def _fibonacci_sphere(n: int, seed=None) -> np.ndarray:
-    """Deterministic low-discrepancy qubit states; optional seeded rotation."""
-    k = np.arange(n)
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    azimuth = 2.0 * math.pi * k * (math.sqrt(5.0) - 1.0) / 2.0
-    polar = np.arccos(np.clip(z, -1.0, 1.0))
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        azimuth = azimuth + rng.uniform(0.0, 2.0 * math.pi)
-    states = np.stack([np.cos(polar / 2.0) * np.ones_like(azimuth),
-                       np.sin(polar / 2.0) * np.exp(1j * azimuth)], axis=1)
-    return states
-
-
-def gate_fidelity(process: dict, target: np.ndarray, seed=None) -> float:
-    """Input-state-averaged fidelity of a reconstructed channel.
-
-    Computed two ways: the six-axial-state average (exact for a qubit
-    2-design) and a Fibonacci-sphere quadrature with 400 points, rotated by
-    the seed if one is given.  The two must agree within 1e-4; the
-    six-state value is returned.
-    """
+def gate_fidelity(process: dict, target: np.ndarray) -> float:
+    """Input-state-averaged fidelity of a reconstructed channel: the average
+    over the six axial states, which form a qubit 2-design, so the average
+    is exact."""
     def one(psi):
         rho = np.outer(psi, psi.conj())
         out = _apply_channel(process, rho)
         ideal = target @ psi
         return float(np.real(np.vdot(ideal, out @ ideal)))
 
-    f_six = sum(one(s) for s in _SIX_AXIAL) / len(_SIX_AXIAL)
-    sphere = _fibonacci_sphere(_SPHERE_POINTS, seed=seed)
-    f_sphere = sum(one(s) for s in sphere) / len(sphere)
-    if abs(f_six - f_sphere) > 1e-4:
-        raise ValueError(
-            f"channel average inconsistency: six-state {f_six:.8f} vs sphere {f_sphere:.8f}")
-    return f_six
+    return sum(one(s) for s in _SIX_AXIAL) / len(_SIX_AXIAL)
 
 
 # ---------------------------------------------------------------------------

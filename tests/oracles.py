@@ -23,6 +23,21 @@ def path_ordered_exponential(samples) -> np.ndarray:
     return u
 
 
+def average_fidelity(image, target) -> float:
+    """Closed-form average fidelity of a qubit map E against the unitary U:
+
+        F = (sum_a tr Phi(E_aa) + sum_ab <a|Phi(E_ab)|b>) / 6,  Phi = U^dag E(.) U
+
+    with E_ab = |a><b|, and ``image(a, b)`` returning E(E_ab).  F is linear
+    in E, so it holds for trace-decreasing (leaky) maps too.
+    """
+    u = np.asarray(target, dtype=complex)
+    phi = [[u.conj().T @ image(a, b) @ u for b in range(2)] for a in range(2)]
+    total = (sum(np.trace(phi[a][a]) for a in range(2))
+             + sum(phi[a][b][a, b] for a in range(2) for b in range(2)))
+    return float(total.real) / 6.0
+
+
 def sin_phi_y(pulses, t: float) -> float:
     """sin of the pump mixing angle from the envelope methods; 0 outside the
     pulse support."""

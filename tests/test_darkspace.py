@@ -19,10 +19,9 @@ class TestMixingAngles:
         assert darkspace.mixing_theta(0.0, 0.5) == 0.0
         assert darkspace.mixing_theta(0.5, 0.0) == pytest.approx(math.pi / 2)
 
-    def test_theta_needs_limit_when_dark(self):
-        with pytest.raises(ValueError):
-            darkspace.mixing_theta(0.0, 0.0)
-        assert darkspace.mixing_theta(0.0, 0.0, limit=0.3) == 0.3
+    def test_theta_is_zero_for_vanished_fields(self):
+        # neither |1> nor |a> couples then, so every theta gives a dark frame
+        assert darkspace.mixing_theta(0.0, 0.0) == 0.0
 
     def test_phi_y_values(self):
         assert darkspace.mixing_phi_y(0.0, 0.2, 0.3) == 0.0
@@ -130,7 +129,7 @@ class TestDarknessResidual:
             t = rng.uniform(*ps.window())
             h = model.build_h_y(t, ps, params)
             pair = darkspace.dark_states_y(
-                darkspace.theta_track(ps, t),
+                darkspace.mixing_theta(ps.stokes(t), ps.driving(t)),
                 darkspace.mixing_phi_y(ps.pump(t), ps.stokes(t), ps.driving(t)))
             r1, r2 = darkspace.darkness_residual(h, pair)
             bound = 1e-10 * (1.0 + float(np.max(np.abs(h))))
@@ -142,7 +141,7 @@ class TestDarknessResidual:
             t = rng.uniform(-1450.0, 800.0)
             h = model.build_h_z(t, ps, params)
             pair = darkspace.dark_states_z(
-                darkspace.theta_track(ps, t),
+                darkspace.mixing_theta(ps.stokes(t), ps.driving(t)),
                 darkspace.mixing_phi_z(params.delta, ps.stokes(t), ps.driving(t)),
                 ps.stokes_phase)
             r1, r2 = darkspace.darkness_residual(h, pair)
@@ -162,27 +161,13 @@ class TestDarknessResidual:
             h[1, e] = -om_s
             h[2, e] = -om_d
         pair = darkspace.dark_states_z(
-            darkspace.theta_track(ps, t),
+            darkspace.mixing_theta(ps.stokes(t), ps.driving(t)),
             darkspace.mixing_phi_z(params.delta, om_s, om_d), 0.0)
         r1, r2 = darkspace.darkness_residual(h, pair)
         assert r2 > 1e-3 * float(np.max(np.abs(h)))
 
 
 class TestAngleTracks:
-    def test_theta_limits_families(self):
-        y_fwd = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        assert darkspace.theta_limits(y_fwd) == (0.0, pytest.approx(math.pi / 2))
-        y_ret = pulses.make_y_pulseset(0.0, 0.5, 0.5, -70.0, 100.0)
-        assert darkspace.theta_limits(y_ret) == (pytest.approx(math.pi / 2), 0.0)
-        z = pulses.make_z_pulseset(0.5, 0.25, 650.0, 100.0, 0.0)
-        early, late = darkspace.theta_limits(z)
-        assert early == 0.0
-        assert late == pytest.approx(math.atan2(0.5, 0.25))
-        # tau0 = 0: both driving centers sit on the Stokes one in both tails
-        merged = pulses.make_z_pulseset(0.5, 0.25, 0.0, 100.0, 0.0)
-        tie = math.atan2(0.5, 2 * 0.25)
-        assert darkspace.theta_limits(merged) == (tie, tie)
-
     def test_theta_rate_matches_closed_form_y(self):
         # equal-amplitude delayed Gaussians: theta(t) = atan(exp(4 tau0 t / tau^2))
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)

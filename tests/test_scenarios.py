@@ -8,7 +8,7 @@ from holospin import darkspace, holonomy, propagate, scenarios
 from holospin.model import drive_y, drive_z
 from holospin.propagate import PropagationSpec, Trajectory
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
-from oracles import predicted_final_state_z
+from oracles import average_fidelity, predicted_final_state_z
 
 
 def _mixed_qubit():
@@ -200,7 +200,7 @@ class TestGateSimulation:
                                                    spec)
             for i, t in enumerate(traj.times):
                 pair = darkspace.dark_states_y(
-                    darkspace.theta_track(pulseset, t),
+                    darkspace.mixing_theta(pulseset.stokes(t), pulseset.driving(t)),
                     darkspace.mixing_phi_y(pulseset.pump(t), pulseset.stokes(t),
                                            pulseset.driving(t)))
                 inside = np.linalg.norm(pair.conj().T @ traj.states[i]) ** 2
@@ -253,13 +253,40 @@ class TestGateFidelity:
         expected = 1.0 - (2.0 / 3.0) * math.sin(beta - math.pi / 2) ** 2
         assert fid == pytest.approx(expected, abs=1e-6)
 
-    def test_sphere_seed_rotation_consistent(self):
-        target = holonomy.predicted_rz(0.3)
-        process = {label: target @ np.outer(q, q.conj()) @ target.conj().T
-                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
-        a = scenarios.gate_fidelity(process, target, seed=None)
-        b = scenarios.gate_fidelity(process, target, seed=7)
-        assert a == pytest.approx(b, abs=1e-4)
+    @pytest.mark.parametrize("trace_preserving", [True, False])
+    def test_matches_closed_form_on_random_maps(self, trace_preserving):
+        # Kraus maps from a random isometry; a contraction on its input side
+        # makes them trace-decreasing, as a leaky gate is
+        rng = np.random.default_rng(20261019)
+        for _ in range(100):
+            rank = int(rng.integers(1, 5))
+            g = rng.normal(size=(2 * rank, 2)) + 1j * rng.normal(size=(2 * rank, 2))
+            isometry, _ = np.linalg.qr(g)
+            if not trace_preserving:
+                isometry = isometry @ np.diag(np.sqrt(rng.uniform(0.0, 1.0, 2)))
+            kraus = isometry.reshape(rank, 2, 2)
+
+            def channel(x):
+                return sum(k @ x @ k.conj().T for k in kraus)
+            process = {label: channel(np.outer(q, q.conj()))
+                       for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
+            target, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            expected = average_fidelity(lambda a, b: channel(np.outer(np.eye(2)[a],
+                                                                      np.eye(2)[b])), target)
+            assert scenarios.gate_fidelity(process, target) == pytest.approx(expected,
+                                                                              abs=1e-14)
+
+    def test_matches_closed_form_on_a_simulated_gate(self):
+        # the open-system y loop leaks, so its process is trace-decreasing;
+        # E(E_01) and E(E_10) come from the |+> and |+i> outputs by linearity
+        process, report = scenarios.simulate_gate("y_closed_loop")
+        e00, e11 = process["0"], process["1"]
+        images = [[e00, process["+"] + 1j * process["+i"] - (1 + 1j) / 2 * (e00 + e11)],
+                  [process["+"] - 1j * process["+i"] - (1 - 1j) / 2 * (e00 + e11), e11]]
+        target = holonomy.predicted_ry(scenarios.default_gate_run("y_closed_loop").target_angle)
+        expected = average_fidelity(lambda a, b: images[a][b], target)
+        assert report.fidelity == pytest.approx(expected, abs=1e-14)
+        assert np.trace(e00 + e11).real < 2.0
 
 
 class TestReadout:
