@@ -266,27 +266,26 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario bodies; each returns (outputs, checks), all but the sweeps also a
-# dict of extra manifest blocks, and may raise for physics failures (mapped
-# to exit code 2).
+# Scenario bodies; each returns (outputs, checks, extra manifest blocks) and
+# may raise for physics failures (mapped to exit code 2).
 # ---------------------------------------------------------------------------
 
-def _run_sweep(config: RunConfig, out_dir: Path, which: str):
+def _run_sweep(config: RunConfig, out_dir: Path):
     v = config.values
-    if which == "beta":
-        table = scenarios.sweep_angle_y(v["sweep_ratios"])
+    ratios = v["sweep_ratios"]
+    if config.scenario == "sweep-beta":
+        angles, errors = scenarios.sweep_angle_y(ratios)
         name, col = "sweep_beta.csv", "beta"
     else:
-        table = scenarios.sweep_phase_z(v["sweep_ratios"], amp=v["amp_stokes"],
-                                        params=config.model_params())
+        angles, errors = scenarios.sweep_phase_z(ratios, amp=v["amp_stokes"],
+                                                 params=config.model_params())
         name, col = "sweep_gamma.csv", "gamma_f"
-    path = out_dir / name
-    _write_csv(path, f"tau0_over_tau,{col}_rad,{col}_over_pi,quad_err",
-               ((r, a, a / math.pi, e) for r, a, e in table.rows()))
+    _write_csv(out_dir / name, f"tau0_over_tau,{col}_rad,{col}_over_pi,quad_err",
+               ((r, a, a / math.pi, e) for r, a, e in zip(ratios, angles, errors)))
     checks = [{"name": "quadrature_error_ceiling",
-               "passed": bool(np.all(table.errors < holonomy.QUAD_ERROR_CEILING)),
-               "detail": f"max quadrature error {float(np.max(table.errors)):.3e} rad"}]
-    return [name], checks
+               "passed": bool(np.all(errors < holonomy.QUAD_ERROR_CEILING)),
+               "detail": f"max quadrature error {float(np.max(errors)):.3e} rad"}]
+    return [name], checks, {}
 
 
 def _run_init(config: RunConfig, out_dir: Path):
@@ -408,9 +407,9 @@ def expm_defects(rng, n: int) -> tuple[float, float]:
     for _ in range(n):
         m = rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))
         m = 0.5 * (m - m.conj().T)
-        u = qcore.dense_expm(m, 0.7)
+        u = qcore.dense_expm(0.7 * m)
         worst_u = max(worst_u, float(np.max(np.abs(u.conj().T @ u - np.eye(DIM)))))
-        left = qcore.dense_expm(m, 0.3) @ qcore.dense_expm(m, 0.4)
+        left = qcore.dense_expm(0.3 * m) @ qcore.dense_expm(0.4 * m)
         worst_s = max(worst_s, float(np.max(np.abs(left - u))))
     return worst_u, worst_s
 
@@ -423,24 +422,15 @@ def _scaled(pulses, k: float):
                                                 ("driving", pulses.driving))})
 
 
-def scale_shift_y(y_set, scales) -> float:
-    """Worst shift of the y angle when every amplitude is scaled by k, for
-    each k in scales."""
-    base = holonomy.geometric_angle_y(y_set).angle
-    return max(abs(holonomy.geometric_angle_y(_scaled(y_set, k)).angle - base)
+def scale_shift(angle_of, pulses, params: ModelParams, scales) -> float:
+    """Worst shift of the angle ``angle_of(pulses, params)`` when every
+    amplitude and the Zeeman splitting are scaled by k, for each k in
+    scales.  The z phase depends on amp / delta, the y angle on amplitude
+    ratios alone (it reads no splitting), so either shift is quadrature
+    error."""
+    base = angle_of(pulses, params)
+    return max(abs(angle_of(_scaled(pulses, k), replace(params, delta=k * params.delta)) - base)
                for k in map(float, scales))
-
-
-def scale_shift_z(z_set, params: ModelParams, scales) -> float:
-    """Worst shift of the z phase when every amplitude and the Zeeman
-    splitting are scaled by k, for each k in scales."""
-    base = holonomy.geometric_phase_z(z_set, params).angle
-    worst = 0.0
-    for k in map(float, scales):
-        scaled = holonomy.geometric_phase_z(_scaled(z_set, k),
-                                            replace(params, delta=k * params.delta))
-        worst = max(worst, abs(scaled.angle - base))
-    return worst
 
 
 def cross_oracle_deficit(template, pulses, params: ModelParams, window, dt: float) -> tuple:
@@ -468,8 +458,10 @@ def _run_validate(config: RunConfig, out_dir: Path):
     nullity = dark_state_nullity(y_set, z_set, params, rng, 200)
     connection = connection_deviation(rng, 20)
     unitary, semigroup = expm_defects(rng, 10)
-    shift_y = scale_shift_y(y_set, rng.uniform(0.2, 5.0, 10))
-    shift_z = scale_shift_z(z_set, params, rng.uniform(0.2, 5.0, 10))
+    shift_y = scale_shift(lambda pulses, _: holonomy.geometric_angle_y(pulses).angle,
+                          y_set, params, rng.uniform(0.2, 5.0, 10))
+    shift_z = scale_shift(lambda pulses, model: holonomy.geometric_phase_z(pulses, model).angle,
+                          z_set, params, rng.uniform(0.2, 5.0, 10))
     short = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 0.5 * tau, tau)
     deficit, solver = cross_oracle_deficit(drive_y, short, params, short.window(margin=4.0),
                                            tau / 2000.0)
@@ -491,6 +483,10 @@ def _run_validate(config: RunConfig, out_dir: Path):
     return ["validate.csv"], checks, {"solver": [solver]}
 
 
+_SCENARIO_RUNS = {"init": _run_init, "sweep-beta": _run_sweep, "sweep-gamma": _run_sweep,
+                  "gate": _run_gate, "readout": _run_readout, "validate": _run_validate}
+
+
 def run(config: RunConfig, out_dir: Path) -> int:
     """Execute one scenario; always writes a manifest, even on failure."""
     started = time.time()
@@ -501,20 +497,7 @@ def run(config: RunConfig, out_dir: Path) -> int:
     status = 0
     error = None
     try:
-        if config.scenario == "sweep-beta":
-            outputs, checks = _run_sweep(config, out_dir, "beta")
-        elif config.scenario == "sweep-gamma":
-            outputs, checks = _run_sweep(config, out_dir, "gamma")
-        elif config.scenario == "init":
-            outputs, checks, extra = _run_init(config, out_dir)
-        elif config.scenario == "gate":
-            outputs, checks, extra = _run_gate(config, out_dir)
-        elif config.scenario == "readout":
-            outputs, checks, extra = _run_readout(config, out_dir)
-        elif config.scenario == "validate":
-            outputs, checks, extra = _run_validate(config, out_dir)
-        else:  # pragma: no cover - parse_config guards this
-            raise ConfigError(f"unknown scenario {config.scenario!r}")
+        outputs, checks, extra = _SCENARIO_RUNS[config.scenario](config, out_dir)
         if any(not c["passed"] for c in checks):
             status = 2
     except (ValueError, ArithmeticError) as exc:

@@ -1,4 +1,4 @@
-"""Rotating-frame Hamiltonians and dissipation channels.
+"""Rotating-frame Hamiltonians and jump operators.
 
 Two driven configurations of the five-level system are built here:
 
@@ -17,8 +17,9 @@ its K_k), built and checked once per protocol segment.  Both integrators
 take only a ``Drive``; the builders are the independent element-wise
 construction that the exponential oracle and the invariant checks use.
 
-Dissipation is Markovian: four equal exciton-recombination channels
-(|e1,2> -> |0,1>) plus hole and electron spin-flip channels.
+Dissipation is Markovian, given by the jump operators of the master
+equation (``lindblad_channels``): four equal exciton-recombination
+channels (|e1,2> -> |0,1>) plus hole and electron spin-flip channels.
 """
 
 from __future__ import annotations
@@ -151,37 +152,19 @@ def drive_z(pulses: PulseSet, params: ModelParams) -> Drive:
                       (pulses.driving, _coupling(IDX_ANC, 1.0))))
 
 
-@dataclass(frozen=True)
-class LindbladChannel:
-    """Rank-one jump channel sqrt(rate) |target><source|."""
-
-    rate: float
-    source: int
-    target: int
-
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise ValueError("channel rate must be non-negative")
-
-    def matrix(self) -> np.ndarray:
-        op = np.zeros((DIM, DIM), dtype=complex)
-        op[self.target, self.source] = np.sqrt(self.rate)
-        return op
-
-
-def lindblad_channels(params: ModelParams) -> list[LindbladChannel]:
-    """The eight dissipation channels of the model.
+def lindblad_channels(params: ModelParams) -> list[np.ndarray]:
+    """The eight jump operators sqrt(rate) |target><source| of the model.
 
     Four recombination channels at rate gamma each (both electron levels to
     both hole-spin levels), two hole spin flips at gamma_hh, and two
     electron spin flips at gamma_ee.
     """
-    chans = []
-    for e in (IDX_E1, IDX_E2):
-        for g in (IDX_ZERO, IDX_ONE):
-            chans.append(LindbladChannel(params.gamma, source=e, target=g))
-    chans.append(LindbladChannel(params.gamma_hh, source=IDX_ONE, target=IDX_ZERO))
-    chans.append(LindbladChannel(params.gamma_hh, source=IDX_ZERO, target=IDX_ONE))
-    chans.append(LindbladChannel(params.gamma_ee, source=IDX_E2, target=IDX_E1))
-    chans.append(LindbladChannel(params.gamma_ee, source=IDX_E1, target=IDX_E2))
-    return chans
+    jumps = [(params.gamma, e, g) for e in (IDX_E1, IDX_E2) for g in (IDX_ZERO, IDX_ONE)]
+    jumps += [(params.gamma_hh, IDX_ONE, IDX_ZERO), (params.gamma_hh, IDX_ZERO, IDX_ONE),
+              (params.gamma_ee, IDX_E2, IDX_E1), (params.gamma_ee, IDX_E1, IDX_E2)]
+    ops = []
+    for rate, source, target in jumps:
+        op = np.zeros((DIM, DIM), dtype=complex)
+        op[target, source] = np.sqrt(rate)
+        ops.append(op)
+    return ops

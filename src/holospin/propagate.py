@@ -11,7 +11,8 @@ one step, so without the cap a solve may step over a lone pulse (Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4).  A constant envelope's width
 is infinite, so a drive whose envelopes are all constant runs uncapped.
 
-Both integrators take the Hamiltonian as a ``model.Drive``, stacked once
+Both integrators take the Hamiltonian as a ``model.Drive``, and the
+Lindblad integrator its jump operators as plain 5x5 arrays, stacked once
 per solve: each term becomes the generator of the equation (-iK for
 Schrodinger, the transposed 25x25 commutator superoperator for Lindblad,
 with the dissipator in the constant term), so an RHS call is the product
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .model import Drive, LindbladChannel
+from .model import Drive
 from .qcore import DIM, dense_expm
 
 
@@ -130,12 +131,11 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     return traj
 
 
-def _dissipator_matrix(channels: list[LindbladChannel]) -> np.ndarray:
+def _dissipator_matrix(jump_ops) -> np.ndarray:
     """Constant superoperator of the jump terms, acting on vec(rho)."""
     d = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
     ident = np.eye(DIM, dtype=complex)
-    for ch in channels:
-        op = ch.matrix()
+    for op in jump_ops:
         opd = op.conj().T
         d += np.kron(op, op.conj())
         d -= 0.5 * np.kron(opd @ op, ident)
@@ -149,18 +149,19 @@ def _commutator_matrix_t(h: np.ndarray) -> np.ndarray:
     return (-1j * (np.kron(h, ident) - np.kron(ident, h.T))).T
 
 
-def lindblad_propagate(drive: Drive, channels: list[LindbladChannel], rho0: np.ndarray,
+def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
                        spec: PropagationSpec) -> Trajectory:
     """Integrate the Markovian master equation
-    d rho/dt = -i[H, rho] + sum_k (L rho L+ - {L+L, rho}/2)
-    for one density (5, 5) or k stacked along a leading axis (k, 5, 5).
+    d rho/dt = -i[H, rho] + sum_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
+    over the 5x5 jump operators L_k, for one density (5, 5) or k stacked
+    along a leading axis (k, 5, 5).
 
     Snapshots are re-symmetrized (the worst deviation is logged in meta); the
     trace is monitored and an eigenvalue below -1e-8 raises.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     vec_shape = rho0.shape[:-2] + (DIM * DIM,)
-    generator = _stacked_generator(drive, _commutator_matrix_t, _dissipator_matrix(channels).T)
+    generator = _stacked_generator(drive, _commutator_matrix_t, _dissipator_matrix(jump_ops).T)
 
     def rhs(t, y):
         return y.reshape(vec_shape).dot(generator(t)).ravel()
@@ -195,6 +196,6 @@ def oracle_propagate(h_of_t, psi0: np.ndarray, dt: float,
     for first in range(0, n, _ORACLE_BLOCK):
         hs = np.array([h_of_t(t_start + (k + 0.5) * step)
                        for k in range(first, min(first + _ORACLE_BLOCK, n))])
-        for u in dense_expm(-1j * hs, step):
+        for u in dense_expm(step * (-1j * hs)):
             psi = u @ psi
     return psi

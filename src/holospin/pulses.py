@@ -135,7 +135,6 @@ def make_y_pulseset(amp_p: float, amp_s: float, amp_d: float,
         pump=GaussianPulse(amp_p, 0.0, tau),
         stokes=GaussianPulse(amp_s, +tau0, tau),
         driving=GaussianPulse(amp_d, -tau0, tau),
-        stokes_phase=0.0,
     )
 
 

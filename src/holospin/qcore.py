@@ -11,7 +11,7 @@ Fixed basis order everywhere in this package:
 States are plain complex ndarrays of length 5, density matrices are 5x5
 complex ndarrays.  Qubit gates are 2x2 complex ndarrays acting on the
 (|0>, |1>) block.  The one matrix exponential of the package, dense_expm,
-is SciPy's.
+is SciPy's; it takes exactly the matrix (or stack) to exponentiate.
 """
 
 from __future__ import annotations
@@ -64,12 +64,14 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def dense_expm(matrix: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * matrix) by SciPy's scaling-and-squaring Pade method
-    (Al-Mohy & Higham 2009); used as the propagation oracle throughout the
-    package.  Non-finite input raises ValueError.
+def dense_expm(matrix: np.ndarray) -> np.ndarray:
+    """exp(matrix), or of each matrix of a stack, by SciPy's
+    scaling-and-squaring Pade method (Al-Mohy & Higham 2009); used as the
+    propagation oracle throughout the package.  A caller that wants
+    exp(t A) forms the product t * A itself.  Non-finite input raises
+    ValueError.
     """
     a = np.asarray(matrix, dtype=complex)
-    if not (np.all(np.isfinite(a)) and np.isfinite(scale)):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite input")
-    return expm(scale * a)
+    return expm(a)

@@ -1,6 +1,6 @@
-"""End-to-end protocol runs: optical initialization, sweep tables for the
-two geometric angles, full gate simulations with fidelity estimates, and
-the polarization-selective readout model.
+"""End-to-end protocol runs: optical initialization, sweeps of the two
+geometric angles over the delay ratio, full gate simulations with
+fidelity estimates, and the polarization-selective readout model.
 
 Gate conventions
 ----------------
@@ -61,26 +61,8 @@ _SIX_AXIAL = (
 
 
 # ---------------------------------------------------------------------------
-# Sweep tables
+# Sweeps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Rows of (delay ratio, angle, quadrature error)."""
-
-    ratios: np.ndarray
-    angles: np.ndarray
-    errors: np.ndarray
-
-    def __post_init__(self):
-        if len(self.ratios) == 0:
-            raise ValueError("sweep table must have at least one row")
-        if np.any(np.diff(self.ratios) <= 0.0):
-            raise ValueError("sweep ratios must be strictly increasing")
-
-    def rows(self):
-        return zip(self.ratios, self.angles, self.errors)
-
 
 # beyond ~40 widths of delay the Gaussian overlap underflows double precision
 # and the mixing-angle crossover becomes unrepresentable
@@ -92,17 +74,23 @@ MAX_DELAY_RATIO = 40.0
 _SWEEP_WIDTH = 100.0
 
 
-def _sweep(one_row, ratios) -> SweepTable:
+def _sweep(one_row, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, quadrature errors) of one_row at each of the ratios, which
+    must be non-empty, strictly increasing and within MAX_DELAY_RATIO."""
     ratios = np.asarray(list(ratios), dtype=float)
-    if ratios.size and float(np.max(ratios)) > MAX_DELAY_RATIO:
+    if ratios.size == 0:
+        raise ValueError("a sweep needs at least one ratio")
+    if np.any(np.diff(ratios) <= 0.0):
+        raise ValueError("sweep ratios must be strictly increasing")
+    if float(np.max(ratios)) > MAX_DELAY_RATIO:
         raise ValueError(f"delay ratios beyond {MAX_DELAY_RATIO:.0f} pulse widths are "
                          "outside the representable range of the Gaussian families")
     results = [one_row(r) for r in ratios]
-    return SweepTable(ratios, np.array([r.angle for r in results]),
-                      np.array([r.quad_error for r in results]))
+    return (np.array([r.angle for r in results]),
+            np.array([r.quad_error for r in results]))
 
 
-def sweep_angle_y(ratios) -> SweepTable:
+def sweep_angle_y(ratios) -> tuple[np.ndarray, np.ndarray]:
     """Geometric y-rotation angle against the pulse delay ratio.
 
     The angle depends on the delay ratio alone: it is invariant under a
@@ -115,13 +103,11 @@ def sweep_angle_y(ratios) -> SweepTable:
     return _sweep(one_row, ratios)
 
 
-def sweep_phase_z(ratios, amp: float = 0.5, params: ModelParams | None = None) -> SweepTable:
+def sweep_phase_z(ratios, amp: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Fractional-STIRAP geometric phase against the pulse delay ratio.
 
     Depends on the delay ratio and on amp / params.delta, not on the time scale.
     """
-    params = params or ModelParams()
-
     def one_row(ratio):
         pulses = make_z_pulseset(amp, amp, ratio * _SWEEP_WIDTH, _SWEEP_WIDTH, 0.0)
         return holonomy.geometric_phase_z(pulses, params)
@@ -134,9 +120,8 @@ def sweep_phase_z(ratios, amp: float = 0.5, params: ModelParams | None = None) -
 # ---------------------------------------------------------------------------
 
 def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
-                       duration: float, params: ModelParams | None = None,
-                       record_stride: float | None = None,
-                       rel_tol: float = 1e-9) -> tuple[Trajectory, np.ndarray]:
+                       duration: float, params: ModelParams, record_stride: float,
+                       rel_tol: float) -> tuple[Trajectory, np.ndarray]:
     """Continuous single-field optical pumping with the full dissipation model,
     from a unit-trace 2x2 qubit density block.
 
@@ -149,14 +134,12 @@ def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
         raise ValueError("polarization must be sigma_minus or sigma_plus")
     if rabi < 0.0 or duration <= 0.0:
         raise ValueError("rabi must be non-negative and duration positive")
-    params = params or ModelParams()
     drive = ConstantPulse(rabi)
     if polarization == "sigma_minus":
         pulses = PulseSet(pump=drive, stokes=OFF, driving=OFF)
     else:
         pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF)
-    stride = record_stride if record_stride is not None else duration / 400.0
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=stride)
+    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=record_stride)
     traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params),
                               lift_density(qubit_block), spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
@@ -325,8 +308,8 @@ def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple
     return state, stats
 
 
-def simulate_gate(variant: str, run: GateRun | None = None,
-                  with_decoherence: bool = True) -> tuple[dict, GateReport]:
+def simulate_gate(variant: str, run: GateRun | None = None, *,
+                  with_decoherence: bool) -> tuple[dict, GateReport]:
     """Drive the four qubit basis inputs through the full five-level dynamics.
 
     Returns the reconstructed qubit process (projected blocks per input plus
@@ -409,9 +392,8 @@ class ReadoutResult:
     solver_stats: list
 
 
-def run_readout(qubit_block: np.ndarray, duration: float,
-                params: ModelParams | None = None, rabi: float | None = None,
-                rel_tol: float = 1e-9) -> ReadoutResult:
+def run_readout(qubit_block: np.ndarray, duration: float, params: ModelParams,
+                rabi: float, rel_tol: float) -> ReadoutResult:
     """Continuous drive of |1> with the full dissipation model: the
     sigma_plus pumping run of ``run_initialization``, read as photons.
 
@@ -421,9 +403,6 @@ def run_readout(qubit_block: np.ndarray, duration: float,
     cycles (emit, then re-excite with probability 1/2) until it shelves in
     |0>, giving two expected photons; |0> input stays dark.
     """
-    params = params or ModelParams()
-    if rabi is None:
-        rabi = params.gamma
     traj, _ = run_initialization("sigma_plus", qubit_block, rabi, duration, params,
                                  record_stride=duration / 2000.0, rel_tol=rel_tol)
     excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real

@@ -19,7 +19,7 @@ def path_ordered_exponential(samples) -> np.ndarray:
     for a, step in samples:
         if step <= 0.0:
             raise ValueError("path steps must be positive")
-        u = dense_expm(np.asarray(a, dtype=complex), step) @ u
+        u = dense_expm(step * np.asarray(a, dtype=complex)) @ u
     return u
 
 

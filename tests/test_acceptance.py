@@ -62,33 +62,34 @@ def test_criterion_02_connection_oracle():
 
 def test_criterion_03_angle_y_curve():
     ratios = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0]
-    table = scenarios.sweep_angle_y(ratios)
-    zero_ok = table.angles[0] == 0.0
-    monotone_ok = bool(np.all(np.diff(table.angles) >= -1e-12))
-    plateau = table.angles[np.asarray(ratios) >= 3.0]
+    angles, _ = scenarios.sweep_angle_y(ratios)
+    zero_ok = angles[0] == 0.0
+    monotone_ok = bool(np.all(np.diff(angles) >= -1e-12))
+    plateau = angles[np.asarray(ratios) >= 3.0]
     plateau_ok = bool(np.all(np.abs(plateau - math.pi / 2) < 1e-3))
     ok = zero_ok and monotone_ok and plateau_ok
     msg = _line("criterion 03 y-angle curve", ok,
-                f"angle(0)={table.angles[0]:.1e}, monotone={monotone_ok}, "
+                f"angle(0)={angles[0]:.1e}, monotone={monotone_ok}, "
                 f"plateau max dev {float(np.max(np.abs(plateau - math.pi / 2))):.2e} rad")
     assert ok, msg
 
 
 def test_criterion_04_phase_z_curve():
-    table = scenarios.sweep_phase_z([0.0, 6.5], params=PARAMS)
-    zero_ok = table.angles[0] == 0.0
-    dev = abs(table.angles[1] - math.pi / 4)
+    angles, _ = scenarios.sweep_phase_z([0.0, 6.5], 0.5, PARAMS)
+    zero_ok = angles[0] == 0.0
+    dev = abs(angles[1] - math.pi / 4)
     plateau_ok = dev <= 0.01 * (math.pi / 4)
     ok = zero_ok and plateau_ok
     msg = _line("criterion 04 z-phase curve", ok,
-                f"phase(0)={table.angles[0]:.1e}, phase(6.5)={table.angles[1]:.6f} "
+                f"phase(0)={angles[0]:.1e}, phase(6.5)={angles[1]:.6f} "
                 f"misses pi/4 by {dev / (math.pi / 4) * 100:.2f}% (<= 1%)")
     assert ok, msg
 
 
 def _initialization_curve(duration=40000.0):
     traj, fid = scenarios.run_initialization("sigma_minus", np.diag([0.5, 0.5]), PARAMS.gamma,
-                                             duration, PARAMS, record_stride=500.0)
+                                             duration, PARAMS, record_stride=500.0,
+                                             rel_tol=1e-9)
     return traj, fid
 
 
@@ -222,9 +223,10 @@ def test_criterion_08_propagator_cross_oracle():
 
 def test_criterion_09_scaling_invariances():
     scales = np.random.default_rng(99).uniform(0.1, 10.0, 100)
-    worst_y = cli.scale_shift_y(pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), scales)
-    worst_z = cli.scale_shift_z(pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0), PARAMS,
-                                scales)
+    worst_y = cli.scale_shift(lambda ps, _: holonomy.geometric_angle_y(ps).angle,
+                              pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), PARAMS, scales)
+    worst_z = cli.scale_shift(lambda ps, mp: holonomy.geometric_phase_z(ps, mp).angle,
+                              pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0), PARAMS, scales)
     ok = worst_y < 1e-9 and worst_z < 1e-9
     msg = _line("criterion 09 scaling invariances", ok,
                 f"worst y-angle shift {worst_y:.3e} rad, worst z-phase shift "
@@ -234,9 +236,9 @@ def test_criterion_09_scaling_invariances():
 
 def test_criterion_10_readout_counts():
     duration = 40000.0
-    up = scenarios.run_readout(np.diag([0.0, 1.0]).astype(complex), duration, PARAMS)
-    down = scenarios.run_readout(np.diag([1.0, 0.0]).astype(complex), duration, PARAMS)
-    mixed = scenarios.run_readout(np.diag([0.5, 0.5]).astype(complex), duration, PARAMS)
+    up, down, mixed = (scenarios.run_readout(np.diag(diag).astype(complex), duration, PARAMS,
+                                             PARAMS.gamma, 1e-9)
+                       for diag in ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5]))
     ok = (abs(up.total_photons - 2.0) <= 0.1
           and down.total_photons < 1e-3
           and abs(mixed.total_photons - 1.0) <= 0.05

@@ -15,8 +15,10 @@ class TestModelParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             model.ModelParams(delta=0.0)
-        with pytest.raises(ValueError):
-            model.ModelParams(gamma=-1.0)
+        # the one home of the non-negative rate rule: a jump operator is any matrix
+        for rate in ("gamma", "gamma_hh", "gamma_ee"):
+            with pytest.raises(ValueError, match="non-negative"):
+                model.ModelParams(**{rate: -1.0})
 
 
 def _silent_pulseset():
@@ -126,28 +128,28 @@ class TestDriveTemplates:
             model.drive_y(_silent_pulseset(), mp)
 
 
-class TestChannels:
-    def test_structure(self, params):
-        chans = model.lindblad_channels(params)
-        assert len(chans) == 8
-        recomb = [c for c in chans if c.rate == params.gamma]
-        assert {(c.source, c.target) for c in recomb} == {(3, 0), (3, 1), (4, 0), (4, 1)}
-        flips = [c for c in chans if c.rate == params.gamma_hh]
-        assert {(c.source, c.target) for c in flips} >= {(0, 1), (1, 0)}
+# distinct rates, so that each jump operator's entry names its rate
+_RATES = model.ModelParams(gamma=4e-4, gamma_hh=9e-6, gamma_ee=2.5e-5)
+# (rate, target, source) of each jump operator, in the model's order
+_JUMPS = [(_RATES.gamma, 0, 3), (_RATES.gamma, 1, 3), (_RATES.gamma, 0, 4), (_RATES.gamma, 1, 4),
+          (_RATES.gamma_hh, 0, 1), (_RATES.gamma_hh, 1, 0),
+          (_RATES.gamma_ee, 3, 4), (_RATES.gamma_ee, 4, 3)]
 
-    def test_matrix_rank_one(self, params):
-        for ch in model.lindblad_channels(params):
-            op = ch.matrix()
-            assert np.count_nonzero(op) <= 1
-            if ch.rate > 0:
-                assert op[ch.target, ch.source] == pytest.approx(np.sqrt(ch.rate))
+
+class TestChannels:
+    def test_structure(self):
+        ops = model.lindblad_channels(_RATES)
+        assert len(ops) == 8
+        for op, (_, target, source) in zip(ops, _JUMPS):
+            assert op.shape == (5, 5)
+            assert np.flatnonzero(op).tolist() == [5 * target + source]
+
+    def test_matrix_rank_one(self):
+        for op, (rate, target, source) in zip(model.lindblad_channels(_RATES), _JUMPS):
+            assert op[target, source] == np.sqrt(rate)
 
     def test_zero_rates_give_zero_operators(self):
         mp = model.ModelParams(gamma=0.0, gamma_hh=0.0, gamma_ee=0.0)
-        chans = model.lindblad_channels(mp)
-        assert len(chans) == 8
-        assert all(np.all(c.matrix() == 0) for c in chans)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            model.LindbladChannel(-1.0, 0, 1)
+        ops = model.lindblad_channels(mp)
+        assert len(ops) == 8
+        assert all(np.all(op == 0) for op in ops)

@@ -175,6 +175,22 @@ def test_no_argument_is_a_constant():
     assert not constant, f"parameters every program call sets to one literal: {sorted(constant)}"
 
 
+def test_every_default_is_taken_by_some_program_call():
+    """A defaulted parameter that every program call sets is required in
+    disguise: its default only restates what the callers pass.  A call that
+    unpacks arguments may omit it, and a parameter no call reaches is the
+    business of the guard above."""
+    params, calls = _parameters_and_calls()
+    always_set = []
+    for func, param, index in params:
+        matching = [args for name, args in calls if name == func]
+        if matching and all("*" not in args and "**" not in args
+                            and (param in args or index in args) for args in matching):
+            always_set.append(f"{func}.{param}")
+    assert not always_set, (f"defaults no program call takes (make them required): "
+                            f"{sorted(always_set)}")
+
+
 def _unused_imports(source: str) -> list:
     """Names bound by module-level imports that the module never mentions; an
     import line marked ``# noqa: F401`` is kept on purpose."""

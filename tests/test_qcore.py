@@ -79,7 +79,7 @@ class TestDenseExpm:
 
     def test_diagonal(self):
         d = np.array([0.3, -1.2, 0.0, 2.0, -0.7])
-        out = qcore.dense_expm(-1j * np.diag(d), 1.7)
+        out = qcore.dense_expm(1.7 * (-1j * np.diag(d)))
         np.testing.assert_allclose(out, np.diag(np.exp(-1j * d * 1.7)), atol=1e-14)
 
     def test_sigma_x_block_closed_form(self):
@@ -87,7 +87,7 @@ class TestDenseExpm:
         m = np.zeros((5, 5), dtype=complex)
         m[0, 1] = m[1, 0] = -1j
         t = 0.83
-        out = qcore.dense_expm(m, t)
+        out = qcore.dense_expm(t * m)
         expect = np.eye(5, dtype=complex)
         expect[0, 0] = expect[1, 1] = np.cos(t)
         expect[0, 1] = expect[1, 0] = -1j * np.sin(t)
@@ -98,10 +98,10 @@ class TestDenseExpm:
             m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             m = 0.5 * (m - m.conj().T)
             t1, t2 = rng.uniform(0.1, 2.0, size=2)
-            left = qcore.dense_expm(m, t1) @ qcore.dense_expm(m, t2)
-            right = qcore.dense_expm(m, t1 + t2)
+            left = qcore.dense_expm(t1 * m) @ qcore.dense_expm(t2 * m)
+            right = qcore.dense_expm((t1 + t2) * m)
             assert np.max(np.abs(left - right)) < 1e-10
-            u = qcore.dense_expm(m, t1)
+            u = qcore.dense_expm(t1 * m)
             assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
 
     def test_rejects_non_finite(self):

@@ -15,60 +15,62 @@ def _mixed_qubit():
     return np.diag([0.5, 0.5])
 
 
+def _initialize(polarization, block, rabi, duration, params):
+    """run_initialization with 400 snapshot intervals and rel_tol 1e-9."""
+    return scenarios.run_initialization(polarization, block, rabi, duration, params,
+                                        record_stride=duration / 400.0, rel_tol=1e-9)
+
+
 class TestInitialization:
     def test_spin_up_is_preserved_under_sigma_minus(self, params):
-        traj, fid = scenarios.run_initialization("sigma_minus", np.diag([0.0, 1.0]), params.gamma,
-                                                 4000.0, params)
+        traj, fid = _initialize("sigma_minus", np.diag([0.0, 1.0]), params.gamma, 4000.0, params)
         assert np.all(traj.states[:, IDX_ONE, IDX_ONE].real >= 0.9995)
         assert fid[-1] >= 0.9995
 
     def test_zero_rabi_freezes_populations(self, params):
-        traj, _ = scenarios.run_initialization("sigma_minus", _mixed_qubit(), 0.0,
-                                               1e4, params)
+        traj, _ = _initialize("sigma_minus", _mixed_qubit(), 0.0, 1e4, params)
         assert abs(traj.final()[IDX_ZERO, IDX_ZERO].real - 0.5) < 1e-5
         assert abs(traj.final()[IDX_ONE, IDX_ONE].real - 0.5) < 1e-5
 
     def test_fidelity_non_decreasing_after_halflife(self, params):
-        traj, fid = scenarios.run_initialization("sigma_minus", _mixed_qubit(),
-                                                 params.gamma, 8000.0, params)
+        traj, fid = _initialize("sigma_minus", _mixed_qubit(), params.gamma, 8000.0, params)
         start = np.searchsorted(traj.times, 1.0 / (2 * params.gamma))
         assert np.all(np.diff(fid[start:]) > -1e-10)
 
     def test_sigma_plus_prepares_spin_down(self, params):
-        traj, fid = scenarios.run_initialization("sigma_plus", _mixed_qubit(),
-                                                 params.gamma, 6000.0, params)
+        traj, fid = _initialize("sigma_plus", _mixed_qubit(), params.gamma, 6000.0, params)
         assert traj.final()[IDX_ZERO, IDX_ZERO].real > traj.final()[IDX_ONE, IDX_ONE].real
         assert fid[-1] > 0.5
 
     def test_rejects_bad_arguments(self, params):
         with pytest.raises(ValueError):
-            scenarios.run_initialization("circular", _mixed_qubit(), 1e-3, 100.0, params)
+            _initialize("circular", _mixed_qubit(), 1e-3, 100.0, params)
         with pytest.raises(ValueError):
-            scenarios.run_initialization("sigma_plus", _mixed_qubit(), -1.0, 100.0, params)
+            _initialize("sigma_plus", _mixed_qubit(), -1.0, 100.0, params)
 
 
 class TestSweeps:
     def test_angle_y_endpoints(self):
-        table = scenarios.sweep_angle_y([0.0, 1.0, 3.0, 5.0])
-        assert table.angles[0] == 0.0
-        assert np.all(np.diff(table.angles) >= -1e-12)
-        assert table.angles[-1] == pytest.approx(math.pi / 2, abs=1e-6)
+        angles, _ = scenarios.sweep_angle_y([0.0, 1.0, 3.0, 5.0])
+        assert angles[0] == 0.0
+        assert np.all(np.diff(angles) >= -1e-12)
+        assert angles[-1] == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_phase_z_endpoints(self, params):
-        table = scenarios.sweep_phase_z([0.0, 6.5, 8.0], params=params)
-        assert table.angles[0] == 0.0
-        assert abs(table.angles[1] - math.pi / 4) <= 0.01 * math.pi / 4
-        assert table.angles[2] == pytest.approx(math.pi / 4, abs=1e-5)
+        angles, _ = scenarios.sweep_phase_z([0.0, 6.5, 8.0], 0.5, params)
+        assert angles[0] == 0.0
+        assert abs(angles[1] - math.pi / 4) <= 0.01 * math.pi / 4
+        assert angles[2] == pytest.approx(math.pi / 4, abs=1e-5)
 
     def test_phase_z_small_delay_dip(self, params):
         # the rise to the plateau is NOT monotone from zero: the tail
         # structure produces a 1e-3-scale dip before delay ratio ~4
         # (invisible at plot scale, pinned here so it is not "fixed" away)
-        table = scenarios.sweep_phase_z([1.0, 2.0, 4.0, 5.0, 6.0, 8.0], params=params)
-        assert table.angles[0] == pytest.approx(4.355e-3, rel=1e-3)
-        assert table.angles[1] == pytest.approx(6.305e-4, rel=1e-3)
-        assert table.angles[0] > table.angles[1]
-        assert np.all(np.diff(table.angles[2:]) >= 0.0)  # monotone past the dip
+        angles, _ = scenarios.sweep_phase_z([1.0, 2.0, 4.0, 5.0, 6.0, 8.0], 0.5, params)
+        assert angles[0] == pytest.approx(4.355e-3, rel=1e-3)
+        assert angles[1] == pytest.approx(6.305e-4, rel=1e-3)
+        assert angles[0] > angles[1]
+        assert np.all(np.diff(angles[2:]) >= 0.0)  # monotone past the dip
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -76,9 +78,9 @@ class TestSweeps:
         with pytest.raises(ValueError):
             scenarios.sweep_angle_y([])
 
-    def test_rejects_unrepresentable_delay(self):
+    def test_rejects_unrepresentable_delay(self, params):
         with pytest.raises(ValueError, match="40"):
-            scenarios.sweep_phase_z([0.0, 50.0])
+            scenarios.sweep_phase_z([0.0, 50.0], 0.5, params)
 
     def test_probe_ratios_still_fail_to_converge(self):
         # the benchmark's known failing probe (perfbench/workloads.py): the
@@ -230,7 +232,7 @@ class TestGateSimulation:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            scenarios.simulate_gate("w_rotation")
+            scenarios.simulate_gate("w_rotation", with_decoherence=True)
         with pytest.raises(ValueError):
             scenarios.default_gate_run("w_rotation")
 
@@ -279,7 +281,7 @@ class TestGateFidelity:
     def test_matches_closed_form_on_a_simulated_gate(self):
         # the open-system y loop leaks, so its process is trace-decreasing;
         # E(E_01) and E(E_10) come from the |+> and |+i> outputs by linearity
-        process, report = scenarios.simulate_gate("y_closed_loop")
+        process, report = scenarios.simulate_gate("y_closed_loop", with_decoherence=True)
         e00, e11 = process["0"], process["1"]
         images = [[e00, process["+"] + 1j * process["+i"] - (1 + 1j) / 2 * (e00 + e11)],
                   [process["+"] - 1j * process["+i"] - (1 - 1j) / 2 * (e00 + e11), e11]]
@@ -292,10 +294,11 @@ class TestGateFidelity:
 class TestReadout:
     def test_spin_down_is_dark(self, params):
         result = scenarios.run_readout(np.diag([1.0, 0.0]).astype(complex),
-                                       40000.0, params)
+                                       40000.0, params, params.gamma, 1e-9)
         assert result.total_photons < 1e-3
         assert result.shelving_complete
 
     def test_rejects_bad_trace(self, params):
         with pytest.raises(ValueError):
-            scenarios.run_readout(np.diag([0.2, 0.2]).astype(complex), 1000.0, params)
+            scenarios.run_readout(np.diag([0.2, 0.2]).astype(complex), 1000.0, params,
+                                  params.gamma, 1e-9)
