@@ -5,11 +5,12 @@ Scenarios: init, sweep-beta, sweep-gamma, gate, readout, validate.
 
 Config files are flat ``key = value`` lines ('#' starts a comment).  Each
 scenario has its own key table (``SCENARIO_KEYS``) that holds exactly the
-keys that change its output, each with a default drawn from the built-in
-reference parameter set; a gate variant drops the gate keys it never
-reads.  Any other key, and any out-of-range value, is rejected with line
-context.  CSV output uses 12 significant digits so doubles round-trip
-losslessly.
+keys that change its output; a model key defaults to its field of
+``ModelParams()``, a gate key to that of the variant's reference
+``GateRun``.  A gate variant drops the gate keys it never reads.  Any
+other key, any out-of-range value and any model ``ModelParams`` rejects
+is a configuration error.  CSV output uses 12 significant digits so
+doubles round-trip losslessly.
 
 Exit codes: 0 success, 1 configuration error, 2 physics-check failure.
 """
@@ -21,15 +22,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
-from .model import (DELTA_DEFAULT, GAMMA_DEFAULT, GAMMA_EE_DEFAULT, GAMMA_HH_DEFAULT,
-                    ModelParams, build_h_y, build_h_z, drive_y, drive_z)
+from .model import ModelParams, build_h_y, build_h_z, drive_y, drive_z
 from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
@@ -56,15 +56,7 @@ def _finite(text: str) -> float:
 
 
 def _parse_ratio_list(text: str) -> tuple:
-    values = tuple(_finite(part) for part in text.split(","))
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("sweep ratios must be strictly increasing")
-    if any(v < 0.0 for v in values):
-        raise ValueError("sweep ratios must be non-negative")
-    if any(v > scenarios.MAX_DELAY_RATIO for v in values):
-        raise ValueError(f"sweep ratios beyond {scenarios.MAX_DELAY_RATIO:g} pulse widths "
-                         "are not representable")
-    return values
+    return scenarios.check_sweep_ratios(_finite(part) for part in text.split(","))
 
 
 def _positive(text: str) -> float:
@@ -101,19 +93,31 @@ def _variant_default(attr: str):
     return lambda values: getattr(scenarios.default_gate_run(values["variant"]), attr)
 
 
+# model key -> (converter, ModelParams field), defaulting to that of ModelParams()
+_MODEL_KEYS = {
+    "delta_rad_per_ps": (_positive, "delta"),
+    "detuning_rad_per_ps": (_finite, "detuning"),
+    "gamma_per_ps": (_non_negative, "gamma"),
+    "gamma_hh_per_ps": (_non_negative, "gamma_hh"),
+    "gamma_ee_per_ps": (_non_negative, "gamma_ee"),
+}
+# gate key -> (converter, GateRun field), defaulting to that of the variant's reference run
+_GATE_KEYS = {
+    "amp_stokes": (_non_negative, "amp"),
+    # None: the variant's rule (amp_stokes, or the quarter-turn tuning of x_composite)
+    "amp_pump": (_non_negative, "pump_amp"),
+    "tau_ps": (_positive, "tau"),
+    "tau0_over_tau": (_non_negative, "tau0_over_tau"),
+    "return_delay_over_tau": (_positive, "return_delay_over_tau"),
+    "stokes_phase_rad": (_finite, "phase"),
+    "target_angle_rad": (_finite, "target_angle"),
+}
+
 # Key tables: key -> (converter, default).  A callable default is computed
 # from the values resolved before it, in table order.  A scenario's table
 # holds exactly the keys that change its output.
-_MODEL_FIELDS = {"delta_rad_per_ps": "delta", "detuning_rad_per_ps": "detuning",
-                 "gamma_per_ps": "gamma", "gamma_hh_per_ps": "gamma_hh",
-                 "gamma_ee_per_ps": "gamma_ee"}
-_MODEL = {
-    "delta_rad_per_ps": (_positive, DELTA_DEFAULT),
-    "detuning_rad_per_ps": (_finite, 0.0),
-    "gamma_per_ps": (_non_negative, GAMMA_DEFAULT),
-    "gamma_hh_per_ps": (_non_negative, GAMMA_HH_DEFAULT),
-    "gamma_ee_per_ps": (_non_negative, GAMMA_EE_DEFAULT),
-}
+_MODEL = {key: (convert, getattr(ModelParams(), name))
+          for key, (convert, name) in _MODEL_KEYS.items()}
 _AMP = (_non_negative, 0.5)
 _TAU = (_positive, 100.0)
 _RABI = (_non_negative, lambda values: values["gamma_per_ps"])
@@ -143,15 +147,8 @@ SCENARIO_KEYS = {
         **_MODEL,
         "variant": (_enum(scenarios.VARIANTS), "y_closed_loop"),
         "decoherence": (_parse_bool, True),
-        "amp_stokes": (_non_negative, _variant_default("amp")),
-        # None: the variant's rule (amp_stokes, or the quarter-turn tuning of
-        # x_composite)
-        "amp_pump": (_non_negative, None),
-        "tau_ps": (_positive, _variant_default("tau")),
-        "tau0_over_tau": (_non_negative, _variant_default("tau0_over_tau")),
-        "return_delay_over_tau": (_positive, _variant_default("return_delay_over_tau")),
-        "stokes_phase_rad": (_finite, _variant_default("phase")),
-        "target_angle_rad": (_finite, _variant_default("target_angle")),
+        **{key: (convert, _variant_default(name))
+           for key, (convert, name) in _GATE_KEYS.items()},
     },
     "readout": {
         **_MODEL,
@@ -180,11 +177,6 @@ _VARIANT_IGNORES = {
     "x_composite": ("target_angle_rad",),
 }
 _COHERENT_IGNORES = ("gamma_per_ps", "gamma_hh_per_ps", "gamma_ee_per_ps")
-# gate key -> GateRun field
-_GATE_FIELDS = {"amp_stokes": "amp", "amp_pump": "pump_amp", "tau_ps": "tau",
-                "tau0_over_tau": "tau0_over_tau",
-                "return_delay_over_tau": "return_delay_over_tau",
-                "stokes_phase_rad": "phase", "target_angle_rad": "target_angle"}
 
 
 @dataclass
@@ -193,12 +185,9 @@ class RunConfig:
 
     scenario: str
     values: dict
-    defaults_used: list = field(default_factory=list)
-
-    def model_params(self) -> ModelParams:
-        """Model keys the scenario reads; the others keep their reference values."""
-        return ModelParams(**{name: self.values[key] for key, name in _MODEL_FIELDS.items()
-                              if key in self.values})
+    # the model keys the scenario reads; the others keep their reference values
+    model: ModelParams
+    defaults_used: list
 
 
 def parse_config(text: str, scenario: str) -> RunConfig:
@@ -250,7 +239,12 @@ def parse_config(text: str, scenario: str) -> RunConfig:
             and values["duration_ps"] / values["record_stride_ps"] + 1 > MAX_SNAPSHOTS):
         raise ConfigError(f"line {line_of['record_stride_ps']}: record_stride_ps asks for "
                           f"more than {MAX_SNAPSHOTS} snapshots over duration_ps")
-    return RunConfig(scenario=scenario, values=values,
+    try:
+        model = ModelParams(**{name: values[key] for key, (_, name) in _MODEL_KEYS.items()
+                               if key in values})
+    except ValueError as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
+    return RunConfig(scenario=scenario, values=values, model=model,
                      defaults_used=sorted(set(values) - set(provided)))
 
 
@@ -278,7 +272,7 @@ def _run_sweep(config: RunConfig, out_dir: Path):
         name, col = "sweep_beta.csv", "beta"
     else:
         angles, errors = scenarios.sweep_phase_z(ratios, amp=v["amp_stokes"],
-                                                 params=config.model_params())
+                                                 params=config.model)
         name, col = "sweep_gamma.csv", "gamma_f"
     _write_csv(out_dir / name, f"tau0_over_tau,{col}_rad,{col}_over_pi,quad_err",
                ((r, a, a / math.pi, e) for r, a, e in zip(ratios, angles, errors)))
@@ -290,9 +284,8 @@ def _run_sweep(config: RunConfig, out_dir: Path):
 
 def _run_init(config: RunConfig, out_dir: Path):
     v = config.values
-    params = config.model_params()
     traj, fid = scenarios.run_initialization(v["polarization"], np.diag([0.5, 0.5]),
-                                             v["rabi_per_ps"], v["duration_ps"], params,
+                                             v["rabi_per_ps"], v["duration_ps"], config.model,
                                              record_stride=v["record_stride_ps"],
                                              rel_tol=v["rel_tol"])
     path = out_dir / "init.csv"
@@ -312,8 +305,8 @@ def _run_init(config: RunConfig, out_dir: Path):
 def _run_gate(config: RunConfig, out_dir: Path):
     v = config.values
     run = scenarios.default_gate_run(
-        v["variant"], model=config.model_params(),
-        **{name: v[key] for key, name in _GATE_FIELDS.items() if key in v})
+        v["variant"], model=config.model,
+        **{name: v[key] for key, (_, name) in _GATE_KEYS.items() if key in v})
     process, report = scenarios.simulate_gate(v["variant"], run,
                                               with_decoherence=v["decoherence"])
     # a complex block viewed as floats is its entries' (re, im) pairs in row order
@@ -341,7 +334,7 @@ def _run_readout(config: RunConfig, out_dir: Path):
         "mixed": np.diag([0.5, 0.5]).astype(complex),
     }
     result = scenarios.run_readout(blocks[v["input_state"]], v["duration_ps"],
-                                   config.model_params(), rabi=v["rabi_per_ps"],
+                                   config.model, rabi=v["rabi_per_ps"],
                                    rel_tol=v["rel_tol"])
     path = out_dir / "readout.csv"
     _write_csv(path,
@@ -450,7 +443,7 @@ def cross_oracle_deficit(template, pulses, params: ModelParams, window, dt: floa
 def _run_validate(config: RunConfig, out_dir: Path):
     """Fast invariant suite; any failed row flips the exit to 2."""
     v = config.values
-    params = config.model_params()
+    params = config.model
     rng = np.random.default_rng(20240811)
     tau = v["tau_ps"]
     y_set = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 1.5 * tau, tau)
@@ -540,7 +533,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and (args.scenario != "gate" or args.seed < 0):
             raise ConfigError("--seed is accepted only by gate, as a non-negative integer")
-        text = args.config.read_text(encoding="utf-8") if args.config else ""
+        # utf-8-sig drops the byte-order mark that some editors write
+        text = args.config.read_text(encoding="utf-8-sig") if args.config else ""
         config = parse_config(text, args.scenario)
         # an --out that is a file, or lies under one, fails here, before any solve
         args.out.mkdir(parents=True, exist_ok=True)

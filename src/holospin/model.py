@@ -31,41 +31,37 @@ import numpy as np
 from .pulses import PulseSet
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
-# Reference parameter set (rad/ps and 1/ps): electron Zeeman splitting for
-# B_x = 55 mT with |g| = 0.21, recombination 1/(2*gamma) = 800 ps, and
-# millisecond spin-flip times.
-DELTA_DEFAULT = 1.016e-3
-GAMMA_DEFAULT = 6.25e-4
-GAMMA_HH_DEFAULT = 1e-9
-GAMMA_EE_DEFAULT = 1e-9
-
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Static system parameters (rates in 1/ps, frequencies in rad/ps)."""
+    """Static system parameters (rates in 1/ps, frequencies in rad/ps).
 
-    delta: float = DELTA_DEFAULT          # electron Zeeman splitting
-    detuning: float = 0.0                 # common one-photon detuning (y config)
-    gamma: float = GAMMA_DEFAULT          # recombination rate per channel
-    gamma_hh: float = GAMMA_HH_DEFAULT    # hole spin-flip rate
-    gamma_ee: float = GAMMA_EE_DEFAULT    # electron spin-flip rate
+    The defaults are the reference parameter set: electron Zeeman splitting
+    for B_x = 55 mT with |g| = 0.21, recombination 1/(2*gamma) = 800 ps, and
+    millisecond spin-flip times.
+    """
+
+    delta: float = 1.016e-3   # electron Zeeman splitting
+    detuning: float = 0.0     # common one-photon detuning (y config), never -delta/2
+    gamma: float = 6.25e-4    # recombination rate per channel
+    gamma_hh: float = 1e-9    # hole spin-flip rate
+    gamma_ee: float = 1e-9    # electron spin-flip rate
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise ValueError("electron Zeeman splitting must be positive")
         if min(self.gamma, self.gamma_hh, self.gamma_ee) < 0.0:
             raise ValueError("decay rates must be non-negative")
+        if abs(self.detuning + self.delta / 2.0) <= 1e-12 * max(1.0, self.delta):
+            raise ValueError("midpoint tuning reserved for z-configuration")
 
 
 def build_h_y(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
     """Three-photon-resonant Hamiltonian of the y configuration at time t.
 
     Diagonal (0, 0, 0, -detuning, -(detuning + delta)); every ground level
-    couples to both electron levels with its own envelope.  The midpoint
-    detuning -delta/2 is reserved for the z configuration and rejected.
+    couples to both electron levels with its own envelope.
     """
-    if abs(params.detuning + params.delta / 2.0) <= 1e-12 * max(1.0, abs(params.delta)):
-        raise ValueError("midpoint tuning reserved for z-configuration")
     h = np.zeros((DIM, DIM), dtype=complex)
     h[IDX_E1, IDX_E1] = -params.detuning
     h[IDX_E2, IDX_E2] = -(params.detuning + params.delta)
@@ -133,8 +129,6 @@ def _coupling(ground: int, amp: complex) -> np.ndarray:
 
 def drive_y(pulses: PulseSet, params: ModelParams) -> Drive:
     """The y-configuration Hamiltonian of ``build_h_y`` as a drive template."""
-    if abs(params.detuning + params.delta / 2.0) <= 1e-12 * max(1.0, abs(params.delta)):
-        raise ValueError("midpoint tuning reserved for z-configuration")
     h0 = np.diag([0.0, 0.0, 0.0, -params.detuning,
                   -(params.detuning + params.delta)]).astype(complex)
     return Drive(h0, ((pulses.pump, _coupling(IDX_ZERO, 1.0)),

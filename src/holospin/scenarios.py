@@ -74,18 +74,26 @@ MAX_DELAY_RATIO = 40.0
 _SWEEP_WIDTH = 100.0
 
 
-def _sweep(one_row, ratios) -> tuple[np.ndarray, np.ndarray]:
-    """(angles, quadrature errors) of one_row at each of the ratios, which
-    must be non-empty, strictly increasing and within MAX_DELAY_RATIO."""
-    ratios = np.asarray(list(ratios), dtype=float)
-    if ratios.size == 0:
+def check_sweep_ratios(ratios) -> tuple:
+    """The delay ratios of a sweep as a tuple of floats: at least one,
+    non-negative, strictly increasing and at most MAX_DELAY_RATIO."""
+    ratios = tuple(map(float, ratios))
+    if not ratios:
         raise ValueError("a sweep needs at least one ratio")
-    if np.any(np.diff(ratios) <= 0.0):
+    # each comparison is false for NaN, so a NaN ratio fails its test
+    if not all(a < b for a, b in zip(ratios, ratios[1:])):
         raise ValueError("sweep ratios must be strictly increasing")
-    if float(np.max(ratios)) > MAX_DELAY_RATIO:
+    if not ratios[0] >= 0.0:
+        raise ValueError("sweep ratios must be non-negative")
+    if not ratios[-1] <= MAX_DELAY_RATIO:
         raise ValueError(f"delay ratios beyond {MAX_DELAY_RATIO:.0f} pulse widths are "
                          "outside the representable range of the Gaussian families")
-    results = [one_row(r) for r in ratios]
+    return ratios
+
+
+def _sweep(one_row, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, quadrature errors) of one_row at each of the ratios."""
+    results = [one_row(r) for r in check_sweep_ratios(ratios)]
     return (np.array([r.angle for r in results]),
             np.array([r.quad_error for r in results]))
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from holospin import cli
+from holospin.model import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -201,11 +202,19 @@ class TestParseConfig:
     def test_gate_defaults_are_the_reference_run(self, variant):
         # one source: every gate key defaults to its field of the variant's GateRun
         run = cli.scenarios.default_gate_run(variant)
-        for key, name in cli._GATE_FIELDS.items():
-            default = cli.SCENARIO_KEYS["gate"][key][1]
-            if callable(default):
-                default = default({"variant": variant})
-            assert default == getattr(run, name), key
+        values = cli.parse_config(f"variant = {variant}\n", "gate").values
+        for key, (_, name) in cli._GATE_KEYS.items():
+            if key in values:
+                assert values[key] == getattr(run, name), key
+
+    @pytest.mark.parametrize("scenario", ["init", "readout", "gate", "sweep-gamma", "validate"])
+    def test_model_defaults_are_model_params(self, scenario):
+        # one source: every model key defaults to its field of ModelParams()
+        config = cli.parse_config("", scenario)
+        assert config.model == ModelParams()
+        for key, (_, name) in cli._MODEL_KEYS.items():
+            if key in config.values:
+                assert config.values[key] == getattr(ModelParams(), name), key
 
     def test_sweep_ratio_validation(self):
         with pytest.raises(cli.ConfigError, match="sweep_ratios"):
@@ -379,6 +388,33 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert taken.read_text() == "keep\n"
         assert list(tmp_path.iterdir()) == [taken]
+
+    def test_config_with_byte_order_mark_parses_like_one_without(self, tmp_path, monkeypatch):
+        # some editors save UTF-8 text with a leading byte-order mark
+        configs = []
+        monkeypatch.setattr(cli, "run", lambda config, out_dir: configs.append(config) or 0)
+        for name, encoding in (("plain.cfg", "utf-8"), ("marked.cfg", "utf-8-sig")):
+            cfg = tmp_path / name
+            cfg.write_text("variant = z_fractional\ntau_ps = 120\n", encoding=encoding)
+            assert cli.main(["gate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert configs[1] == configs[0]
+        assert configs[1].values["variant"] == "z_fractional"
+
+    # the default delta halved: the y configuration's detuning at the
+    # midpoint -delta/2, which the z configuration uses
+    @pytest.mark.parametrize("scenario,text", [
+        ("init", ""), ("readout", ""), ("gate", "variant = y_closed_loop\n"),
+        ("gate", "variant = x_composite\n"), ("validate", "")],
+        ids=["init", "readout", "y_closed_loop", "x_composite", "validate"])
+    def test_midpoint_detuning_is_a_config_error(self, scenario, text, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "detuning_rad_per_ps = -5.08e-4\n")
+        out = tmp_path / "out"
+        assert cli.main([scenario, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "midpoint" in err
+        assert not out.exists()
 
     def test_sweep_runs_end_to_end(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -20,6 +20,11 @@ class TestModelParams:
             with pytest.raises(ValueError, match="non-negative"):
                 model.ModelParams(**{rate: -1.0})
 
+    def test_midpoint_detuning_rejected(self):
+        # -delta/2 is the z configuration's tuning; no y run may take it
+        with pytest.raises(ValueError, match="midpoint"):
+            model.ModelParams(delta=1e-3, detuning=-0.5e-3)
+
 
 def _silent_pulseset():
     return pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF)
@@ -48,8 +53,10 @@ class TestHamiltonianY:
         assert h[0, 1] == h[0, 2] == h[1, 2] == h[3, 4] == 0.0
 
     def test_midpoint_detuning_rejected(self):
-        mp = model.ModelParams(delta=1e-3, detuning=-0.5e-3)
+        # the rule fires when the parameters are made, so no y Hamiltonian
+        # is ever built at -delta/2
         with pytest.raises(ValueError, match="midpoint"):
+            mp = model.ModelParams(delta=1e-3, detuning=-0.5e-3)
             model.build_h_y(0.0, _silent_pulseset(), mp)
 
 
@@ -123,8 +130,8 @@ class TestDriveTemplates:
             model.drive_z(bad, params)
 
     def test_y_rejects_midpoint_detuning(self):
-        mp = model.ModelParams(delta=1e-3, detuning=-0.5e-3)
         with pytest.raises(ValueError, match="midpoint"):
+            mp = model.ModelParams(delta=1e-3, detuning=-0.5e-3)
             model.drive_y(_silent_pulseset(), mp)
 
 

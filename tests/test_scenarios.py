@@ -78,6 +78,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             scenarios.sweep_angle_y([])
 
+    def test_rejects_negative_delay(self, params):
+        # the rule the CLI's sweep_ratios key applies, in its one home
+        with pytest.raises(ValueError, match="non-negative"):
+            scenarios.sweep_angle_y([-1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            scenarios.sweep_phase_z([-2.0], 0.5, params)
+
     def test_rejects_unrepresentable_delay(self, params):
         with pytest.raises(ValueError, match="40"):
             scenarios.sweep_phase_z([0.0, 50.0], 0.5, params)
