@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
 from .model import ModelParams, build_h_y, build_h_z, drive_y, drive_z
-from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
+from .propagate import PropagationSpec, check_rel_tol, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
@@ -74,10 +74,7 @@ def _non_negative(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    x = _finite(text)
-    if not (0.0 < x <= 1e-2):
-        raise ValueError("tolerances must lie in (0, 1e-2]")
-    return x
+    return check_rel_tol(_finite(text))
 
 
 def _enum(options):
@@ -118,8 +115,10 @@ _GATE_KEYS = {
 # holds exactly the keys that change its output.
 _MODEL = {key: (convert, getattr(ModelParams(), name))
           for key, (convert, name) in _MODEL_KEYS.items()}
-_AMP = (_non_negative, 0.5)
-_TAU = (_positive, 100.0)
+# the reference runs of the two swept variants, read for the sweep and validate defaults
+_Y_RUN = scenarios.default_gate_run("y_closed_loop")
+_Z_RUN = scenarios.default_gate_run("z_fractional")
+_Y_AMP = (_non_negative, _Y_RUN.amp)  # the y run's pump peak is its amp as well
 _RABI = (_non_negative, lambda values: values["gamma_per_ps"])
 _REL_TOL = (_tolerance, 1e-9)
 _RATIOS = (_parse_ratio_list, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
@@ -140,7 +139,7 @@ SCENARIO_KEYS = {
     },
     "sweep-gamma": {
         "sweep_ratios": _RATIOS,
-        "amp_stokes": _AMP,
+        "amp_stokes": (_non_negative, _Z_RUN.amp),
         "delta_rad_per_ps": _MODEL["delta_rad_per_ps"],
     },
     "gate": {
@@ -158,10 +157,10 @@ SCENARIO_KEYS = {
         "rel_tol": _REL_TOL,
     },
     "validate": {
-        "amp_pump": _AMP,
-        "amp_stokes": _AMP,
-        "amp_driving": _AMP,
-        "tau_ps": _TAU,
+        "amp_pump": _Y_AMP,
+        "amp_stokes": _Y_AMP,
+        "amp_driving": _Y_AMP,
+        "tau_ps": (_positive, _Y_RUN.tau),
         "delta_rad_per_ps": _MODEL["delta_rad_per_ps"],
         "detuning_rad_per_ps": _MODEL["detuning_rad_per_ps"],
     },
@@ -268,12 +267,11 @@ def _run_sweep(config: RunConfig, out_dir: Path):
     v = config.values
     ratios = v["sweep_ratios"]
     if config.scenario == "sweep-beta":
-        angles, errors = scenarios.sweep_angle_y(ratios)
-        name, col = "sweep_beta.csv", "beta"
+        variant, run, name, col = "y_closed_loop", _Y_RUN, "sweep_beta.csv", "beta"
     else:
-        angles, errors = scenarios.sweep_phase_z(ratios, amp=v["amp_stokes"],
-                                                 params=config.model)
-        name, col = "sweep_gamma.csv", "gamma_f"
+        variant, name, col = "z_fractional", "sweep_gamma.csv", "gamma_f"
+        run = scenarios.default_gate_run(variant, amp=v["amp_stokes"], model=config.model)
+    angles, errors = scenarios.sweep_angle(variant, run, ratios)
     _write_csv(out_dir / name, f"tau0_over_tau,{col}_rad,{col}_over_pi,quad_err",
                ((r, a, a / math.pi, e) for r, a, e in zip(ratios, angles, errors)))
     checks = [{"name": "quadrature_error_ceiling",
@@ -446,8 +444,10 @@ def _run_validate(config: RunConfig, out_dir: Path):
     params = config.model
     rng = np.random.default_rng(20240811)
     tau = v["tau_ps"]
-    y_set = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 1.5 * tau, tau)
-    z_set = make_z_pulseset(v["amp_stokes"], v["amp_driving"], 6.5 * tau, tau, 0.7)
+    y_set = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"],
+                            _Y_RUN.tau0_over_tau * tau, tau)
+    z_set = make_z_pulseset(v["amp_stokes"], v["amp_driving"], _Z_RUN.tau0_over_tau * tau,
+                            tau, 0.7)
     nullity = dark_state_nullity(y_set, z_set, params, rng, 200)
     connection = connection_deviation(rng, 20)
     unitary, semigroup = expm_defects(rng, 10)

@@ -39,6 +39,13 @@ ABS_TOL = 1e-12
 _ORACLE_BLOCK = 1000
 
 
+def check_rel_tol(rel_tol: float) -> float:
+    """rel_tol, if it lies in (0, 1e-2]; PropagationSpec and the CLI apply it."""
+    if not (0.0 < rel_tol <= 1e-2):
+        raise ValueError("tolerances must lie in (0, 1e-2]")
+    return rel_tol
+
+
 @dataclass(frozen=True)
 class PropagationSpec:
     """Integration window, relative tolerance, and snapshot cadence."""
@@ -51,8 +58,7 @@ class PropagationSpec:
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if not (0.0 < self.rel_tol <= 1e-2):
-            raise ValueError("tolerances must lie in (0, 1e-2]")
+        check_rel_tol(self.rel_tol)
         if self.record_stride < 0.0:
             raise ValueError("record_stride must be non-negative")
 

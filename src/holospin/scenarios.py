@@ -1,6 +1,6 @@
-"""End-to-end protocol runs: optical initialization, sweeps of the two
-geometric angles over the delay ratio, full gate simulations with
-fidelity estimates, and the polarization-selective readout model.
+"""End-to-end protocol runs: optical initialization, sweeps of a gate's
+first-segment geometric angle over the delay ratio, full gate simulations
+with fidelity estimates, and the polarization-selective readout model.
 
 Gate conventions
 ----------------
@@ -11,6 +11,8 @@ to 0 without adding phase.  The return delay is a plumbing choice; its
 default (0.7 tau) sits in the adiabatic sweet spot of the delayed-Gaussian
 family.  Every y segment is one ``make_y_pulseset`` set, given by its pump
 peak, its signed delay (+tau0 forward, -tau_ret back) and its Stokes phase.
+A gate's first segment (its forward pass, or the z set) is built in one
+place, ``_forward``, which also gives the sweeps their rows.
 The x rotation is that loop, its pump tuned to a pi/4 forward angle, then
 its mirror: the two sets in reverse order, delays negated, Stokes phase
 -phase.
@@ -69,11 +71,6 @@ _SIX_AXIAL = (
 MAX_DELAY_RATIO = 40.0
 
 
-# The sweep angles depend on the delay ratio, not on the time scale, so the
-# tables use the reference pulse width.
-_SWEEP_WIDTH = 100.0
-
-
 def check_sweep_ratios(ratios) -> tuple:
     """The delay ratios of a sweep as a tuple of floats: at least one,
     non-negative, strictly increasing and at most MAX_DELAY_RATIO."""
@@ -91,36 +88,22 @@ def check_sweep_ratios(ratios) -> tuple:
     return ratios
 
 
-def _sweep(one_row, ratios) -> tuple[np.ndarray, np.ndarray]:
-    """(angles, quadrature errors) of one_row at each of the ratios."""
-    results = [one_row(r) for r in check_sweep_ratios(ratios)]
+def sweep_angle(variant: str, run: GateRun, ratios) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, quadrature errors) of the variant's first segment, the
+    angle a gate reports as ``angle_quadrature``, with the run's forward
+    delay ratio set to each of the ratios.
+
+    Neither angle depends on the time scale: the y angle reads the delay
+    and the pump-to-Stokes peak ratio, the z phase the delay and
+    amp / model.delta.
+    """
+    if variant not in ("y_closed_loop", "z_fractional"):
+        raise ValueError(f"no sweep of gate variant {variant!r}; "
+                         "sweep y_closed_loop or z_fractional")
+    results = [_forward(variant, replace(run, tau0_over_tau=r))[1]
+               for r in check_sweep_ratios(ratios)]
     return (np.array([r.angle for r in results]),
             np.array([r.quad_error for r in results]))
-
-
-def sweep_angle_y(ratios) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric y-rotation angle against the pulse delay ratio.
-
-    The angle depends on the delay ratio alone: it is invariant under a
-    common rescaling of the three amplitudes and of time.
-    """
-    def one_row(ratio):
-        pulses = make_y_pulseset(0.5, 0.5, 0.5, ratio * _SWEEP_WIDTH, _SWEEP_WIDTH)
-        return holonomy.geometric_angle_y(pulses)
-
-    return _sweep(one_row, ratios)
-
-
-def sweep_phase_z(ratios, amp: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional-STIRAP geometric phase against the pulse delay ratio.
-
-    Depends on the delay ratio and on amp / params.delta, not on the time scale.
-    """
-    def one_row(ratio):
-        pulses = make_z_pulseset(amp, amp, ratio * _SWEEP_WIDTH, _SWEEP_WIDTH, 0.0)
-        return holonomy.geometric_phase_z(pulses, params)
-
-    return _sweep(one_row, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +121,9 @@ def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
     preparation fidelity (rho_target - rho_other)/(rho_00 + rho_11) at each
     snapshot.
     """
+    # ConstantPulse rejects a negative rabi, PropagationSpec a duration <= 0
     if polarization not in ("sigma_minus", "sigma_plus"):
         raise ValueError("polarization must be sigma_minus or sigma_plus")
-    if rabi < 0.0 or duration <= 0.0:
-        raise ValueError("rabi must be non-negative and duration positive")
     drive = ConstantPulse(rabi)
     if polarization == "sigma_minus":
         pulses = PulseSet(pump=drive, stokes=OFF, driving=OFF)
@@ -219,13 +201,23 @@ def _y_sets(run: GateRun, *passes) -> tuple:
                          stokes_phase=phase) for pump, delay, phase in passes)
 
 
+def _forward(variant: str, run: GateRun) -> tuple:
+    """The variant's first pulse set and its geometric quadrature: the z
+    set, or the y forward pass with pump peak run.pump_amp (run.amp when
+    None)."""
+    tau0 = run.tau0_over_tau * run.tau
+    if variant == "z_fractional":
+        pulses = make_z_pulseset(run.amp, run.amp, tau0, run.tau, run.phase)
+        return pulses, holonomy.geometric_phase_z(pulses, run.model)
+    pump = run.pump_amp if run.pump_amp is not None else run.amp
+    forward, = _y_sets(run, (pump, tau0, 0.0))
+    return forward, holonomy.geometric_angle_y(forward)
+
+
 def _quarter_turn_pump_amp(run: GateRun) -> float:
     """Pump peak that tunes the forward-pass geometric angle to pi/4."""
-    tau0 = run.tau0_over_tau * run.tau
-
     def miss(amp_p):
-        forward, = _y_sets(run, (amp_p, tau0, 0.0))
-        return holonomy.geometric_angle_y(forward).angle - math.pi / 4.0
+        return _forward("x_composite", replace(run, pump_amp=amp_p))[1].angle - math.pi / 4.0
 
     # the forward angle grows with the pump peak, so the bracket's top is the
     # largest angle the search can reach
@@ -253,46 +245,41 @@ class _Plan:
 
 def _plan(variant: str, run: GateRun) -> _Plan:
     """Segments, frame phase, quadrature angle, target and prediction of a variant."""
-    tau = run.tau
-    tau0 = run.tau0_over_tau * tau
-    tret = run.return_delay_over_tau * tau
+    if variant not in _REFERENCE_RUNS:
+        raise ValueError(f"unknown gate variant {variant!r}")
+    if variant == "x_composite" and run.pump_amp is None:
+        run = replace(run, pump_amp=_quarter_turn_pump_amp(run))
+    first, quadrature = _forward(variant, run)
+    angle = quadrature.angle
+    tret = run.return_delay_over_tau * run.tau
 
     if variant == "y_closed_loop":
-        pump = run.pump_amp if run.pump_amp is not None else run.amp
-        loop = _y_sets(run, (pump, tau0, 0.0), (0.0, -tret, 0.0))
-        angle = holonomy.geometric_angle_y(loop[0]).angle
+        loop = (first, *_y_sets(run, (0.0, -tret, 0.0)))
         return _Plan(segments=tuple((pulses, drive_y) for pulses in loop),
                      frame_phase=0.0, angle=angle,
                      target=holonomy.predicted_ry(run.target_angle),
                      predicted=lift_qubit(holonomy.predicted_ry(angle)))
 
     if variant == "z_fractional":
-        pulses = make_z_pulseset(run.amp, run.amp, tau0, tau, run.phase)
-        angle = holonomy.geometric_phase_z(pulses, run.model).angle
         amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
         predicted = lift_qubit(np.diag([1.0, amp1 * np.exp(1j * run.phase)]))
         # input |1> keeps an ancilla amplitude; the frame rotation touches |1>
         # only, so the raw ancilla phase e^{-i phase} stays
         predicted[IDX_ANC, 1] = (np.exp(-1j * run.phase)
                                  * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0))
-        return _Plan(segments=((pulses, drive_z),),
+        return _Plan(segments=((first, drive_z),),
                      frame_phase=run.phase, angle=angle,
                      target=holonomy.predicted_rz(run.phase), predicted=predicted)
 
-    if variant == "x_composite":
-        pump = run.pump_amp if run.pump_amp is not None else _quarter_turn_pump_amp(run)
-        chi = -run.phase  # frame phase carried by the mirror loop's pulses
-        # the y loop, then its mirror: two quarter loops around the virtual phase gate
-        sets = _y_sets(run, (pump, tau0, 0.0), (0.0, -tret, 0.0),
-                       (0.0, tret, chi), (pump, -tau0, chi))
-        angle = holonomy.geometric_angle_y(sets[0]).angle
-        ry = holonomy.predicted_ry(angle)
-        return _Plan(segments=tuple((pulses, drive_y) for pulses in sets),
-                     frame_phase=run.phase, angle=angle,
-                     target=holonomy.compose_rx(run.phase),
-                     predicted=lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry))
-
-    raise ValueError(f"unknown gate variant {variant!r}")
+    chi = -run.phase  # frame phase carried by the mirror loop's pulses
+    # the y loop, then its mirror: two quarter loops around the virtual phase gate
+    sets = (first, *_y_sets(run, (0.0, -tret, 0.0), (0.0, tret, chi),
+                            (run.pump_amp, -run.tau0_over_tau * run.tau, chi)))
+    ry = holonomy.predicted_ry(angle)
+    return _Plan(segments=tuple((pulses, drive_y) for pulses in sets),
+                 frame_phase=run.phase, angle=angle,
+                 target=holonomy.compose_rx(run.phase),
+                 predicted=lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry))
 
 
 def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple:

@@ -62,7 +62,8 @@ def test_criterion_02_connection_oracle():
 
 def test_criterion_03_angle_y_curve():
     ratios = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0]
-    angles, _ = scenarios.sweep_angle_y(ratios)
+    angles, _ = scenarios.sweep_angle("y_closed_loop",
+                                      scenarios.default_gate_run("y_closed_loop"), ratios)
     zero_ok = angles[0] == 0.0
     monotone_ok = bool(np.all(np.diff(angles) >= -1e-12))
     plateau = angles[np.asarray(ratios) >= 3.0]
@@ -75,7 +76,8 @@ def test_criterion_03_angle_y_curve():
 
 
 def test_criterion_04_phase_z_curve():
-    angles, _ = scenarios.sweep_phase_z([0.0, 6.5], 0.5, PARAMS)
+    run = scenarios.default_gate_run("z_fractional", amp=0.5, model=PARAMS)
+    angles, _ = scenarios.sweep_angle("z_fractional", run, [0.0, 6.5])
     zero_ok = angles[0] == 0.0
     dev = abs(angles[1] - math.pi / 4)
     plateau_ok = dev <= 0.01 * (math.pi / 4)

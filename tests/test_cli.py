@@ -216,6 +216,28 @@ class TestParseConfig:
             if key in config.values:
                 assert config.values[key] == getattr(ModelParams(), name), key
 
+    def test_sweep_and_validate_defaults_are_the_reference_runs(self):
+        # sweep-gamma reads the z reference run; validate reads the y one,
+        # whose pump and driving peaks equal its Stokes peak
+        y_run, z_run = (cli.scenarios.default_gate_run(v) for v in ("y_closed_loop",
+                                                                     "z_fractional"))
+        assert cli.parse_config("", "sweep-gamma").values["amp_stokes"] == z_run.amp
+        values = cli.parse_config("", "validate").values
+        assert values["tau_ps"] == y_run.tau
+        assert values["amp_pump"] == values["amp_stokes"] == values["amp_driving"] == y_run.amp
+
+    @pytest.mark.parametrize("value", ["0", "0.05"])
+    def test_rel_tol_out_of_range(self, value, tmp_path, capsys):
+        # the rule PropagationSpec applies, checked at parse time
+        with pytest.raises(cli.ConfigError, match="line 2: invalid value for 'rel_tol'"):
+            cli.parse_config(f"duration_ps = 50\nrel_tol = {value}\n", "init")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"rel_tol = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["init", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_ratio_validation(self):
         with pytest.raises(cli.ConfigError, match="sweep_ratios"):
             cli.parse_config("sweep_ratios = 3,2,1\n", "sweep-beta")

@@ -47,17 +47,32 @@ class TestInitialization:
             _initialize("circular", _mixed_qubit(), 1e-3, 100.0, params)
         with pytest.raises(ValueError):
             _initialize("sigma_plus", _mixed_qubit(), -1.0, 100.0, params)
+        # duration 0 ends the window where it starts: PropagationSpec rejects it
+        with pytest.raises(ValueError):
+            _initialize("sigma_minus", _mixed_qubit(), 1e-3, 0.0, params)
+
+
+def _sweep_y(ratios):
+    """The y reference run's first-segment angle at each ratio."""
+    return scenarios.sweep_angle("y_closed_loop", scenarios.default_gate_run("y_closed_loop"),
+                                 ratios)
+
+
+def _sweep_z(ratios, amp, params):
+    """The z first-segment phase at each ratio, with the given amp and model."""
+    run = scenarios.default_gate_run("z_fractional", amp=amp, model=params)
+    return scenarios.sweep_angle("z_fractional", run, ratios)
 
 
 class TestSweeps:
     def test_angle_y_endpoints(self):
-        angles, _ = scenarios.sweep_angle_y([0.0, 1.0, 3.0, 5.0])
+        angles, _ = _sweep_y([0.0, 1.0, 3.0, 5.0])
         assert angles[0] == 0.0
         assert np.all(np.diff(angles) >= -1e-12)
         assert angles[-1] == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_phase_z_endpoints(self, params):
-        angles, _ = scenarios.sweep_phase_z([0.0, 6.5, 8.0], 0.5, params)
+        angles, _ = _sweep_z([0.0, 6.5, 8.0], 0.5, params)
         assert angles[0] == 0.0
         assert abs(angles[1] - math.pi / 4) <= 0.01 * math.pi / 4
         assert angles[2] == pytest.approx(math.pi / 4, abs=1e-5)
@@ -66,7 +81,7 @@ class TestSweeps:
         # the rise to the plateau is NOT monotone from zero: the tail
         # structure produces a 1e-3-scale dip before delay ratio ~4
         # (invisible at plot scale, pinned here so it is not "fixed" away)
-        angles, _ = scenarios.sweep_phase_z([1.0, 2.0, 4.0, 5.0, 6.0, 8.0], 0.5, params)
+        angles, _ = _sweep_z([1.0, 2.0, 4.0, 5.0, 6.0, 8.0], 0.5, params)
         assert angles[0] == pytest.approx(4.355e-3, rel=1e-3)
         assert angles[1] == pytest.approx(6.305e-4, rel=1e-3)
         assert angles[0] > angles[1]
@@ -74,20 +89,20 @@ class TestSweeps:
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
-            scenarios.sweep_angle_y([1.0, 1.0])
+            _sweep_y([1.0, 1.0])
         with pytest.raises(ValueError):
-            scenarios.sweep_angle_y([])
+            _sweep_y([])
 
     def test_rejects_negative_delay(self, params):
         # the rule the CLI's sweep_ratios key applies, in its one home
         with pytest.raises(ValueError, match="non-negative"):
-            scenarios.sweep_angle_y([-1.0])
+            _sweep_y([-1.0])
         with pytest.raises(ValueError, match="non-negative"):
-            scenarios.sweep_phase_z([-2.0], 0.5, params)
+            _sweep_z([-2.0], 0.5, params)
 
     def test_rejects_unrepresentable_delay(self, params):
         with pytest.raises(ValueError, match="40"):
-            scenarios.sweep_phase_z([0.0, 50.0], 0.5, params)
+            _sweep_z([0.0, 50.0], 0.5, params)
 
     def test_probe_ratios_still_fail_to_converge(self):
         # the benchmark's known failing probe (perfbench/workloads.py): the
@@ -95,7 +110,21 @@ class TestSweeps:
         # here.  ROADMAP item 1 inverts this test, together with
         # perfbench/reference.json, when the quadrature moves to theta.
         with pytest.raises(ValueError, match="holonomy quadrature did not converge"):
-            scenarios.sweep_angle_y([19.2, 19.25])
+            _sweep_y([19.2, 19.25])
+
+    @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional"])
+    def test_row_is_the_gate_angle(self, variant):
+        # one construction: a sweep row at the run's own delay ratio is the
+        # quadrature the gate reports, bit for bit
+        run = scenarios.default_gate_run(variant)
+        _, report = scenarios.simulate_gate(variant, run, with_decoherence=False)
+        angles, _ = scenarios.sweep_angle(variant, run, [run.tau0_over_tau])
+        assert angles[0] == report.angle_quadrature
+
+    @pytest.mark.parametrize("variant", ["x_composite", "single_pass"])
+    def test_only_y_and_z_sweep(self, variant):
+        with pytest.raises(ValueError, match=repr(variant)):
+            scenarios.sweep_angle(variant, scenarios.default_gate_run("y_closed_loop"), [1.0])
 
 
 class TestGateSimulation:
