@@ -91,13 +91,3 @@ def predicted_rz(phase: float) -> np.ndarray:
     """Phase gate diag(1, e^{i phase}): |0> untouched, |1> phased."""
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * phase)]], dtype=complex)
 
-
-# Quarter turn about y in the Bloch-sphere convention, exp(-i sigma_y pi/4).
-# The composite below conjugates the phase gate with it so that phase = pi
-# yields sigma_x up to a global phase.
-_BLOCH_QUARTER_Y = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def compose_rx(phase: float) -> np.ndarray:
-    """Composite x rotation: quarter y turn, phase gate, inverse quarter turn."""
-    return _BLOCH_QUARTER_Y.conj().T @ predicted_rz(phase) @ _BLOCH_QUARTER_Y

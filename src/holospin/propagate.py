@@ -11,14 +11,18 @@ one step, so without the cap a solve may step over a lone pulse (Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4).  A constant envelope's width
 is infinite, so a drive whose envelopes are all constant runs uncapped.
 
-Both integrators take the Hamiltonian as a ``model.Drive``, and the
-Lindblad integrator its jump operators as plain 5x5 arrays, stacked once
-per solve: each term becomes the generator of the equation (-iK for
-Schrodinger, the transposed 25x25 commutator superoperator for Lindblad,
-with the dissipator in the constant term), so an RHS call is the product
-of the coefficient vector [1, f_1(t), ...] with that stack, then one
-product with the states.  The oracle takes any callable that returns the
-5x5 H(t) and exponentiates its midpoint steps in blocks.
+Both integrators take one input (a state (5,) or a density (5, 5)) or a
+stack of k along a leading axis ((k, 5) or (k, 5, 5)), and solve
+y' = y G(t) with each input as one row y (a density flattened row-major),
+through one right-hand side.  They take the Hamiltonian as a
+``model.Drive``, and the Lindblad integrator its jump operators as plain
+5x5 arrays, stacked once per solve: each term becomes its part of the
+transposed generator ((-iK)^T for Schrodinger, the transposed 25x25
+commutator superoperator for Lindblad, with the dissipator in the
+constant term), so an RHS call is the product of the coefficient vector
+[1, f_1(t), ...] with that stack, then one product with the rows.  The
+oracle takes any callable that returns the 5x5 H(t) and exponentiates its
+midpoint steps in blocks.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class PropagationSpec:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a propagation: times plus states (n, 5), or (n, 5, k) for
-    k stacked columns, or densities (n, 5, 5), or (n, k, 5, 5) for a stack."""
+    """Snapshots of a propagation: times plus the n snapshots of the input
+    along a leading axis, as states (n, 5) or densities (n, 5, 5), or for a
+    stack of k as (n, k, 5) or (n, k, 5, 5)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -100,40 +105,35 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, drive: Drive, kind: str) 
                       meta={"n_rhs_evals": int(sol.nfev)})
 
 
-def _stacked_generator(drive: Drive, lift, constant=0.0):
-    """G(t) = [1, f_1(t), ...] @ S for the drive's terms stacked once as S, where
-    lift maps one 5x5 Hamiltonian term to its part of the generator and the
-    constant is added to the h0 term."""
+def _stacked_rhs(drive: Drive, lift, constant=0.0):
+    """The right-hand side y' = y G(t) of each input row y of a flat stack, with
+    G(t) = [1, f_1(t), ...] @ S for the drive's terms stacked once as S, where
+    lift maps one 5x5 Hamiltonian term to its part of G and the constant is
+    added to the h0 term."""
     parts = [lift(drive.h0) + constant] + [lift(k) for _, k in drive.terms]
-    shape = parts[0].shape
+    width = parts[0].shape[0]
     stack = np.stack(parts).reshape(len(parts), -1)
     envelopes = [f for f, _ in drive.terms]
 
-    def generator(t):
+    def rhs(t, y):
         coef = np.array([1.0] + [f(t) for f in envelopes], dtype=complex)
-        return coef.dot(stack).reshape(shape)
+        return y.reshape(-1, width).dot(coef.dot(stack).reshape(width, width)).ravel()
 
-    return generator
+    return rhs
 
 
 def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
     """Integrate d psi/dt = -i H(t) psi (hbar = 1 units) for one state (5,) or
-    for k states stacked as columns (5, k), all in one solve.
+    for k states stacked along a leading axis (k, 5), all in one solve.
 
     Snapshots are stored raw; the worst norm drift is recorded in meta and
     bounded in terms of the accepted step count, never silently renormalized.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-9):
+    if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
-
-    generator = _stacked_generator(drive, lambda h: -1j * h)
-
-    def rhs(t, y):
-        return generator(t).dot(y.reshape(psi0.shape)).ravel()
-
-    traj = _solve(rhs, psi0, spec, drive, "state")
-    traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=0) - 1.0)))
+    traj = _solve(_stacked_rhs(drive, lambda h: (-1j * h).T), psi0, spec, drive, "state")
+    traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=-1) - 1.0)))
     return traj
 
 
@@ -166,12 +166,7 @@ def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
     trace is monitored and an eigenvalue below -1e-8 raises.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    vec_shape = rho0.shape[:-2] + (DIM * DIM,)
-    generator = _stacked_generator(drive, _commutator_matrix_t, _dissipator_matrix(jump_ops).T)
-
-    def rhs(t, y):
-        return y.reshape(vec_shape).dot(generator(t)).ravel()
-
+    rhs = _stacked_rhs(drive, _commutator_matrix_t, _dissipator_matrix(jump_ops).T)
     traj = _solve(rhs, rho0, spec, drive, "density")
     raw = traj.states
     raw_dag = raw.conj().swapaxes(-1, -2)

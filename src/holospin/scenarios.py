@@ -44,13 +44,14 @@ from .pulses import OFF, ConstantPulse, PulseSet, make_y_pulseset, make_z_pulses
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
 
-# the four qubit inputs of a gate, as the columns of one 2x4 array
+# the four qubit inputs of a gate, as the rows of one 4x2 array
 _QUBIT_LABELS = ("0", "1", "+", "+i")
-_QUBITS = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1j]]) / np.sqrt([1.0, 1.0, 2.0, 2.0])
-# the four inputs in the five-level space: states as columns, densities
-# along a leading axis (the stack layouts of the integrators)
-_INPUT_STACK = lift_qubit(_QUBITS)
-_INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK.T])
+_QUBITS = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1j]])
+           / np.sqrt([[1.0], [1.0], [2.0], [2.0]]))
+# the four inputs in the five-level space, as states and as densities, each
+# stacked along a leading axis as the integrators take them
+_INPUT_STACK = np.array([lift_qubit(q) for q in _QUBITS])
+_INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK])
 
 _SIX_AXIAL = (
     np.array([1.0, 0.0], dtype=complex),
@@ -237,9 +238,11 @@ class _Plan:
     segments: tuple          # (pulses, drive template) per solve, over pulses.window()
     frame_phase: float       # laser-frame phase applied to |1> after the solves
     angle: float             # quadrature angle of the first segment
-    target: np.ndarray       # nominal 2x2 gate
-    # 5x2 map from a qubit input to its holonomy-predicted five-level output,
-    # in the logical frame (the frame rotation already applied)
+    # the variant's ideal 5x2 map from a qubit input to its five-level output,
+    # in the logical frame (the frame rotation already applied), as a function
+    # of the geometric angle: target is its |0>, |1> rows at the nominal angle,
+    # predicted is the whole map at the quadrature angle
+    target: np.ndarray
     predicted: np.ndarray
 
 
@@ -255,31 +258,34 @@ def _plan(variant: str, run: GateRun) -> _Plan:
 
     if variant == "y_closed_loop":
         loop = (first, *_y_sets(run, (0.0, -tret, 0.0)))
-        return _Plan(segments=tuple((pulses, drive_y) for pulses in loop),
-                     frame_phase=0.0, angle=angle,
-                     target=holonomy.predicted_ry(run.target_angle),
-                     predicted=lift_qubit(holonomy.predicted_ry(angle)))
+        segments = tuple((pulses, drive_y) for pulses in loop)
+        frame_phase, nominal = 0.0, run.target_angle
+        def ideal(a):
+            return lift_qubit(holonomy.predicted_ry(a))
+    elif variant == "z_fractional":
+        segments = ((first, drive_z),)
+        # at pi/4 the driven population returns to |1>, carrying the phase
+        frame_phase, nominal = run.phase, math.pi / 4.0
+        def ideal(a):
+            m = lift_qubit(np.diag([1.0, math.cos(a - math.pi / 4.0) * np.exp(1j * run.phase)]))
+            # input |1> keeps an ancilla amplitude; the frame rotation touches
+            # |1> only, so the raw ancilla phase e^{-i phase} stays
+            m[IDX_ANC, 1] = np.exp(-1j * run.phase) * math.sin(a - math.pi / 4.0)
+            return m
+    else:
+        chi = -run.phase  # frame phase carried by the mirror loop's pulses
+        # the y loop, then its mirror: two quarter loops around the virtual
+        # phase gate, the pump tuned to a pi/4 forward angle
+        sets = (first, *_y_sets(run, (0.0, -tret, 0.0), (0.0, tret, chi),
+                                (run.pump_amp, -run.tau0_over_tau * run.tau, chi)))
+        segments = tuple((pulses, drive_y) for pulses in sets)
+        frame_phase, nominal = run.phase, math.pi / 4.0
+        def ideal(a):
+            ry = holonomy.predicted_ry(a)
+            return lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry)
 
-    if variant == "z_fractional":
-        amp1 = (math.sin(angle) + math.cos(angle)) / math.sqrt(2.0)
-        predicted = lift_qubit(np.diag([1.0, amp1 * np.exp(1j * run.phase)]))
-        # input |1> keeps an ancilla amplitude; the frame rotation touches |1>
-        # only, so the raw ancilla phase e^{-i phase} stays
-        predicted[IDX_ANC, 1] = (np.exp(-1j * run.phase)
-                                 * (math.sin(angle) - math.cos(angle)) / math.sqrt(2.0))
-        return _Plan(segments=((first, drive_z),),
-                     frame_phase=run.phase, angle=angle,
-                     target=holonomy.predicted_rz(run.phase), predicted=predicted)
-
-    chi = -run.phase  # frame phase carried by the mirror loop's pulses
-    # the y loop, then its mirror: two quarter loops around the virtual phase gate
-    sets = (first, *_y_sets(run, (0.0, -tret, 0.0), (0.0, tret, chi),
-                            (run.pump_amp, -run.tau0_over_tau * run.tau, chi)))
-    ry = holonomy.predicted_ry(angle)
-    return _Plan(segments=tuple((pulses, drive_y) for pulses in sets),
-                 frame_phase=run.phase, angle=angle,
-                 target=holonomy.compose_rx(run.phase),
-                 predicted=lift_qubit(ry.conj().T @ holonomy.predicted_rz(run.phase) @ ry))
+    return _Plan(segments=segments, frame_phase=frame_phase, angle=angle,
+                 target=ideal(nominal)[[IDX_ZERO, IDX_ONE]], predicted=ideal(angle))
 
 
 def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple:
@@ -299,7 +305,7 @@ def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple
         state = traj.final()
         stats.append(traj.meta)
     if not with_decoherence:
-        state = [density_from_state(psi) for psi in state.T]
+        state = [density_from_state(psi) for psi in state]
     return state, stats
 
 
@@ -326,10 +332,10 @@ def simulate_gate(variant: str, run: GateRun | None = None, *,
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
     dark_map = plan.predicted[[IDX_ZERO, IDX_ONE]]
     dark_process = {label: dark_map @ np.outer(q, q.conj()) @ dark_map.conj().T
-                    for label, q in zip(_QUBIT_LABELS, _QUBITS.T)}
+                    for label, q in zip(_QUBIT_LABELS, _QUBITS)}
     fid_dark = gate_fidelity(dark_process, plan.target)
-    predicted = plan.predicted @ _QUBITS
-    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted.T, outputs))
+    predicted = _QUBITS @ plan.predicted.T
+    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
 
     report = GateReport(
         fidelity=fidelity,

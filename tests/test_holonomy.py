@@ -215,17 +215,3 @@ class TestPredictedGates:
     def test_final_state_z_normalized(self, gamma_f, phase):
         psi = predicted_final_state_z(gamma_f, phase)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-
-    def test_compose_rx_identity(self):
-        np.testing.assert_allclose(holonomy.compose_rx(0.0), np.eye(2), atol=1e-15)
-
-    def test_compose_rx_pi_is_sigma_x(self):
-        u = holonomy.compose_rx(math.pi)
-        phase = u[0, 1]
-        np.testing.assert_allclose(u / phase, [[0, 1], [1, 0]], atol=1e-12)
-
-    @settings(deadline=None)
-    @given(st.floats(-math.pi, math.pi))
-    def test_compose_rx_unitary(self, phase):
-        u = holonomy.compose_rx(phase)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12

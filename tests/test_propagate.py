@@ -192,12 +192,12 @@ class TestStacks:
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         h_of_t = model.drive_y(ps, params)
         spec = PropagationSpec(-950.0, 950.0, record_stride=100.0)
-        stack = propagate.schrodinger_propagate(h_of_t, np.stack(_QUBIT_INPUTS, axis=1), spec)
-        assert stack.states.shape == (len(stack.times), DIM, 4)
+        stack = propagate.schrodinger_propagate(h_of_t, np.stack(_QUBIT_INPUTS), spec)
+        assert stack.states.shape == (len(stack.times), 4, DIM)
         for k, psi in enumerate(_QUBIT_INPUTS):
             single = propagate.schrodinger_propagate(h_of_t, psi, spec)
             np.testing.assert_array_equal(single.times, stack.times)
-            assert np.max(np.abs(stack.states[:, :, k] - single.states)) < 1e-9
+            assert np.max(np.abs(stack.states[:, k] - single.states)) < 1e-9
 
     def test_lindblad_stack_matches_single_solves(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
@@ -213,7 +213,9 @@ class TestStacks:
             assert np.max(np.abs(stack.states[:, k] - single.states)) < 1e-9
 
     def test_unnormalized_member_rejected(self):
-        stack = np.stack([basis_state(0), 0.5 * basis_state(1), basis_state(2)], axis=1)
+        # a row stack with exactly one member off unit norm
+        stack = np.stack([basis_state(0), 0.5 * basis_state(1), basis_state(2)])
+        np.testing.assert_array_equal(np.linalg.norm(stack, axis=-1), [1.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="normalized"):
             propagate.schrodinger_propagate(_zero_h, stack, PropagationSpec(0.0, 1.0))
 
@@ -224,7 +226,7 @@ class TestStacks:
         quiet = basis_state(2)
         leaky = propagate.schrodinger_propagate(_leaky_h, basis_state(4), spec).meta
         stack = propagate.schrodinger_propagate(
-            _leaky_h, np.stack([quiet, basis_state(4), quiet], axis=1), spec).meta
+            _leaky_h, np.stack([quiet, basis_state(4), quiet]), spec).meta
         assert leaky["norm_drift"] > 0.1
         assert stack["norm_drift"] == pytest.approx(leaky["norm_drift"], rel=1e-9)
 
@@ -281,14 +283,14 @@ class TestDriveTemplates:
         jumps = lindblad_channels(params)
         captured = _capture_rhs(monkeypatch)
         spec = PropagationSpec(-1000.0, 1000.0)
-        psi = np.stack(_QUBIT_INPUTS, axis=1)
+        psi = np.stack(_QUBIT_INPUTS)
         rho = np.stack([density_from_state(p) for p in _QUBIT_INPUTS])
         propagate.schrodinger_propagate(template(ps, params), psi, spec)
         propagate.lindblad_propagate(template(ps, params), jumps, rho, spec)
         schrodinger_rhs, lindblad_rhs = captured
 
         def schrodinger(t, y):
-            return -1j * build(t, ps, params) @ y
+            return np.stack([-1j * build(t, ps, params) @ row for row in y])
 
         def lindblad(t, y):
             h = build(t, ps, params)

@@ -3,12 +3,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holospin import darkspace, holonomy, propagate, scenarios
 from holospin.model import drive_y, drive_z
 from holospin.propagate import PropagationSpec, Trajectory
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
 from oracles import average_fidelity, predicted_final_state_z
+
+
+def _x_target(phase):
+    """The x plan's target at the given phase; the explicit pump peak keeps
+    the pi/4 tuner from running."""
+    run = scenarios.default_gate_run("x_composite", phase=phase, pump_amp=0.3)
+    return scenarios._plan("x_composite", run).target
 
 
 def _mixed_qubit():
@@ -133,7 +142,7 @@ class TestGateSimulation:
                                                   with_decoherence=False)
         predicted = holonomy.predicted_ry(report.angle_quadrature)
         ideal = {label: predicted @ np.outer(q, q.conj()) @ predicted.conj().T
-                 for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
+                 for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS)}
         worst = max(float(np.max(np.abs(process[k] - ideal[k]))) for k in process)
         assert worst < 1e-2
         assert report.leakage_final < 1e-3
@@ -164,7 +173,7 @@ class TestGateSimulation:
         angle = holonomy.geometric_angle_y(forward).angle
         cos, sin = math.cos(angle), math.sin(angle)
         worst = 1.0
-        for q, psi in zip(scenarios._QUBITS.T, finals.T):
+        for q, psi in zip(scenarios._QUBITS, finals):
             predicted = np.zeros(DIM, dtype=complex)
             predicted[IDX_ANC] = -(cos * q[1] + sin * q[0])
             predicted[IDX_ZERO] = -sin * q[1] + cos * q[0]
@@ -188,7 +197,7 @@ class TestGateSimulation:
     @pytest.mark.parametrize("variant", scenarios.VARIANTS)
     def test_predicted_outputs_have_unit_norm(self, variant):
         plan = scenarios._plan(variant, scenarios.default_gate_run(variant))
-        norms = np.linalg.norm(plan.predicted @ scenarios._QUBITS, axis=0)
+        norms = np.linalg.norm(scenarios._QUBITS @ plan.predicted.T, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_y_prediction_is_the_holonomy_rotation(self):
@@ -204,9 +213,35 @@ class TestGateSimulation:
         # loops around the phase gate make the composite x rotation
         run = scenarios.default_gate_run("x_composite")
         plan = scenarios._plan("x_composite", run)
-        np.testing.assert_allclose(plan.predicted[[IDX_ZERO, IDX_ONE]],
-                                   holonomy.compose_rx(run.phase), atol=1e-9)
+        np.testing.assert_allclose(plan.predicted[[IDX_ZERO, IDX_ONE]], plan.target, atol=1e-9)
         assert np.all(plan.predicted[2:] == 0)
+
+    @pytest.mark.parametrize("target_angle", [math.pi / 2, 0.9])
+    def test_y_target_is_the_rotation_by_the_target_angle(self, target_angle):
+        run = scenarios.default_gate_run("y_closed_loop", target_angle=target_angle)
+        np.testing.assert_array_equal(scenarios._plan("y_closed_loop", run).target,
+                                      holonomy.predicted_ry(target_angle))
+
+    @pytest.mark.parametrize("phase", [math.pi / 2, 0.37, -2.0])
+    def test_z_target_is_the_phase_gate(self, phase):
+        # the ideal map at pi/4 returns |1> whole, with the Stokes phase
+        run = scenarios.default_gate_run("z_fractional", phase=phase)
+        np.testing.assert_array_equal(scenarios._plan("z_fractional", run).target,
+                                      holonomy.predicted_rz(phase))
+
+    def test_x_target_at_zero_phase_is_identity(self):
+        np.testing.assert_allclose(_x_target(0.0), np.eye(2), atol=1e-15)
+
+    def test_x_target_at_phase_pi_is_sigma_x(self):
+        u = _x_target(math.pi)
+        phase = u[0, 1]
+        np.testing.assert_allclose(u / phase, [[0, 1], [1, 0]], atol=1e-12)
+
+    @settings(deadline=None)
+    @given(st.floats(-math.pi, math.pi))
+    def test_x_target_unitary(self, phase):
+        u = _x_target(phase)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_x_composite_is_the_y_loop_and_its_mirror(self):
         # x's first two segments are y's loop at the same run; its last two
@@ -277,7 +312,7 @@ class TestGateFidelity:
     def test_exact_target_channel_gives_unity(self):
         target = holonomy.predicted_ry(0.7)
         process = {label: target @ np.outer(q, q.conj()) @ target.conj().T
-                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
+                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS)}
         assert scenarios.gate_fidelity(process, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_known_rotation_error(self):
@@ -286,7 +321,7 @@ class TestGateFidelity:
         beta = 1.45
         actual = holonomy.predicted_ry(beta)
         process = {label: actual @ np.outer(q, q.conj()) @ actual.conj().T
-                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
+                   for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS)}
         fid = scenarios.gate_fidelity(process, holonomy.predicted_ry(math.pi / 2))
         expected = 1.0 - (2.0 / 3.0) * math.sin(beta - math.pi / 2) ** 2
         assert fid == pytest.approx(expected, abs=1e-6)
@@ -307,7 +342,7 @@ class TestGateFidelity:
             def channel(x):
                 return sum(k @ x @ k.conj().T for k in kraus)
             process = {label: channel(np.outer(q, q.conj()))
-                       for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS.T)}
+                       for label, q in zip(scenarios._QUBIT_LABELS, scenarios._QUBITS)}
             target, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             expected = average_fidelity(lambda a, b: channel(np.outer(np.eye(2)[a],
                                                                       np.eye(2)[b])), target)
