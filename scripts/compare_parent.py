@@ -15,10 +15,10 @@ fresh interpreter with one BLAS thread and with its own ``src`` and
   ``perfbench/spans.py``, keeping each ``GateReport`` that ``simulate_gate``
   returns.
 
-The script prints, for each CSV, each manifest (``wall_clock_seconds``
-ignored) and each GateReport with its process blocks, "identical" or the
-largest numeric difference, then every traced ``EXACT_COUNTS`` entry whose
-value differs.  It exits 0 when everything is identical and 1 otherwise.
+The script prints, for each CSV, each manifest (``wall_clock_seconds`` and
+``environment`` ignored) and each GateReport with its process blocks,
+"identical" or the largest numeric difference, then every traced
+``EXACT_COUNTS`` entry whose value differs.  It exits 0 when everything is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -184,6 +184,9 @@ def compare_json(old, new) -> str:
 def _manifest(text: str) -> dict:
     manifest = json.loads(text)
     manifest.pop("wall_clock_seconds", None)
+    # both trees run in this interpreter, so their versions can differ only
+    # in whether a tree records them
+    manifest.pop("environment", None)
     return manifest
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
@@ -499,6 +500,9 @@ def run(config: RunConfig, out_dir: Path) -> int:
 
     manifest = {
         "artifact_version": __version__,
+        # the versions that made the numbers
+        "environment": {"python": ".".join(map(str, sys.version_info[:3])),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "scenario": config.scenario,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in sorted(config.values.items())},

@@ -10,6 +10,9 @@ where every field has died out cannot see a pulse that lies wholly inside
 one step, so without the cap a solve may step over a lone pulse (Hairer,
 Norsett & Wanner, Solving ODEs I, sec. II.4).  A constant envelope's width
 is infinite, so a drive whose envelopes are all constant runs uncapped.
+Each solve takes its relative and absolute tolerances from its
+``PropagationSpec`` (absolute: ``ABS_TOL`` unless the spec sets its own)
+and records both in ``Trajectory.meta``.
 
 Both integrators take one input (a state (5,) or a density (5, 5)) or a
 stack of k along a leading axis ((k, 5) or (k, 5, 5)), and solve
@@ -36,7 +39,8 @@ from .model import Drive
 from .qcore import DIM, dense_expm
 
 
-# absolute tolerance of every adaptive solve; states and densities are O(1)
+# default absolute tolerance of an adaptive solve (PropagationSpec.abs_tol);
+# states and densities are O(1)
 ABS_TOL = 1e-12
 # oracle steps per batched dense_expm call: in blocks of 1000 a validate
 # run peaks at 85 MB, with all of its 18,000 steps in one call at 120 MB
@@ -52,17 +56,22 @@ def check_rel_tol(rel_tol: float) -> float:
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Integration window, relative tolerance, and snapshot cadence."""
+    """Integration window, relative and absolute tolerances, and snapshot
+    cadence."""
 
     t_start: float
     t_end: float
     rel_tol: float = 1e-10
     record_stride: float = 0.0   # 0 -> endpoints only
+    abs_tol: float = ABS_TOL
 
     def __post_init__(self):
         if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
         check_rel_tol(self.rel_tol)
+        # each comparison is false for NaN
+        if not 0.0 < self.abs_tol < np.inf:
+            raise ValueError("abs_tol must be a positive finite number")
         if self.record_stride < 0.0:
             raise ValueError("record_stride must be non-negative")
 
@@ -93,16 +102,17 @@ def _solve(rhs, y0: np.ndarray, spec: PropagationSpec, drive: Drive, kind: str) 
     # the step cap of the module docstring; a constant envelope's width is infinite
     max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
     sol = solve_ivp(rhs, (spec.t_start, spec.t_end), y0.ravel(), method="DOP853",
-                    rtol=spec.rel_tol, atol=ABS_TOL, max_step=max_step,
+                    rtol=spec.rel_tol, atol=spec.abs_tol, max_step=max_step,
                     t_eval=spec.sample_times(), dense_output=False)
-    if sol.status == -1 or not sol.success:
+    if not sol.success:
         t_fail = sol.t[-1] if sol.t.size else float("nan")
         raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
                          f"t = {t_fail:.6g} ps")
     # nfev counts every RHS call: 12 per accepted or rejected step, two at the
     # start, and three more for each step whose interpolant yields a snapshot
     return Trajectory(times=sol.t.copy(), states=sol.y.T.reshape((-1,) + y0.shape),
-                      meta={"n_rhs_evals": int(sol.nfev)})
+                      meta={"n_rhs_evals": int(sol.nfev), "rel_tol": spec.rel_tol,
+                            "abs_tol": spec.abs_tol})
 
 
 def _stacked_rhs(drive: Drive, lift, constant=0.0):

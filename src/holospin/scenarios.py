@@ -177,6 +177,14 @@ def default_gate_run(variant: str, **overrides) -> GateRun:
 # final leakage above which a gate report warns and the gate scenario fails
 LEAKAGE_BOUND = 0.05
 
+# absolute tolerance of every gate segment solve.  The DOP853 error norm is an
+# RMS over the whole four-input stack, most of whose entries are near zero, so
+# there this tolerance, not rel_tol, sets the step count.  Budget: every
+# process-block entry of every reference gate, open and coherent, stays within
+# 2e-9 of a tight solve (rel_tol 1e-13, abs_tol 1e-15); the worst measured is
+# 9.3e-10 (coherent z).  1e-10 would move the coherent z gate by 3.4e-9.
+GATE_ABS_TOL = 1e-11
+
 
 @dataclass
 class GateReport:
@@ -297,7 +305,7 @@ def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple
     stats = []
     for pulses, template in segments:
         drive = template(pulses, run.model)
-        spec = PropagationSpec(*pulses.window())
+        spec = PropagationSpec(*pulses.window(), abs_tol=GATE_ABS_TOL)
         if with_decoherence:
             traj = lindblad_propagate(drive, channels, state, spec)
         else:

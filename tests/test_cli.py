@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from holospin import cli
+from holospin import cli, propagate, scenarios
 from holospin.model import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -311,6 +313,12 @@ class TestRun:
         for solver in (manifest["solver"], readout["solver"]):
             assert len(solver) == 1
             assert solver[0]["n_rhs_evals"] > 0
+            # only gate segments loosen the absolute tolerance
+            assert solver[0]["abs_tol"] == propagate.ABS_TOL
+        assert manifest["solver"][0]["rel_tol"] == manifest["config"]["rel_tol"]
+        assert manifest["environment"] == {"python": ".".join(map(str, sys.version_info[:3])),
+                                           "numpy": np.__version__,
+                                           "scipy": scipy.__version__}
 
     def test_gate_scenario(self, tmp_path):
         text = "variant = y_closed_loop\ndecoherence = false\n"
@@ -328,6 +336,9 @@ class TestRun:
         segments = json.loads((tmp_path / "manifest.json").read_text())["solver"]
         assert len(segments) == 2
         assert all(seg["n_rhs_evals"] > 0 for seg in segments)
+        assert all(seg["abs_tol"] == scenarios.GATE_ABS_TOL for seg in segments)
+        assert all(seg["rel_tol"] == propagate.PropagationSpec(0.0, 1.0).rel_tol
+                   for seg in segments)
 
     @pytest.mark.parametrize("variant", cli.scenarios.VARIANTS)
     def test_gate_manifest_reports_prediction_overlap(self, variant, tmp_path):

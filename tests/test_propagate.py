@@ -22,6 +22,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PropagationSpec(0.0, 1.0, rel_tol=0.5)
 
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_abs_tol_must_be_positive_and_finite(self, abs_tol):
+        with pytest.raises(ValueError, match="abs_tol"):
+            PropagationSpec(0.0, 1.0, abs_tol=abs_tol)
+
     def test_sample_times(self):
         spec = PropagationSpec(0.0, 10.0, record_stride=3.0)
         np.testing.assert_allclose(spec.sample_times(), [0, 3, 6, 9, 10])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holospin import darkspace, holonomy, propagate, scenarios
-from holospin.model import drive_y, drive_z
+from holospin.model import drive_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec, Trajectory
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
 from oracles import average_fidelity, predicted_final_state_z
@@ -306,6 +306,47 @@ class TestGateSimulation:
             scenarios.simulate_gate("w_rotation", with_decoherence=True)
         with pytest.raises(ValueError):
             scenarios.default_gate_run("w_rotation")
+
+
+class TestGateTolerance:
+    def test_abs_tol_sets_the_gate_step_count(self):
+        # on the four-input density stack the absolute tolerance, not
+        # rel_tol, limits the step, so loosening it saves RHS calls
+        run = scenarios.default_gate_run("y_closed_loop")
+        forward, template = scenarios._plan("y_closed_loop", run).segments[0]
+        drive, channels = template(forward, run.model), lindblad_channels(run.model)
+
+        def rhs_calls(abs_tol):
+            spec = PropagationSpec(*forward.window(), abs_tol=abs_tol)
+            return propagate.lindblad_propagate(drive, channels, scenarios._INPUT_DENSITIES,
+                                                spec).meta["n_rhs_evals"]
+
+        assert rhs_calls(1e-11) < rhs_calls(1e-12)
+
+    @pytest.mark.parametrize("with_decoherence", [True, False])
+    @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional"])
+    def test_gate_blocks_converge_to_a_tight_solve(self, variant, with_decoherence):
+        # the error budget of GATE_ABS_TOL: every process-block entry lies
+        # within 2e-9 of the same segments solved at rel_tol 1e-13, abs_tol 1e-15
+        run = scenarios.default_gate_run(variant)
+        plan = scenarios._plan(variant, run)
+        process, _ = scenarios.simulate_gate(variant, run, with_decoherence=with_decoherence)
+        state = scenarios._INPUT_DENSITIES if with_decoherence else scenarios._INPUT_STACK
+        for pulses, template in plan.segments:
+            drive = template(pulses, run.model)
+            spec = PropagationSpec(*pulses.window(), rel_tol=1e-13, abs_tol=1e-15)
+            if with_decoherence:
+                state = propagate.lindblad_propagate(drive, lindblad_channels(run.model),
+                                                     state, spec).final()
+            else:
+                state = propagate.schrodinger_propagate(drive, state, spec).final()
+        if not with_decoherence:
+            state = [np.outer(psi, psi.conj()) for psi in state]
+        # the frame rotation diag(1, e^{i phase}) on the qubit block
+        frame = np.array([1.0, np.exp(1j * plan.frame_phase)])
+        for label, rho in zip(scenarios._QUBIT_LABELS, state):
+            tight = rho[:2, :2] * np.outer(frame, frame.conj())
+            assert np.max(np.abs(process[label] - tight)) < 2e-9
 
 
 class TestGateFidelity:
