@@ -18,7 +18,11 @@ fresh interpreter with one BLAS thread and with its own ``src`` and
 The script prints, for each CSV, each manifest (``wall_clock_seconds`` and
 ``environment`` ignored) and each GateReport with its process blocks,
 "identical" or the largest numeric difference, then every traced
-``EXACT_COUNTS`` entry whose value differs.  It exits 0 when everything is identical and 1 otherwise.
+``EXACT_COUNTS`` entry whose value differs.  A manifest's ``solver`` records
+and a GateReport's ``solver_stats`` (RHS counts, tolerances, drift values)
+are compared apart from the physics, so that a step count that moved by
+thousands cannot hide how far a fidelity moved.  It exits 0 when everything
+is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 3
 IDENTICAL = "identical"
+# top-level manifest and GateReport keys that hold solver statistics
+SOLVER_KEYS = ("solver", "solver_stats")
 
 # a fresh interpreter per tree runs produce() from this file
 _CHILD = """
@@ -177,8 +183,23 @@ def compare_csv(old: str, new: str) -> str:
     return "; ".join(parts)
 
 
-def compare_json(old, new) -> str:
-    return IDENTICAL if old == new else _verdict(*_difference(old, new))
+def _split(value: dict) -> tuple:
+    """(physics fields, solver statistics) of a manifest or GateReport."""
+    return ({key: item for key, item in value.items() if key not in SOLVER_KEYS},
+            {key: item for key, item in value.items() if key in SOLVER_KEYS})
+
+
+def compare_json(old: dict, new: dict) -> str:
+    """IDENTICAL, or the physics verdict, followed by the solver statistics'
+    verdict when those differ too."""
+    if old == new:
+        return IDENTICAL
+    (physics_old, solver_old), (physics_new, solver_new) = _split(old), _split(new)
+    parts = ["physics identical" if physics_old == physics_new
+             else _verdict(*_difference(physics_old, physics_new))]
+    if solver_old != solver_new:
+        parts.append("solver statistics: " + _verdict(*_difference(solver_old, solver_new)))
+    return "; ".join(parts)
 
 
 def _manifest(text: str) -> dict:

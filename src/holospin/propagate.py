@@ -1,5 +1,5 @@
 """Time propagation: Schrodinger and Lindblad integrators plus an
-independent piecewise-constant exponential oracle.
+independent fourth-order exponential oracle.
 
 The adaptive integrator is an explicit high-order embedded pair
 (scipy's DOP853); the stiffness span of the model (drive ~0.5 rad/ps
@@ -23,9 +23,17 @@ through one right-hand side.  They take the Hamiltonian as a
 transposed generator ((-iK)^T for Schrodinger, the transposed 25x25
 commutator superoperator for Lindblad, with the dissipator in the
 constant term), so an RHS call is the product of the coefficient vector
-[1, f_1(t), ...] with that stack, then one product with the rows.  The
-oracle takes any callable that returns the 5x5 H(t) and exponentiates its
-midpoint steps in blocks.
+[1, f_1(t), ...] with that stack, then one product with the rows.
+
+The oracle integrates y' = G(t) y for any callable that returns the d x d
+step generator G(t): -iH(t) (5x5) for a state, a Liouvillian (25x25) for
+a vectorized density.  It steps with the midpoint exponential at dt and at
+dt/2, exponentiating the midpoints in batched blocks, and returns the
+Richardson combination (4 u(dt/2) - u(dt)) / 3.  The midpoint rule is
+symmetric, so its error expansion holds even powers of dt only, and the
+combination is fourth order (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, sec. II.4; Hochbruck & Ostermann, Acta Numerica 19, 209
+(2010)).
 """
 
 from __future__ import annotations
@@ -42,8 +50,10 @@ from .qcore import DIM, dense_expm
 # default absolute tolerance of an adaptive solve (PropagationSpec.abs_tol);
 # states and densities are O(1)
 ABS_TOL = 1e-12
-# oracle steps per batched dense_expm call: in blocks of 1000 a validate
-# run peaks at 85 MB, with all of its 18,000 steps in one call at 120 MB
+# oracle steps per batched dense_expm call: in blocks of 1000 a validate run
+# peaks at 85 MB (88 MB with each of its 1800- and 3600-step passes in one
+# call), and the 25x25 Liouvillian passes over a y gate segment at 0.4/0.2 ps
+# peak at 130 MB (436 MB in one call)
 _ORACLE_BLOCK = 1000
 
 
@@ -191,22 +201,35 @@ def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
     return traj
 
 
-def oracle_propagate(h_of_t, psi0: np.ndarray, dt: float,
-                     t_start: float, t_end: float) -> np.ndarray:
-    """Midpoint piecewise-constant exponential stepping (second order).
+def _midpoint_product(generator_of_t, y0: np.ndarray, t_start: float, t_end: float,
+                      n: int) -> np.ndarray:
+    """y0 carried over n equal steps, each by exp(step * G) at the step's
+    midpoint; the G's of up to _ORACLE_BLOCK steps are exponentiated in one
+    batched call (the same Pade per matrix), then applied in order."""
+    step = (t_end - t_start) / n
+    y = y0
+    for first in range(0, n, _ORACLE_BLOCK):
+        gs = np.array([generator_of_t(t_start + (k + 0.5) * step)
+                       for k in range(first, min(first + _ORACLE_BLOCK, n))])
+        for u in dense_expm(step * gs):
+            y = u @ y
+    return y
 
-    Independent of the adaptive integrator; used to cross-validate it.  The
-    midpoint H's of up to _ORACLE_BLOCK steps are exponentiated in one
-    batched call (the same Pade per matrix), then applied in order.
+
+def oracle_propagate(generator_of_t, y0: np.ndarray, dt: float,
+                     t_start: float, t_end: float) -> np.ndarray:
+    """Integrate y' = G(t) y from t_start to t_end: the Richardson pair
+    (4 u(dt/2) - u(dt)) / 3 of midpoint exponential stepping, fourth order.
+
+    ``generator_of_t(t)`` returns the d x d generator G(t), and y0 is a
+    vector (d,) or d x k columns.  The coarse step is the largest that
+    divides the window into whole steps and does not exceed dt.
+    Independent of the adaptive integrators; used to cross-validate them.
     """
     if dt <= 0.0:
         raise ValueError("oracle step must be positive")
     n = max(1, int(np.ceil((t_end - t_start) / dt)))
-    step = (t_end - t_start) / n
-    psi = np.asarray(psi0, dtype=complex).copy()
-    for first in range(0, n, _ORACLE_BLOCK):
-        hs = np.array([h_of_t(t_start + (k + 0.5) * step)
-                       for k in range(first, min(first + _ORACLE_BLOCK, n))])
-        for u in dense_expm(step * (-1j * hs)):
-            psi = u @ psi
-    return psi
+    y0 = np.asarray(y0, dtype=complex)
+    coarse = _midpoint_product(generator_of_t, y0, t_start, t_end, n)
+    fine = _midpoint_product(generator_of_t, y0, t_start, t_end, 2 * n)
+    return (4.0 * fine - coarse) / 3.0

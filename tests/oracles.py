@@ -7,6 +7,10 @@ import numpy as np
 
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, dense_expm
 
+# the 25 matrix units E_j of the 5x5 densities, vec(E_j) the j-th unit
+# vector in row-major order
+_UNITS = np.eye(DIM * DIM, dtype=complex).reshape(DIM * DIM, DIM, DIM)
+
 
 def path_ordered_exponential(samples) -> np.ndarray:
     """Ordered product of exp(A_k * step_k), later samples applied later.
@@ -36,6 +40,27 @@ def average_fidelity(image, target) -> float:
     total = (sum(np.trace(phi[a][a]) for a in range(2))
              + sum(phi[a][b][a, b] for a in range(2) for b in range(2)))
     return float(total.real) / 6.0
+
+
+def liouvillian(h_of_t, jump_ops):
+    """t -> the 25x25 generator L(t) of the master equation on the row-major
+    vec(rho), for the Hamiltonian h_of_t(t) and the 5x5 jump operators.
+
+    Column j of L(t) is the image of the j-th matrix unit E under the matrix
+    form -i[H(t), E] + sum_k (L_k E L_k^+ - {L_k^+ L_k, E}/2), so no
+    Kronecker product or drive template enters.  The dissipative images are
+    built once; the commutator takes one batched product over the 25 units.
+    """
+    dissipation = sum(op @ _UNITS @ op.conj().T
+                      - 0.5 * (op.conj().T @ op @ _UNITS + _UNITS @ op.conj().T @ op)
+                      for op in jump_ops)
+
+    def generator(t):
+        h = h_of_t(t)
+        images = -1j * (h @ _UNITS - _UNITS @ h) + dissipation
+        return images.reshape(DIM * DIM, DIM * DIM).T
+
+    return generator
 
 
 def sin_phi_y(pulses, t: float) -> float:

@@ -71,7 +71,7 @@ class TestSchrodinger:
         # oracle over the pulse region (|0> is stationary before it), then the
         # exact free evolution under the diagonal H0 to the end of the window
         lo, hi = 5000.0 - 80.0, 5000.0 + 80.0
-        psi = propagate.oracle_propagate(lambda t: model.build_h_y(t, ps, params), psi0,
+        psi = propagate.oracle_propagate(lambda t: -1j * model.build_h_y(t, ps, params), psi0,
                                          0.05, lo, hi)
         h0 = np.diag(model.build_h_y(0.0, ps, params))
         expected = np.exp(-1j * h0 * (6000.0 - hi)) * psi
@@ -316,8 +316,9 @@ class TestDriveTemplates:
     def test_oracle_accepts_drive(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
         drive = model.drive_y(ps, params)
-        via_drive = propagate.oracle_propagate(drive, basis_state(1), 5.0, -450.0, 450.0)
-        via_builder = propagate.oracle_propagate(lambda t: model.build_h_y(t, ps, params),
+        via_drive = propagate.oracle_propagate(lambda t: -1j * drive(t), basis_state(1),
+                                               5.0, -450.0, 450.0)
+        via_builder = propagate.oracle_propagate(lambda t: -1j * model.build_h_y(t, ps, params),
                                                  basis_state(1), 5.0, -450.0, 450.0)
         np.testing.assert_array_equal(via_drive, via_builder)
 
@@ -327,16 +328,18 @@ class TestOracle:
         psi = propagate.oracle_propagate(_zero_h, basis_state(2), 0.5, 0.0, 50.0)
         np.testing.assert_allclose(psi, basis_state(2), atol=1e-14)
 
-    def test_second_order_convergence(self, params):
+    def test_fourth_order_convergence(self, params):
+        # the Richardson pair cancels the midpoint rule's dt^2 error term, and
+        # the next one is dt^4: halving dt divides the error by about 16
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
-        h_of_t = lambda t: model.build_h_y(t, ps, params)
+        g_of_t = lambda t: -1j * model.build_h_y(t, ps, params)
         lo, hi = -450.0, 450.0
-        ref = propagate.oracle_propagate(h_of_t, basis_state(1), 0.05, lo, hi)
+        ref = propagate.oracle_propagate(g_of_t, basis_state(1), 0.1, lo, hi)
         err = []
-        for dt in (2.0, 1.0):
-            psi = propagate.oracle_propagate(h_of_t, basis_state(1), dt, lo, hi)
+        for dt in (1.0, 0.5):
+            psi = propagate.oracle_propagate(g_of_t, basis_state(1), dt, lo, hi)
             err.append(np.linalg.norm(psi - ref))
-        assert err[1] == pytest.approx(err[0] / 4.0, rel=0.2)
+        assert err[1] == pytest.approx(err[0] / 16.0, rel=0.2)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -345,15 +348,19 @@ class TestOracle:
     @pytest.mark.parametrize("n", [1, propagate._ORACLE_BLOCK, 2 * propagate._ORACLE_BLOCK + 1])
     def test_blocks_equal_one_exponential_per_step(self, n, params):
         # the batched exponentials of a block, applied in order, are the
-        # per-step midpoint product bit for bit, at and across block edges
+        # per-step midpoint product bit for bit, at and across block edges;
+        # the oracle combines the products over n and 2n steps
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
-        h_of_t = lambda t: model.build_h_y(t, ps, params)
+        g_of_t = lambda t: -1j * model.build_h_y(t, ps, params)
         lo, hi = -450.0, 450.0
-        step = (hi - lo) / n
-        psi = basis_state(1)
-        for k in range(n):
-            psi = dense_expm(step * (-1j * h_of_t(lo + (k + 0.5) * step))) @ psi
-        # a step a little over (hi - lo) / n gives exactly n oracle steps
-        blocked = propagate.oracle_propagate(h_of_t, basis_state(1), (hi - lo) / (n - 0.5),
+
+        def product(steps):
+            step = (hi - lo) / steps
+            psi = basis_state(1)
+            for k in range(steps):
+                psi = dense_expm(step * g_of_t(lo + (k + 0.5) * step)) @ psi
+            return psi
+        # a step a little over (hi - lo) / n gives exactly n coarse steps
+        blocked = propagate.oracle_propagate(g_of_t, basis_state(1), (hi - lo) / (n - 0.5),
                                              lo, hi)
-        np.testing.assert_array_equal(blocked, psi)
+        np.testing.assert_array_equal(blocked, (4.0 * product(2 * n) - product(n)) / 3.0)

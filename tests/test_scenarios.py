@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holospin import darkspace, holonomy, propagate, scenarios
-from holospin.model import drive_y, drive_z, lindblad_channels
+from holospin import darkspace, holonomy, propagate, pulses, scenarios
+from holospin.model import build_h_y, build_h_z, drive_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec, Trajectory
-from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
-from oracles import average_fidelity, predicted_final_state_z
+from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state, dense_expm
+from oracles import average_fidelity, liouvillian, predicted_final_state_z
 
 
 def _x_target(phase):
@@ -347,6 +347,57 @@ class TestGateTolerance:
         for label, rho in zip(scenarios._QUBIT_LABELS, state):
             tight = rho[:2, :2] * np.outer(frame, frame.conj())
             assert np.max(np.abs(process[label] - tight)) < 2e-9
+
+
+class TestIndependentLiouvillian:
+    """Driven and dissipative dynamics together, against the master
+    equation applied in matrix form (``oracles.liouvillian``) to H from the
+    element-wise builders: no Kronecker product, drive template or adaptive
+    solve is shared with the package's integrator."""
+
+    @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional"])
+    def test_open_reference_gate_matches_the_oracle(self, variant):
+        # fourth-order oracle at 0.4/0.2 ps.  Measured against the gate's own
+        # solve (abs_tol GATE_ABS_TOL): 5.7e-10 (y), 7.0e-10 (z); the bound
+        # is GATE_ABS_TOL's 2e-9 error budget, about 3x the worst measured
+        run = scenarios.default_gate_run(variant)
+        plan = scenarios._plan(variant, run)
+        finals, _ = scenarios._propagate_segments(plan.segments, run, True)
+        jumps = lindblad_channels(run.model)
+        # the four input densities as the columns of one 25 x 4 array
+        columns = scenarios._INPUT_DENSITIES.reshape(4, DIM * DIM).T
+        for pulse_set, template in plan.segments:
+            build = {drive_y: build_h_y, drive_z: build_h_z}[template]
+            generator = liouvillian(lambda t: build(t, pulse_set, run.model), jumps)
+            columns = propagate.oracle_propagate(generator, columns, 0.4, *pulse_set.window())
+        oracle = columns.T.reshape(4, DIM, DIM)
+        assert np.max(np.abs(oracle - np.array(finals))) < 2e-9
+
+    @pytest.mark.parametrize("polarization", ["sigma_minus", "sigma_plus"])
+    def test_initialization_is_the_exact_semigroup(self, polarization, params):
+        # the pumping drive is constant, so every 20 ps snapshot interval is
+        # one exp(20 ps L), exactly; sigma_plus is readout's run.  Measured
+        # over all 2,001 snapshots of the 40 ns run at rel_tol 1e-9: 2.8e-10
+        # for either polarization; the bound leaves a factor 3.5
+        stride = 20.0
+        traj, _ = scenarios.run_initialization(polarization, _mixed_qubit(), params.gamma,
+                                               40000.0, params, record_stride=stride,
+                                               rel_tol=1e-9)
+        field = pulses.ConstantPulse(params.gamma)
+        pumping = (pulses.PulseSet(pump=field, stokes=pulses.OFF, driving=pulses.OFF)
+                   if polarization == "sigma_minus"
+                   else pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF))
+        generator = liouvillian(lambda t: build_h_y(t, pumping, params),
+                                lindblad_channels(params))
+        step = dense_expm(stride * generator(0.0))
+        rho = np.diag([0.5, 0.5, 0.0, 0.0, 0.0]).astype(complex).ravel()
+        exact = [rho]
+        for _ in traj.times[1:]:
+            rho = step @ rho
+            exact.append(rho)
+        np.testing.assert_array_equal(traj.times, stride * np.arange(2001))
+        deviation = np.max(np.abs(traj.states.reshape(-1, DIM * DIM) - np.array(exact)))
+        assert deviation < 1e-9
 
 
 class TestGateFidelity:

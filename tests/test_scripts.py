@@ -53,3 +53,12 @@ def test_compare_parent_reports_differences():
     assert script["compare_csv"]("a,b\n1,x\n", "a\n1.5\n") == \
         "columns dropped: b; largest numeric difference 5.000e-01"
     assert script["compare_json"]({"f": [1.0, "y"]}, {"f": [1.0, "z"]}) == "differs at .f[1]"
+    # solver statistics are reported apart, so a moved RHS count cannot
+    # hide how far a physics number moved
+    old = {"fidelity": 0.9, "solver_stats": [{"n_rhs_evals": 100, "norm_drift": 1e-12}]}
+    moved = {"fidelity": 0.9 + 1e-10, "solver_stats": [{"n_rhs_evals": 2100, "norm_drift": 1e-12}]}
+    assert script["compare_json"](old, moved) == \
+        "largest numeric difference 1.000e-10; solver statistics: largest numeric difference " \
+        "2.000e+03"
+    assert script["compare_json"](old, {**moved, "fidelity": 0.9}) == \
+        "physics identical; solver statistics: largest numeric difference 2.000e+03"
