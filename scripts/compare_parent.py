@@ -248,9 +248,10 @@ def compare_outputs(old: Path, new: Path, rev: str) -> list[str]:
     return lines
 
 
-def compare(rev: str, reference_keys=None, workloads=None) -> list[str]:
-    """Run both trees and compare their outputs; see the module docstring.
-    ``reference_keys`` and ``workloads`` narrow the operations (None: all)."""
+def _compare_trees(old_tree: Path, new_tree: Path, rev: str, reference_keys,
+                   workloads) -> list[str]:
+    """Run each tree in a fresh interpreter and compare their outputs, the
+    old tree's labelled ``rev``."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")})
@@ -258,8 +259,7 @@ def compare(rev: str, reference_keys=None, workloads=None) -> list[str]:
             for keys in (reference_keys, workloads)]
     with tempfile.TemporaryDirectory(prefix="compare_parent_") as tmp:
         tmp = Path(tmp)
-        extract(rev, tmp / "tree")
-        outs = {"old": (tmp / "tree", tmp / "out_old"), "new": (ROOT, tmp / "out_new")}
+        outs = {"old": (old_tree, tmp / "out_old"), "new": (new_tree, tmp / "out_new")}
         children = {}
         for side, (tree, out) in outs.items():
             out.mkdir()
@@ -272,6 +272,15 @@ def compare(rev: str, reference_keys=None, workloads=None) -> list[str]:
             if child.returncode != 0:
                 raise RuntimeError(f"the {side} tree's run failed:\n{errors[side]}")
         return compare_outputs(outs["old"][1], outs["new"][1], rev)
+
+
+def compare(rev: str, reference_keys=None, workloads=None) -> list[str]:
+    """Run ``rev`` and the working tree and compare their outputs; see the
+    module docstring.  ``reference_keys`` and ``workloads`` narrow the
+    operations (None: all)."""
+    with tempfile.TemporaryDirectory(prefix="compare_parent_rev_") as tree:
+        extract(rev, Path(tree))
+        return _compare_trees(Path(tree), ROOT, rev, reference_keys, workloads)
 
 
 def main(argv=None) -> int:

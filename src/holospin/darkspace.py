@@ -16,7 +16,7 @@ finite-difference form here.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
+from operator import attrgetter
 
 import numpy as np
 
@@ -138,12 +138,17 @@ def theta_rate(pulses: PulseSet, t: float) -> float:
     return (pulses.stokes.derivative(t) * om_d - om_s * pulses.driving.derivative(t)) / denom
 
 
+# the fields an integrand reads from each envelope kind, in unpacking order
+_FIELD_NAMES = {GaussianPulse: ("amplitude", "center", "width"),
+                TwoPartPulse: ("amplitude", "early_center", "late_center", "width")}
+
+
 def _fields(envelope, kind) -> tuple:
-    """The envelope's fields in declaration order, read once per integrand."""
+    """The envelope's fields, by name, read once per integrand."""
     if type(envelope) is not kind:
         raise ValueError(f"the holonomy integrand needs a {kind.__name__} here, "
                          f"not {type(envelope).__name__}")
-    return astuple(envelope)
+    return attrgetter(*_FIELD_NAMES[kind])(envelope)
 
 
 # The two closures below are the holonomy integrands sin(phi) * theta'(t).

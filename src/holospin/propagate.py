@@ -27,8 +27,10 @@ constant term), so an RHS call is the product of the coefficient vector
 
 The oracle integrates y' = G(t) y for any callable that returns the d x d
 step generator G(t): -iH(t) (5x5) for a state, a Liouvillian (25x25) for
-a vectorized density.  It steps with the midpoint exponential at dt and at
-dt/2, exponentiating the midpoints in batched blocks, and returns the
+a vectorized density.  It takes one input (d,) or a stack of k as rows
+(k, d), the integrators' layout, so each step maps the rows y to
+y exp(h G)^T.  It steps with the midpoint exponential at dt and at dt/2,
+exponentiating the midpoints in batched blocks, and returns the
 Richardson combination (4 u(dt/2) - u(dt)) / 3.  The midpoint rule is
 symmetric, so its error expansion holds even powers of dt only, and the
 combination is fourth order (Hairer, Lubich & Wanner, Geometric Numerical
@@ -212,7 +214,7 @@ def _midpoint_product(generator_of_t, y0: np.ndarray, t_start: float, t_end: flo
         gs = np.array([generator_of_t(t_start + (k + 0.5) * step)
                        for k in range(first, min(first + _ORACLE_BLOCK, n))])
         for u in dense_expm(step * gs):
-            y = u @ y
+            y = y @ u.T
     return y
 
 
@@ -222,8 +224,9 @@ def oracle_propagate(generator_of_t, y0: np.ndarray, dt: float,
     (4 u(dt/2) - u(dt)) / 3 of midpoint exponential stepping, fourth order.
 
     ``generator_of_t(t)`` returns the d x d generator G(t), and y0 is a
-    vector (d,) or d x k columns.  The coarse step is the largest that
-    divides the window into whole steps and does not exceed dt.
+    vector (d,) or k rows (k, d), the integrators' layout, returned in the
+    same layout.  The coarse step is the largest that divides the window
+    into whole steps and does not exceed dt.
     Independent of the adaptive integrators; used to cross-validate them.
     """
     if dt <= 0.0:

@@ -52,15 +52,8 @@ _QUBITS = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1j]])
 # stacked along a leading axis as the integrators take them
 _INPUT_STACK = np.array([lift_qubit(q) for q in _QUBITS])
 _INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK])
-
-_SIX_AXIAL = (
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([0.0, 1.0], dtype=complex),
-    np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, 1j], dtype=complex) / math.sqrt(2.0),
-    np.array([1.0, -1j], dtype=complex) / math.sqrt(2.0),
-)
+# the six axial states, a qubit 2-design: the four inputs, then |-> and |-i>
+_SIX_AXIAL = np.vstack([_QUBITS, _QUBITS[2:] * [1.0, -1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +357,16 @@ def simulate_gate(variant: str, run: GateRun | None = None, *,
 # Channel averaging
 # ---------------------------------------------------------------------------
 
-def _apply_channel(process: dict, rho2: np.ndarray) -> np.ndarray:
-    """Reconstruct E(rho) from the four measured basis outputs by linearity."""
-    e00, e11 = process["0"], process["1"]
-    ex = 2.0 * process["+"] - e00 - e11
-    ey = 2.0 * process["+i"] - e00 - e11
-    return (rho2[0, 0].real * e00 + rho2[1, 1].real * e11
-            + rho2[0, 1].real * ex - rho2[0, 1].imag * ey)
-
-
 def gate_fidelity(process: dict, target: np.ndarray) -> float:
-    """Input-state-averaged fidelity of a reconstructed channel: the average
+    """Input-state-averaged fidelity of a qubit channel given by its images
+    of the four inputs (``process``, keyed by ``_QUBIT_LABELS``): the average
     over the six axial states, which form a qubit 2-design, so the average
-    is exact."""
-    def one(psi):
-        rho = np.outer(psi, psi.conj())
-        out = _apply_channel(process, rho)
-        ideal = target @ psi
-        return float(np.real(np.vdot(ideal, out @ ideal)))
-
-    return sum(one(s) for s in _SIX_AXIAL) / len(_SIX_AXIAL)
+    is exact.  The images of |-> and |-i> follow by linearity, because
+    |+><+| + |-><-| and |+i><+i| + |-i><-i| are both the identity."""
+    e0, e1, ex, ey = (process[label] for label in _QUBIT_LABELS)
+    images = (e0, e1, ex, ey, e0 + e1 - ex, e0 + e1 - ey)
+    ideals = _SIX_AXIAL @ target.T
+    return sum(float(np.vdot(p, e @ p).real) for p, e in zip(ideals, images)) / len(images)
 
 
 # ---------------------------------------------------------------------------

@@ -364,13 +364,13 @@ class TestIndependentLiouvillian:
         plan = scenarios._plan(variant, run)
         finals, _ = scenarios._propagate_segments(plan.segments, run, True)
         jumps = lindblad_channels(run.model)
-        # the four input densities as the columns of one 25 x 4 array
-        columns = scenarios._INPUT_DENSITIES.reshape(4, DIM * DIM).T
+        # the four input densities as the rows of one 4 x 25 array
+        rows = scenarios._INPUT_DENSITIES.reshape(4, DIM * DIM)
         for pulse_set, template in plan.segments:
             build = {drive_y: build_h_y, drive_z: build_h_z}[template]
             generator = liouvillian(lambda t: build(t, pulse_set, run.model), jumps)
-            columns = propagate.oracle_propagate(generator, columns, 0.4, *pulse_set.window())
-        oracle = columns.T.reshape(4, DIM, DIM)
+            rows = propagate.oracle_propagate(generator, rows, 0.4, *pulse_set.window())
+        oracle = rows.reshape(4, DIM, DIM)
         assert np.max(np.abs(oracle - np.array(finals))) < 2e-9
 
     @pytest.mark.parametrize("polarization", ["sigma_minus", "sigma_plus"])
@@ -465,3 +465,59 @@ class TestReadout:
         with pytest.raises(ValueError):
             scenarios.run_readout(np.diag([0.2, 0.2]).astype(complex), 1000.0, params,
                                   params.gamma, 1e-9)
+
+
+def _propagator(segments, model):
+    """Coherent propagator of the segments: the five basis states carried as
+    one row stack (rel_tol 1e-12, abs_tol GATE_ABS_TOL), whose rows are then
+    U's columns."""
+    rows = np.eye(DIM, dtype=complex)
+    for pulse_set, template in segments:
+        spec = PropagationSpec(*pulse_set.window(), rel_tol=1e-12,
+                               abs_tol=scenarios.GATE_ABS_TOL)
+        rows = propagate.schrodinger_propagate(template(pulse_set, model), rows, spec).final()
+    return rows.T
+
+
+def _frame(phase):
+    return np.diag([1.0, np.exp(1j * phase), 1.0, 1.0, 1.0])
+
+
+class TestSymmetryInvariants:
+    """Symmetries of the model that hold exactly, checked on the reference
+    gates without any oracle code."""
+
+    def test_x_mirror_loop_is_the_time_reversed_loop(self):
+        # H(t) is real symmetric at zero Stokes phase and the mirror sets are
+        # the loop's time reverse at Stokes phase chi = -phase, so
+        # U_mirror = F U_loop^T F^dag with F = diag(1, e^{i chi}, 1, 1, 1).
+        # Measured 6.5e-13; the bound leaves a factor 7.7.  With the sign of
+        # chi flipped the difference is 1.41
+        run = scenarios.default_gate_run("x_composite")
+        plan = scenarios._plan("x_composite", run)
+        loop = _propagator(plan.segments[:2], run.model)
+        mirror = _propagator(plan.segments[2:], run.model)
+        f = _frame(-run.phase)
+        assert np.max(np.abs(mirror - f @ loop.T @ f.conj().T)) < 5e-12
+
+    @pytest.mark.parametrize("variant, template",
+                             [("y_closed_loop", drive_y), ("z_fractional", drive_z)],
+                             ids=["y_closed_loop", "z_fractional"])
+    def test_open_first_segment_is_stokes_phase_covariant(self, variant, template):
+        # the Stokes phase enters as the frame rotation F = diag(1, e^{i phi},
+        # 1, 1, 1) of |1>, which the jump operators respect, so the channel
+        # at phase phi is F E_0(F^dag rho F) F^dag.  Measured 2.9e-15 (y) and
+        # 5.9e-15 (z); with F conjugated, 0.78 and 0.38
+        run = scenarios.default_gate_run(variant)
+        first, _ = scenarios._forward(variant, run)
+        jumps = lindblad_channels(run.model)
+        spec = PropagationSpec(*first.window(), abs_tol=scenarios.GATE_ABS_TOL)
+        f = _frame(0.9)
+
+        def channel(phase, rho):
+            drive = template(replace(first, stokes_phase=phase), run.model)
+            return propagate.lindblad_propagate(drive, jumps, rho, spec).final()
+
+        rho = scenarios._INPUT_DENSITIES
+        covariant = f @ channel(0.0, f.conj().T @ rho @ f) @ f.conj().T
+        assert np.max(np.abs(channel(0.9, rho) - covariant)) < 1e-13

@@ -38,11 +38,14 @@ def test_reproduce_curves(tmp_path):
 
 
 @pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout")
-def test_compare_parent_finds_the_anchor_sweeps_unchanged():
-    # the working tree against its own HEAD: each tree runs in its own
-    # interpreter, so the same sweeps give byte-identical files
-    compare = _script("compare_parent.py")["compare"]
-    lines = compare("HEAD", reference_keys=("sweep_beta", "sweep_gamma"), workloads=())
+def test_compare_parent_finds_the_anchor_sweeps_unchanged(tmp_path):
+    # HEAD against itself, so uncommitted changes cannot move the result:
+    # each side runs in its own interpreter, and the same sweeps give
+    # byte-identical files
+    script = _script("compare_parent.py")
+    script["extract"]("HEAD", tmp_path)
+    lines = script["_compare_trees"](tmp_path, tmp_path, "HEAD",
+                                     ("sweep_beta", "sweep_gamma"), ())
     assert len(lines) == 4
     assert all(line.endswith(": identical") for line in lines), lines
 
