@@ -31,7 +31,7 @@ import scipy
 from . import __version__
 from . import darkspace, holonomy, qcore, scenarios
 from .model import ModelParams, build_h_y, build_h_z, drive_y, drive_z
-from .propagate import PropagationSpec, check_rel_tol, oracle_propagate, schrodinger_propagate
+from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
@@ -72,10 +72,6 @@ def _non_negative(text: str) -> float:
     if x < 0.0:
         raise ValueError("value must be non-negative")
     return x
-
-
-def _tolerance(text: str) -> float:
-    return check_rel_tol(_finite(text))
 
 
 def _enum(options):
@@ -121,7 +117,6 @@ _Y_RUN = scenarios.default_gate_run("y_closed_loop")
 _Z_RUN = scenarios.default_gate_run("z_fractional")
 _Y_AMP = (_non_negative, _Y_RUN.amp)  # the y run's pump peak is its amp as well
 _RABI = (_non_negative, lambda values: values["gamma_per_ps"])
-_REL_TOL = (_tolerance, 1e-9)
 _RATIOS = (_parse_ratio_list, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
 # most snapshots an init run may store (250x the default); its grid is built before the solve
 MAX_SNAPSHOTS = 100_000
@@ -133,7 +128,6 @@ SCENARIO_KEYS = {
         "rabi_per_ps": _RABI,
         "duration_ps": (_positive, 8000.0),
         "record_stride_ps": (_non_negative, lambda values: values["duration_ps"] / 400.0),
-        "rel_tol": _REL_TOL,
     },
     "sweep-beta": {
         "sweep_ratios": _RATIOS,
@@ -155,7 +149,6 @@ SCENARIO_KEYS = {
         "input_state": (_enum(("zero", "one", "mixed")), "one"),
         "rabi_per_ps": _RABI,
         "duration_ps": (_positive, 40000.0),
-        "rel_tol": _REL_TOL,
     },
     "validate": {
         "amp_pump": _Y_AMP,
@@ -285,8 +278,7 @@ def _run_init(config: RunConfig, out_dir: Path):
     v = config.values
     traj, fid = scenarios.run_initialization(v["polarization"], np.diag([0.5, 0.5]),
                                              v["rabi_per_ps"], v["duration_ps"], config.model,
-                                             record_stride=v["record_stride_ps"],
-                                             rel_tol=v["rel_tol"])
+                                             record_stride=v["record_stride_ps"])
     path = out_dir / "init.csv"
     rows = []
     for i, t in enumerate(traj.times):
@@ -333,8 +325,7 @@ def _run_readout(config: RunConfig, out_dir: Path):
         "mixed": np.diag([0.5, 0.5]).astype(complex),
     }
     result = scenarios.run_readout(blocks[v["input_state"]], v["duration_ps"],
-                                   config.model, rabi=v["rabi_per_ps"],
-                                   rel_tol=v["rel_tol"])
+                                   config.model, rabi=v["rabi_per_ps"])
     path = out_dir / "readout.csv"
     _write_csv(path,
                "input,expected_photons,driven_population_left,shelving_complete",

@@ -2,7 +2,10 @@
 
 Units: time in picoseconds, envelope values are half Rabi frequencies in
 rad/ps (the envelopes are exactly the coupling strengths entering the
-Hamiltonians, with no extra factor of two anywhere).
+Hamiltonians, with no extra factor of two anywhere).  An envelope called
+on a float returns a float; called on an array of times (an adaptive
+step's stage times), it returns the array of values from the same
+formula.
 
 Two protocol families are provided:
 
@@ -19,6 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _exp(x):
+    """exp(x) by math.exp, of a float or of each element of an array: numpy's
+    exp differs from it in the last bit for about one argument in twenty, so
+    an array of times gets the same values as the times one by one."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.flat), float, x.size).reshape(x.shape)
+    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -39,9 +53,9 @@ class GaussianPulse:
     def centers(self) -> tuple:
         return (self.center,)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         x = (t - self.center) / self.width
-        return self.amplitude * math.exp(-x * x)
+        return self.amplitude * _exp(-x * x)
 
     def derivative(self, t: float) -> float:
         x = (t - self.center) / self.width
@@ -67,10 +81,10 @@ class TwoPartPulse:
     def centers(self) -> tuple:
         return (self.early_center, self.late_center)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         xe = (t - self.early_center) / self.width
         xl = (t - self.late_center) / self.width
-        return self.amplitude * (math.exp(-xe * xe) + math.exp(-xl * xl))
+        return self.amplitude * (_exp(-xe * xe) + _exp(-xl * xl))
 
     def derivative(self, t: float) -> float:
         xe = (t - self.early_center) / self.width
@@ -92,8 +106,8 @@ class ConstantPulse:
         if self.amplitude < 0.0:
             raise ValueError("pulse amplitude must be non-negative")
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude
+    def __call__(self, t):
+        return self.amplitude + 0.0 * t
 
     def derivative(self, t: float) -> float:
         return 0.0

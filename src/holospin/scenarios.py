@@ -39,7 +39,8 @@ from . import holonomy
 # name: perfbench/spans.py patches them in this module
 from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa: F401
                     lindblad_channels)
-from .propagate import PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate
+from .propagate import (PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate,
+                        semigroup_integral, semigroup_propagate)
 from .pulses import OFF, ConstantPulse, PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
@@ -104,28 +105,36 @@ def sweep_angle(variant: str, run: GateRun, ratios) -> tuple[np.ndarray, np.ndar
 # Initialization (continuous optical pumping)
 # ---------------------------------------------------------------------------
 
+def _pumping(polarization: str, rabi: float, params: ModelParams):
+    """The constant single-field drive of optical pumping: sigma_minus drives
+    |0>, sigma_plus drives |1>."""
+    # ConstantPulse rejects a negative rabi
+    if polarization not in ("sigma_minus", "sigma_plus"):
+        raise ValueError("polarization must be sigma_minus or sigma_plus")
+    field = ConstantPulse(rabi)
+    if polarization == "sigma_minus":
+        pulses = PulseSet(pump=field, stokes=OFF, driving=OFF)
+    else:
+        pulses = PulseSet(pump=OFF, stokes=field, driving=OFF)
+    return drive_y(pulses, params)
+
+
 def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
-                       duration: float, params: ModelParams, record_stride: float,
-                       rel_tol: float) -> tuple[Trajectory, np.ndarray]:
+                       duration: float, params: ModelParams,
+                       record_stride: float) -> tuple[Trajectory, np.ndarray]:
     """Continuous single-field optical pumping with the full dissipation model,
     from a unit-trace 2x2 qubit density block.
 
     sigma_minus drives |0> (preparing spin up), sigma_plus drives |1>
-    (preparing spin down).  Returns the trajectory and the signed
-    preparation fidelity (rho_target - rho_other)/(rho_00 + rho_11) at each
-    snapshot.
+    (preparing spin down).  The drive is constant, so the snapshots are the
+    exact semigroup (``semigroup_propagate``).  Returns the trajectory and
+    the signed preparation fidelity (rho_target - rho_other)/(rho_00 +
+    rho_11) at each snapshot.
     """
-    # ConstantPulse rejects a negative rabi, PropagationSpec a duration <= 0
-    if polarization not in ("sigma_minus", "sigma_plus"):
-        raise ValueError("polarization must be sigma_minus or sigma_plus")
-    drive = ConstantPulse(rabi)
-    if polarization == "sigma_minus":
-        pulses = PulseSet(pump=drive, stokes=OFF, driving=OFF)
-    else:
-        pulses = PulseSet(pump=OFF, stokes=drive, driving=OFF)
-    spec = PropagationSpec(0.0, duration, rel_tol=rel_tol, record_stride=record_stride)
-    traj = lindblad_propagate(drive_y(pulses, params), lindblad_channels(params),
-                              lift_density(qubit_block), spec)
+    drive = _pumping(polarization, rabi, params)
+    # PropagationSpec rejects a duration <= 0
+    spec = PropagationSpec(0.0, duration, record_stride=record_stride)
+    traj = semigroup_propagate(drive, lindblad_channels(params), lift_density(qubit_block), spec)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
     sign = 1.0 if polarization == "sigma_minus" else -1.0
@@ -191,7 +200,8 @@ class GateReport:
     # worst overlap <p|rho|p> over the four inputs between the holonomy-predicted
     # five-level state p and the frame-corrected output rho
     prediction_overlap: float
-    # per segment solve: RHS evaluations and drift values (Trajectory.meta)
+    # per segment solve: step and RHS counts, tolerances and drift values
+    # (Trajectory.meta)
     solver_stats: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -380,30 +390,32 @@ class ReadoutResult:
     total_photons: float
     shelving_complete: bool
     driven_population_left: float
-    # the one solve's RHS evaluations and drift values (Trajectory.meta)
+    # the one exact solve's method, step count and drift values (Trajectory.meta)
     solver_stats: list
 
 
 def run_readout(qubit_block: np.ndarray, duration: float, params: ModelParams,
-                rabi: float, rel_tol: float) -> ReadoutResult:
+                rabi: float) -> ReadoutResult:
     """Continuous drive of |1> with the full dissipation model: the
-    sigma_plus pumping run of ``run_initialization``, read as photons.
+    sigma_plus pumping of ``run_initialization``, read as photons.
 
     Expected emissions are the time integral of 2 gamma (rho_e1e1 +
-    rho_e2e2); the four recombination channels are equal, so exactly half
-    the photons accompany decay to each spin state.  A |1> occupation
-    cycles (emit, then re-excite with probability 1/2) until it shelves in
-    |0>, giving two expected photons; |0> input stays dark.
+    rho_e2e2), taken exactly with the final state from one augmented
+    exponential (``semigroup_integral``); the four recombination channels
+    are equal, so exactly half the photons accompany decay to each spin
+    state.  A |1> occupation cycles (emit, then re-excite with probability
+    1/2) until it shelves in |0>, giving two expected photons; |0> input
+    stays dark.
     """
-    traj, _ = run_initialization("sigma_plus", qubit_block, rabi, duration, params,
-                                 record_stride=duration / 2000.0, rel_tol=rel_tol)
-    excited = traj.states[:, IDX_E1, IDX_E1].real + traj.states[:, IDX_E2, IDX_E2].real
-    total = float(np.trapezoid(2.0 * params.gamma * excited, traj.times))
+    traj, integral = semigroup_integral(_pumping("sigma_plus", rabi, params),
+                                        lindblad_channels(params), lift_density(qubit_block),
+                                        duration)
+    excited = integral[IDX_E1, IDX_E1].real + integral[IDX_E2, IDX_E2].real
     final = traj.final()
     driven_left = float(final[IDX_ONE, IDX_ONE].real + final[IDX_E1, IDX_E1].real
                         + final[IDX_E2, IDX_E2].real)
     return ReadoutResult(
-        total_photons=total,
+        total_photons=float(2.0 * params.gamma * excited),
         shelving_complete=driven_left < 1e-3,
         driven_population_left=driven_left,
         solver_stats=[traj.meta],

@@ -4,6 +4,7 @@ results are checked against."""
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from holospin.qcore import DIM, IDX_ANC, IDX_ONE, dense_expm
 
@@ -90,3 +91,24 @@ def predicted_final_state_z(gamma_f: float, phase: float) -> np.ndarray:
     psi[IDX_ONE] = np.exp(1j * phase) * (math.sin(gamma_f) + math.cos(gamma_f)) / math.sqrt(2.0)
     psi[IDX_ANC] = (math.sin(gamma_f) - math.cos(gamma_f)) / math.sqrt(2.0)
     return psi
+
+
+def dop853_reference(generator_of_t, y0, t_start: float, t_end: float, rel_tol: float,
+                     abs_tol: float, max_step: float):
+    """scipy's ``solve_ivp(method="DOP853")`` on y' = y G(t) for the rows of
+    y0, with G(t) = ``generator_of_t(t)``: the final rows and the number of
+    steps tried.  With no snapshots asked for, solve_ivp makes no dense
+    output, so its RHS count is two plus twelve per step."""
+    y0 = np.asarray(y0, dtype=complex)
+    width = generator_of_t(t_start).shape[0]
+
+    def rhs(t, y):
+        return (y.reshape(-1, width) @ generator_of_t(t)).ravel()
+
+    sol = solve_ivp(rhs, (t_start, t_end), y0.ravel(), method="DOP853", rtol=rel_tol,
+                    atol=abs_tol, max_step=max_step)
+    if not sol.success:
+        raise ValueError(sol.message)
+    steps, rest = divmod(sol.nfev - 2, 12)
+    assert rest == 0
+    return sol.y[:, -1].reshape(y0.shape), steps

@@ -90,8 +90,7 @@ def test_criterion_04_phase_z_curve():
 
 def _initialization_curve(duration=40000.0):
     traj, fid = scenarios.run_initialization("sigma_minus", np.diag([0.5, 0.5]), PARAMS.gamma,
-                                             duration, PARAMS, record_stride=500.0,
-                                             rel_tol=1e-9)
+                                             duration, PARAMS, record_stride=500.0)
     return traj, fid
 
 
@@ -240,7 +239,7 @@ def test_criterion_09_scaling_invariances():
 def test_criterion_10_readout_counts():
     duration = 40000.0
     up, down, mixed = (scenarios.run_readout(np.diag(diag).astype(complex), duration, PARAMS,
-                                             PARAMS.gamma, 1e-9)
+                                             PARAMS.gamma)
                        for diag in ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5]))
     ok = (abs(up.total_photons - 2.0) <= 0.1
           and down.total_photons < 1e-3

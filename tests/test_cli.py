@@ -18,9 +18,8 @@ MODEL_KEYS = {"delta_rad_per_ps", "detuning_rad_per_ps", "gamma_per_ps", "gamma_
               "gamma_ee_per_ps"}
 # exactly the keys that change each scenario's output
 EXPECTED_KEYS = {
-    "init": MODEL_KEYS | {"polarization", "rabi_per_ps", "duration_ps", "record_stride_ps",
-                          "rel_tol"},
-    "readout": MODEL_KEYS | {"input_state", "rabi_per_ps", "duration_ps", "rel_tol"},
+    "init": MODEL_KEYS | {"polarization", "rabi_per_ps", "duration_ps", "record_stride_ps"},
+    "readout": MODEL_KEYS | {"input_state", "rabi_per_ps", "duration_ps"},
     "gate": MODEL_KEYS | {"variant", "decoherence", "amp_stokes", "amp_pump", "tau_ps",
                           "tau0_over_tau", "return_delay_over_tau", "stokes_phase_rad",
                           "target_angle_rad"},
@@ -33,7 +32,7 @@ ALL_KEYS = set().union(*EXPECTED_KEYS.values())
 # every key a scenario does not read, plus keys that no scenario reads any more
 REJECTED = [(scenario, key) for scenario, keys in EXPECTED_KEYS.items()
             for key in sorted(ALL_KEYS - keys) + ["abs_tol", "quad_tol", "pump_amp",
-                                                  "sphere_points"]]
+                                                  "sphere_points", "rel_tol"]]
 
 
 def _readme_key_table() -> dict:
@@ -52,7 +51,7 @@ def _readme_key_table() -> dict:
 class TestKeyTables:
     def test_tables_hold_exactly_the_keys_that_matter(self):
         assert {s: set(t) for s, t in cli.SCENARIO_KEYS.items()} == EXPECTED_KEYS
-        assert sum(len(keys) for keys in EXPECTED_KEYS.values()) == 43
+        assert sum(len(keys) for keys in EXPECTED_KEYS.values()) == 41
 
     @pytest.mark.parametrize("scenario,key", REJECTED)
     def test_key_not_read_is_rejected(self, scenario, key, tmp_path):
@@ -230,15 +229,21 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("value", ["0", "0.05"])
     def test_rel_tol_out_of_range(self, value, tmp_path, capsys):
-        # the rule PropagationSpec applies, checked at parse time
-        with pytest.raises(cli.ConfigError, match="line 2: invalid value for 'rel_tol'"):
-            cli.parse_config(f"duration_ps = 50\nrel_tol = {value}\n", "init")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"rel_tol = {value}\n")
-        out = tmp_path / "out"
-        assert cli.main(["init", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "configuration error" in capsys.readouterr().err
-        assert not out.exists()
+        # PropagationSpec rejects the value; init and readout solve exactly
+        # and read no rel_tol, so there the key itself is a configuration
+        # error, whatever its value
+        with pytest.raises(ValueError, match="tolerances"):
+            propagate.PropagationSpec(0.0, 50.0, rel_tol=float(value))
+        for scenario in ("init", "readout"):
+            with pytest.raises(cli.ConfigError, match="line 2: scenario .* does not read "
+                                                      "key 'rel_tol'"):
+                cli.parse_config(f"duration_ps = 50\nrel_tol = {value}\n", scenario)
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"rel_tol = {value}\n")
+            out = tmp_path / "out"
+            assert cli.main([scenario, "--config", str(cfg), "--out", str(out)]) == 1
+            assert "configuration error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_sweep_ratio_validation(self):
         with pytest.raises(cli.ConfigError, match="sweep_ratios"):
@@ -310,12 +315,15 @@ class TestRun:
         config = cli.parse_config("duration_ps = 5000\n", "readout")
         cli.run(config, tmp_path / "readout")
         readout = json.loads((tmp_path / "readout" / "manifest.json").read_text())
-        for solver in (manifest["solver"], readout["solver"]):
+        # both drives are constant and solved exactly: the record names the
+        # method and its steps (init: one per 250 ps stride), and carries no
+        # RHS count or tolerance
+        for solver, method, steps in ((manifest["solver"], "expm", 4),
+                                      (readout["solver"], "expm (Van Loan)", 1)):
             assert len(solver) == 1
-            assert solver[0]["n_rhs_evals"] > 0
-            # only gate segments loosen the absolute tolerance
-            assert solver[0]["abs_tol"] == propagate.ABS_TOL
-        assert manifest["solver"][0]["rel_tol"] == manifest["config"]["rel_tol"]
+            assert solver[0]["method"] == method and solver[0]["n_steps"] == steps
+            assert not {"n_rhs_evals", "rel_tol", "abs_tol"} & set(solver[0])
+            assert solver[0]["trace_drift"] < 1e-12
         assert manifest["environment"] == {"python": ".".join(map(str, sys.version_info[:3])),
                                            "numpy": np.__version__,
                                            "scipy": scipy.__version__}
@@ -335,7 +343,9 @@ class TestRun:
         cli.run(config, tmp_path)
         segments = json.loads((tmp_path / "manifest.json").read_text())["solver"]
         assert len(segments) == 2
-        assert all(seg["n_rhs_evals"] > 0 for seg in segments)
+        # each step tried, accepted or rejected, evaluates twelve generators
+        assert all(seg["n_steps"] > 0 and seg["n_rhs_evals"] == 2 + 12 * seg["n_steps"]
+                   for seg in segments)
         assert all(seg["abs_tol"] == scenarios.GATE_ABS_TOL for seg in segments)
         assert all(seg["rel_tol"] == propagate.PropagationSpec(0.0, 1.0).rel_tol
                    for seg in segments)

@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
-from holospin import model, propagate, pulses
+from holospin import model, propagate, pulses, scenarios
 from holospin.model import ModelParams, lindblad_channels
 from holospin.propagate import PropagationSpec
 from holospin.qcore import DIM, basis_state, dense_expm, density_from_state
+from oracles import dop853_reference, liouvillian
 
 
 _zero_h = model.Drive(np.zeros((DIM, DIM), dtype=complex), ())
@@ -63,8 +65,7 @@ class TestSchrodinger:
     def test_lone_pulse_is_not_stepped_over(self, params):
         # a 10 ps pulse at 5000 ps: the step cap from its width keeps the
         # solve from striding across it while every field is ~0
-        pump = pulses.GaussianPulse(0.05, 5000.0, 10.0)
-        ps = pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF)
+        ps = _lone_pulse_set()
         psi0 = basis_state(0)
         adaptive = propagate.schrodinger_propagate(model.drive_y(ps, params), psi0,
                                                    PropagationSpec(0.0, 6000.0, rel_tol=1e-10))
@@ -78,21 +79,13 @@ class TestSchrodinger:
         assert abs(expected[0]) ** 2 < 0.2
         assert np.max(np.abs(adaptive.final() - expected)) < 1e-6
 
-    def test_norm_drift_bound(self, params, monkeypatch):
-        # count DOP853's steps (accepted and rejected) at the source
-        from scipy.integrate._ivp import rk
-        steps = [0]
-        rk_step = rk.rk_step
-
-        def counting(*args, **kwargs):
-            steps[0] += 1
-            return rk_step(*args, **kwargs)
-        monkeypatch.setattr(rk, "rk_step", counting)
+    def test_norm_drift_bound(self, params):
+        # DOP853's steps, accepted and rejected, as the solve counts them
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         lo, hi = ps.window()
         spec = PropagationSpec(lo, hi, rel_tol=1e-10)
         traj = propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(0), spec)
-        bound = 10.0 * spec.rel_tol * math.sqrt(steps[0])
+        bound = 10.0 * spec.rel_tol * math.sqrt(traj.meta["n_steps"])
         assert traj.meta["norm_drift"] <= bound
 
     def test_rejects_unnormalized(self):
@@ -261,38 +254,139 @@ class TestStacks:
         assert stack["min_eigenvalue"] == single["min_eigenvalue"]
 
 
-def _capture_rhs(monkeypatch):
-    """Replace the shared solve by a stand-in that keeps the RHS it is given."""
+class TestSemigroup:
+    """The exact solve of a constant drive, against one exponential of the
+    Liouvillian built from the matrix units (``oracles.liouvillian``)."""
+
+    @pytest.mark.parametrize("stride", [0.0, 300.0, 250.0])
+    def test_snapshots_are_the_exact_semigroup(self, stride, params):
+        # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps;
+        # 250 ps divides it; 0 stores the end points only.  Measured at most
+        # 2.7e-15
+        ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+                             driving=pulses.OFF)
+        jumps = lindblad_channels(params)
+        rho0 = density_from_state(basis_state(0))
+        spec = PropagationSpec(0.0, 1000.0, record_stride=stride)
+        traj = propagate.semigroup_propagate(model.drive_y(ps, params), jumps, rho0, spec)
+        np.testing.assert_array_equal(traj.times, spec.sample_times())
+        assert traj.meta["n_steps"] == len(traj.times) - 1
+        generator = liouvillian(lambda t: model.build_h_y(t, ps, params), jumps)(0.0)
+        for t, rho in zip(traj.times, traj.states):
+            exact = (dense_expm(t * generator) @ rho0.ravel()).reshape(DIM, DIM)
+            assert np.max(np.abs(rho - exact)) < 1e-13
+
+    def test_rejects_a_time_dependent_drive(self, params):
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        with pytest.raises(ValueError, match="constant"):
+            propagate.semigroup_propagate(model.drive_y(ps, params), [],
+                                          density_from_state(basis_state(0)),
+                                          PropagationSpec(0.0, 10.0))
+
+
+def _lone_pulse_set():
+    """A 10 ps pump pulse at 5000 ps, every other field off."""
+    pump = pulses.GaussianPulse(0.05, 5000.0, 10.0)
+    return pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF)
+
+
+def _reference_case(case, params):
+    """(pulse set, builder, template, spec, stack, open) of one solve that
+    the DOP853 loop is checked against scipy's solve_ivp on."""
+    if case == "lone_pulse":
+        return (_lone_pulse_set(), model.build_h_y, model.drive_y,
+                PropagationSpec(0.0, 6000.0, rel_tol=1e-10), basis_state(0), False)
+    variant, mode = case.rsplit("_", 1)
+    first, _ = scenarios._forward(variant, scenarios.default_gate_run(variant))
+    build, template = {"y_closed_loop": (model.build_h_y, model.drive_y),
+                       "z_fractional": (model.build_h_z, model.drive_z)}[variant]
+    stack = scenarios._INPUT_DENSITIES if mode == "open" else scenarios._INPUT_STACK
+    spec = PropagationSpec(*first.window(), abs_tol=scenarios.GATE_ABS_TOL)
+    return first, build, template, spec, stack, mode == "open"
+
+
+class TestAgainstSolveIvp:
+    """The hand-written DOP853 loop keeps scipy's tableau, initial step,
+    error norm and step control, so on a solve without snapshots it takes
+    solve_ivp's steps.  The reference builds its right-hand side from the
+    element-wise H(t) (and ``oracles.liouvillian``), not from a Drive."""
+
+    @pytest.mark.parametrize("case", ["y_closed_loop_open", "y_closed_loop_coherent",
+                                      "z_fractional_open", "z_fractional_coherent",
+                                      "lone_pulse"])
+    def test_loop_takes_solve_ivps_steps(self, case, params):
+        # measured: equal step counts; the final states are bit-identical on
+        # the coherent solves and differ by at most 7.3e-16 on the open ones,
+        # whose reference Liouvillian is built from the matrix units
+        ps, build, template, spec, stack, is_open = _reference_case(case, params)
+        drive = template(ps, params)
+        if is_open:
+            jumps = lindblad_channels(params)
+            traj = propagate.lindblad_propagate(drive, jumps, stack, spec)
+            lindbladian = liouvillian(lambda t: build(t, ps, params), jumps)
+            generator = lambda t: lindbladian(t).T
+        else:
+            traj = propagate.schrodinger_propagate(drive, stack, spec)
+            generator = lambda t: (-1j * build(t, ps, params)).T
+        max_step = 0.5 * min(f.width for f, _ in drive.terms)
+        final, steps = dop853_reference(generator, stack, spec.t_start, spec.t_end,
+                                        spec.rel_tol, spec.abs_tol, max_step)
+        assert traj.meta["n_steps"] == steps
+        assert traj.meta["n_rhs_evals"] == 2 + 12 * steps
+        assert np.max(np.abs(traj.final() - final)) < 1e-13
+
+    def test_step_below_min_step_raises(self):
+        # a coupling that jumps from 0 to 1e6 rad/ps at t = 1 ps: no step
+        # across the jump meets the tolerance, so the step shrinks below
+        # ten units in the last place of t
+        class Jump:
+            width = math.inf
+
+            def __call__(self, t):
+                return np.where(t < 1.0, 0.0, 1e6)
+
+        h = np.zeros((DIM, DIM), dtype=complex)
+        h[0, 3] = h[3, 0] = -1.0
+        drive = model.Drive(np.zeros((DIM, DIM), dtype=complex), ((Jump(), h),))
+        with pytest.raises(ValueError, match=r"stiffness/tolerance failure in the state "
+                                             r"solve near t = 1 ps"):
+            propagate.schrodinger_propagate(drive, basis_state(0), PropagationSpec(0.0, 2.0))
+
+
+def _capture_generators(monkeypatch):
+    """Replace the DOP853 loop by a stand-in that keeps the generators it is
+    given."""
     captured = []
 
-    def solve(rhs, y0, spec, drive, kind):
-        captured.append(rhs)
+    def loop(generators, y0, spec, max_step, kind):
+        captured.append(generators)
         return propagate.Trajectory(times=np.array([spec.t_start, spec.t_end]),
                                     states=np.stack([y0, y0]))
-    monkeypatch.setattr(propagate, "_solve", solve)
+    monkeypatch.setattr(propagate, "_dop853", loop)
     return captured
 
 
 class TestDriveTemplates:
-    """A Drive is stacked once per solve; the stacked RHS must equal the
-    textbook right-hand side built from the element-wise H(t)."""
+    """A Drive is stacked once per solve; the generators the loop evaluates
+    at a step's stage times must give the textbook right-hand side built
+    from the element-wise H(t)."""
 
     @pytest.mark.parametrize("make_pulses,template,build", [
         (lambda: replace(pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0),
                          stokes_phase=-0.9), model.drive_y, model.build_h_y),
         (lambda: pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.7),
          model.drive_z, model.build_h_z)])
-    def test_rhs_matches_callable_on_input_stack(self, make_pulses, template, build,
-                                                 params, rng, monkeypatch):
+    def test_stage_generators_match_builders(self, make_pulses, template, build,
+                                             params, rng, monkeypatch):
         ps = make_pulses()
         jumps = lindblad_channels(params)
-        captured = _capture_rhs(monkeypatch)
+        captured = _capture_generators(monkeypatch)
         spec = PropagationSpec(-1000.0, 1000.0)
         psi = np.stack(_QUBIT_INPUTS)
         rho = np.stack([density_from_state(p) for p in _QUBIT_INPUTS])
         propagate.schrodinger_propagate(template(ps, params), psi, spec)
         propagate.lindblad_propagate(template(ps, params), jumps, rho, spec)
-        schrodinger_rhs, lindblad_rhs = captured
+        schrodinger_generators, lindblad_generators = captured
 
         def schrodinger(t, y):
             return np.stack([-1j * build(t, ps, params) @ row for row in y])
@@ -306,12 +400,17 @@ class TestDriveTemplates:
                         - 0.5 * (jump_dag @ jump @ y + y @ jump_dag @ jump))
             return out
 
-        for t in rng.uniform(-1000.0, 1000.0, size=50):
-            for shape, stacked, textbook in ((psi.shape, schrodinger_rhs, schrodinger),
-                                             (rho.shape, lindblad_rhs, lindblad)):
-                y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                np.testing.assert_allclose(stacked(t, y.ravel()), textbook(t, y).ravel(),
-                                           rtol=0, atol=1e-14)
+        # the twelve stage times t + C h of a step from t of size h
+        for t, h in zip(rng.uniform(-1000.0, 950.0, size=5), rng.uniform(1.0, 50.0, size=5)):
+            times = t + h * DOP853.C
+            for shape, generators, textbook in ((psi.shape, schrodinger_generators, schrodinger),
+                                                (rho.shape, lindblad_generators, lindblad)):
+                batch = generators(times)
+                assert len(batch) == len(times) == 12
+                for time, g in zip(times, batch):
+                    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    np.testing.assert_allclose((y.reshape(len(y), -1) @ g).ravel(),
+                                               textbook(time, y).ravel(), rtol=0, atol=1e-14)
 
     def test_oracle_accepts_drive(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
