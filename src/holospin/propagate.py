@@ -19,39 +19,57 @@ own) and records both in ``Trajectory.meta``, with its step count
 
 Both integrators take one input (a state (5,) or a density (5, 5)) or a
 stack of k along a leading axis ((k, 5) or (k, 5, 5)), and solve the
-linear problem y' = y G(t) with each input as one row y (a density
-flattened row-major).  They take the Hamiltonian as a ``model.Drive``,
-and the Lindblad integrator its jump operators as plain 5x5 arrays,
-stacked once per solve: each term becomes its part of the transposed
-generator ((-iK)^T for Schrodinger, the transposed 25x25 commutator
-superoperator for Lindblad, with the dissipator in the constant term), so
-G(t) = [1, f_1(t), ...] @ S for the stack S.
+linear problem y' = y G(t) with each input as one row y.  They take the
+Hamiltonian as a ``model.Drive``, and the Lindblad integrator its jump
+operators as plain 5x5 arrays, stacked once per solve: each term becomes
+its part of the transposed generator, so G(t) = [1, f_1(t), ...] @ S for
+the stack S.  A state's row is the complex state, and a term's part is
+(-iK)^T.  A density's row is real: its coordinates r_a = Tr(B_a rho) in
+the orthonormal Hermitian basis {B_a} of the five diagonal units E_ii,
+then for each i < j the pair (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2.
+With V the 25x25 matrix whose rows are vec(B_a) (row-major), a term's part
+is Re(V C(K) V+) for the transposed commutator superoperator C(K), and the
+dissipator's is Re(V D^T V+).  A Lindblad generator maps Hermitian
+matrices to Hermitian matrices, so these parts are real without the Re,
+up to rounding, and every stage product is a real one: the
+coherence-vector form (Alicki & Lendi, Quantum Dynamical Semigroups and
+Applications, LNP 286).  The snapshots alone are rebuilt as densities
+r V, each entry pair rho_ij, rho_ji from one coordinate pair, so they are
+exactly Hermitian.  Real coordinates keep only the Hermitian part of a
+matrix, so an open solve raises on a drive whose h0 or any coupling is not
+exactly Hermitian, and on a density whose anti-Hermitian part exceeds
+1e-12.
 
 The loop is written out here rather than run through scipy's
 ``solve_ivp``, because G(t) does not depend on y.  Each step attempt
 evaluates the envelopes once, on the array of its stage times, and one
-product with S gives every stage's G; each stage is then one tableau
-combination and one product with the rows.  The loop keeps scipy's
-tableau (``scipy.integrate.DOP853``), initial-step rule, error norm (an
-RMS of the complex moduli over the whole stack, so one step size serves
-every row) and step-factor constants, and takes each sum in scipy's
-order, so a solve without snapshots takes solve_ivp's steps (on the
-reference gates its outputs equal solve_ivp's bit for bit); only the
-three dense-output evaluations per snapshot go, since a spec with a
-record stride clips its steps to the sample times instead.  Measured on
-the open y forward segment (2-core host, one BLAS thread; its speed
-alternates between two levels about 1.5x apart): a ``solve_ivp`` RHS
-call cost 15-26 us in all, of which the RHS itself took 13 us (4.6 us of
-it the envelope coefficient vector) and the rest was ``solve_ivp``'s
-per-stage Python; the loop costs 12-13 us per generator evaluation, about
-145 us per step, of which the step's generators (envelopes and the one
-product) take 28 us.
+product with S gives every stage's G.  The stage array holds y in its
+first row, so with the step's weights [1, h A] each stage is one
+combination of the rows above it and one product with its G; both error
+estimates are one product and one reduction.  The loop keeps scipy's
+tableau (``scipy.integrate.DOP853``), initial-step rule, error norm and
+step-factor constants.  That norm is an RMS over the whole stack, so one
+step size serves every row, with each complex entry scaled by its
+modulus.  Real coordinates keep it: each coordinate is scaled by the
+modulus of the density entry it belongs to, |r| on the diagonal and
+sqrt((s^2 + a^2)/2) = |rho_ij| = |rho_ji| for both members s, a of a pair,
+so every RMS of the loop (the initial step's and both error estimates)
+equals the complex one in exact arithmetic.  A solve without snapshots
+therefore takes solve_ivp's steps, with the same step count on every
+reference gate segment and finals within 1e-13 of solve_ivp's; only the
+three dense-output evaluations per snapshot go, since a spec with a record
+stride clips its steps to the sample times instead.  Measured on the
+reference y and z forward segments (2-core host, one BLAS thread; its
+speed alternates between levels up to 1.5x apart): a step costs 70-89 us
+for four densities (128-151 us as complex rows) and 73-101 us for four
+states, of which the step's generators (envelopes and the one product)
+take 21-28 us.
 
-A drive whose envelopes are all constant is solved exactly
-(``semigroup_propagate``): rho(t) = exp(L t) rho0, one ``dense_expm`` per
-snapshot stride, and its time integral from one augmented exponential
-(``semigroup_integral``; Van Loan, IEEE Trans. Autom. Control 23, 395
-(1978)).
+A drive whose envelopes are all constant is solved exactly, in the same
+real coordinates (``semigroup_propagate``): rho(t) = exp(L t) rho0, one
+``dense_expm`` per snapshot stride, and its time integral from one
+augmented exponential (``semigroup_integral``; Van Loan, IEEE Trans.
+Autom. Control 23, 395 (1978)).
 
 The oracle integrates y' = G(t) y for any callable that returns the d x d
 step generator G(t): -iH(t) (5x5) for a state, a Liouvillian (25x25) for
@@ -89,12 +107,18 @@ ABS_TOL = 1e-12
 _ORACLE_BLOCK = 1000
 
 # scipy's DOP853 tableau: stage s sits at t + C[s] h, and C[11] = 1, so the
-# last stage and the derivative at the step's end share one generator.  The
-# weights of stage s are cast to complex once, as numpy would cast them for
-# each product with the complex stages
-_B, _C, _E3, _E5 = DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+# last stage and the derivative at the step's end share one generator
+_C = DOP853.C
 _STAGES = len(_C)
-_A_ROWS = [DOP853.A[s, :s].astype(complex) for s in range(_STAGES)]
+# a step's stage array holds y in row 0 and the derivatives K_0..K_12 below
+# it (K_12 at the step's end).  Row s - 1 of _TABLEAU weighs rows 0..s into
+# the argument of stage s (s = 1..11), its last row rows 0..12 into the
+# step's end; a step of size h multiplies it by h and puts 1 on y
+_TABLEAU = np.zeros((_STAGES, _STAGES + 1))
+_TABLEAU[:-1, 1:] = DOP853.A[1:]
+_TABLEAU[-1, 1:] = DOP853.B
+# the fifth- and third-order error estimators over K_0..K_12, one product
+_ERRORS = np.stack([DOP853.E5, DOP853.E3])
 # scipy's step-size controller (scipy.integrate._ivp.rk): safety factor,
 # bounds on the factor per step, and the exponent -1 / (error order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -146,6 +170,63 @@ class Trajectory:
         return self.states[-1]
 
 
+def _hermitian_basis() -> np.ndarray:
+    """The rows vec(B_a) (row-major) of the orthonormal Hermitian basis of
+    the 5x5 matrices, in this order: the five diagonal units E_ii, then for
+    each i < j the pair (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2."""
+    basis = np.zeros((DIM * DIM, DIM, DIM), dtype=complex)
+    basis[range(DIM), range(DIM), range(DIM)] = 1.0
+    half = math.sqrt(0.5)
+    pairs = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
+    for p, (i, j) in enumerate(pairs):
+        s = DIM + 2 * p
+        basis[s, i, j] = basis[s, j, i] = half
+        basis[s + 1, i, j], basis[s + 1, j, i] = 1j * half, -1j * half
+    return basis.reshape(DIM * DIM, DIM * DIM)
+
+
+_BASIS = _hermitian_basis()
+# squared coordinates times this matrix give, for each coordinate, the squared
+# modulus of the density entry it belongs to: r^2 on the diagonal, and
+# (s^2 + a^2) / 2 = |rho_ij|^2 = |rho_ji|^2 for both members s, a of a pair
+_PAIR_MEANS = np.zeros((DIM * DIM, DIM * DIM))
+_PAIR_MEANS[:DIM, :DIM] = np.eye(DIM)
+_PAIR_MEANS[DIM:, DIM:] = np.kron(np.eye((DIM * DIM - DIM) // 2), np.full((2, 2), 0.5))
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates Tr(B_a rho) (..., 25) of a density (5, 5) or of
+    a stack along a leading axis.  They keep only the Hermitian part, so a
+    density whose anti-Hermitian part exceeds 1e-12 raises."""
+    rho = np.asarray(rho, dtype=complex)
+    skew = 0.5 * float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
+    if skew > 1e-12:
+        raise ValueError(f"input density is not Hermitian: anti-Hermitian part {skew:.3e}")
+    return (rho.reshape(rho.shape[:-2] + (DIM * DIM,)) @ _BASIS.conj().T).real
+
+
+def _densities(rows: np.ndarray) -> np.ndarray:
+    """The densities sum_a r_a B_a of coordinate rows (..., 25).  Both
+    rho_ij and rho_ji are (s +- i a)/sqrt2 from the one coordinate pair s, a
+    (every other term is an exact zero), so the densities are exactly
+    Hermitian."""
+    return (rows @ _BASIS).reshape(rows.shape[:-1] + (DIM, DIM))
+
+
+def _coordinate_moduli(rows: np.ndarray) -> np.ndarray:
+    """The modulus of the density entry that each coordinate belongs to, so
+    an RMS norm over coordinates scaled by it equals the RMS norm over the
+    complex entries scaled by their moduli (in exact arithmetic)."""
+    return np.sqrt((rows * rows) @ _PAIR_MEANS)
+
+
+def _real(superoperator_t: np.ndarray) -> np.ndarray:
+    """Re(V S V+): the transposed superoperator S on rows vec(rho), if it
+    maps Hermitian matrices to Hermitian matrices, as the real generator of
+    coordinate rows."""
+    return (_BASIS @ superoperator_t @ _BASIS.conj().T).real
+
+
 def _generators(drive: Drive, lift, constant):
     """times -> the generators G(t) (n, w, w) at an array of n times, with
     G(t) = [1, f_1(t), ...] @ S for the drive's terms stacked once as S,
@@ -153,9 +234,10 @@ def _generators(drive: Drive, lift, constant):
     constant is added to the h0 term."""
     parts = [lift(drive.h0) + constant] + [lift(k) for _, k in drive.terms]
     width = parts[0].shape[0]
-    # the complex stack viewed as (re, im) pairs: a real product with the
-    # real coefficients gives the same numbers as a complex one
-    stack = np.stack(parts).reshape(len(parts), -1).view(float)
+    stack = np.stack(parts).reshape(len(parts), -1)
+    # a complex stack viewed as (re, im) pairs: a real product with the real
+    # coefficients gives the same numbers as a complex one
+    pairs = stack.view(float)
     envelopes = [f for f, _ in drive.terms]
 
     def at(times: np.ndarray) -> np.ndarray:
@@ -163,7 +245,7 @@ def _generators(drive: Drive, lift, constant):
         coef[:, 0] = 1.0
         for column, envelope in enumerate(envelopes, start=1):
             coef[:, column] = envelope(times)
-        return (coef @ stack).view(complex).reshape(-1, width, width)
+        return (coef @ pairs).view(stack.dtype).reshape(-1, width, width)
 
     return at
 
@@ -174,38 +256,40 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
-            kind: str) -> Trajectory:
-    """One adaptive DOP853 solve of y' = y G(t) for the rows of y0, with
-    scipy's tableau, initial step, error norm and step control, each sum
-    taken in scipy's order, so that a solve without snapshots reproduces
-    solve_ivp's numbers; a record stride clips the steps to the sample
+            kind: str, moduli) -> Trajectory:
+    """One adaptive DOP853 solve of y' = y G(t) for the rows of y0, in the
+    generators' dtype, with scipy's tableau, initial step, error norm and
+    step control; ``moduli(y)`` gives the modulus that scales each entry of
+    y in the error norm.  A record stride clips the steps to the sample
     times."""
     rtol, atol = max(spec.rel_tol, _REL_TOL_FLOOR), spec.abs_tol
     t = spec.t_start
     g0 = generators(np.array([t]))[0]
-    y = np.array(y0, dtype=complex).reshape(-1, g0.shape[0])
-    # stage s (its derivative) in row s, the derivative at the step's end in
-    # the last row; each stage's argument y + h sum_j A[s, j] K_j is built in
-    # place
-    stages = np.empty((_STAGES + 1,) + y.shape, dtype=complex)
-    flat = stages.reshape(_STAGES + 1, -1)
+    tableau, estimators = _TABLEAU.astype(g0.dtype), _ERRORS.astype(g0.dtype)
+    # y in row 0, the derivatives K_0..K_12 below it; each stage's argument
+    # y + h sum_j A[s, j] K_j is built in place
+    stages = np.empty((_STAGES + 2, np.size(y0) // g0.shape[0], g0.shape[0]), dtype=g0.dtype)
+    flat = stages.reshape(_STAGES + 2, -1)
+    y = stages[0]
+    y[...] = np.reshape(y0, y.shape)
     argument = np.empty_like(y)
     argument_row = argument.reshape(-1)
-    np.matmul(y, g0, out=stages[0])
+    np.matmul(y, g0, out=stages[1])
 
     # scipy's initial step (select_initial_step, error order 7)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(stages[0] / scale)
+    y_moduli = moduli(y)
+    scale = atol + y_moduli * rtol
+    d0, d1 = _rms(y / scale), _rms(stages[1] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, spec.t_end - t)
-    f1 = (y + h0 * stages[0]) @ generators(np.array([t + h0]))[0]
-    d2 = _rms((f1 - stages[0]) / scale) / h0
+    f1 = (y + h0 * stages[1]) @ generators(np.array([t + h0]))[0]
+    d2 = _rms((f1 - stages[1]) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT))
     h_abs = min(100 * h0, h1, spec.t_end - t, max_step)
 
     samples = spec.sample_times()
-    snapshots = [y]
+    snapshots = [y.copy()]
     n_steps = 0
     for bound in samples[1:]:
         while t < bound:
@@ -220,19 +304,20 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 h = t_new - t
                 h_abs = abs(h)
                 gens = generators(t + h * _C[1:])
-                y_row = y.reshape(-1)
+                weights = h * tableau
+                weights[:, 0] = 1.0
                 for s in range(1, _STAGES):
-                    np.dot(_A_ROWS[s], flat[:s], out=argument_row)
-                    argument_row *= h
-                    argument_row += y_row
-                    np.matmul(argument, gens[s - 1], out=stages[s])
-                y_new = y + (h * np.dot(_B, flat[:-1])).reshape(y.shape)
+                    np.dot(weights[s - 1, :s + 1], flat[:s + 1], out=argument_row)
+                    np.matmul(argument, gens[s - 1], out=stages[s + 1])
+                y_new = np.dot(weights[-1], flat[:-1]).reshape(y.shape)
                 np.matmul(y_new, gens[-1], out=stages[-1])
                 n_steps += 1
-                scale = (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol).reshape(-1)
-                # squared norms as scipy takes them, then Python floats
-                err5 = float(np.linalg.norm(np.dot(_E5, flat) / scale) ** 2)
-                err3 = float(np.linalg.norm(np.dot(_E3, flat) / scale) ** 2)
+                new_moduli = moduli(y_new)
+                scale = atol + np.maximum(y_moduli, new_moduli).reshape(-1) * rtol
+                # both estimates' squared norms, a complex entry as its
+                # (re, im) pair
+                scaled = (np.dot(estimators, flat[1:]) / scale).view(float)
+                err5, err3 = np.einsum("ij,ij->i", scaled, scaled).tolist()
                 error = (0.0 if err5 == 0.0 and err3 == 0.0
                          else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size))
                 if error < 1.0:
@@ -242,23 +327,24 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
                 rejected = True
-            t, y = t_new, y_new
-            stages[0] = stages[-1]
-        snapshots.append(y)
+            t, y_moduli = t_new, new_moduli
+            y[...] = y_new
+            stages[1] = stages[-1]
+        snapshots.append(y.copy())
 
     # one evaluation each at the start and for the initial step, then one
     # per stage of every step tried
-    return Trajectory(times=samples, states=np.array(snapshots).reshape((-1,) + y0.shape),
+    return Trajectory(times=samples, states=np.array(snapshots).reshape((-1,) + np.shape(y0)),
                       meta={"n_rhs_evals": 2 + _STAGES * n_steps, "n_steps": n_steps,
                             "rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol})
 
 
 def _solve(drive: Drive, lift, constant, y0: np.ndarray, spec: PropagationSpec,
-           kind: str) -> Trajectory:
+           kind: str, moduli) -> Trajectory:
     """The adaptive solve of y0 under the drive's generators, with the step
     cap of the module docstring (a constant envelope's width is infinite)."""
     max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
-    return _dop853(_generators(drive, lift, constant), y0, spec, max_step, kind)
+    return _dop853(_generators(drive, lift, constant), y0, spec, max_step, kind, moduli)
 
 
 def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
@@ -271,7 +357,7 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     psi0 = np.asarray(psi0, dtype=complex)
     if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
-    traj = _solve(drive, lambda h: (-1j * h).T, 0.0, psi0, spec, "state")
+    traj = _solve(drive, lambda h: (-1j * h).T, 0.0, psi0, spec, "state", np.abs)
     traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=-1) - 1.0)))
     return traj
 
@@ -294,19 +380,27 @@ def _commutator_matrix_t(h: np.ndarray) -> np.ndarray:
     return (-1j * (np.kron(h, ident) - np.kron(ident, h.T))).T
 
 
+def _open_parts(drive: Drive, jump_ops):
+    """The lift of a Hamiltonian term to its part Re(V C(K) V+) of the real
+    generator, and the dissipator's part Re(V D^T V+).  Real coordinates
+    keep only the Hermitian part of H, so a drive whose h0 or any coupling is
+    not exactly Hermitian raises."""
+    for h in (drive.h0, *(k for _, k in drive.terms)):
+        if not np.array_equal(h, h.conj().T):
+            raise ValueError("an open solve needs a Hermitian h0 and Hermitian couplings")
+    return (lambda h: _real(_commutator_matrix_t(h))), _real(_dissipator_matrix(jump_ops).T)
+
+
 def _checked_densities(traj: Trajectory) -> Trajectory:
-    """Re-symmetrize the density snapshots, log the worst Hermiticity
-    deviation and trace drift in meta, and raise on an eigenvalue below
-    -1e-8."""
-    raw = traj.states
-    raw_dag = raw.conj().swapaxes(-1, -2)
-    traj.states = 0.5 * (raw + raw_dag)
+    """Rebuild the density snapshots from their coordinates, log the trace
+    drift and the smallest eigenvalue in meta, and raise on an eigenvalue
+    below -1e-8."""
+    traj.states = _densities(traj.states)
     traces = np.einsum("...ii->...", traj.states).real
     min_eig = float(np.min(np.linalg.eigvalsh(traj.states)))
     if min_eig < -1e-8:
         raise ValueError(f"positivity violation: min eigenvalue {min_eig:.3e}")
-    traj.meta.update(hermiticity_deviation=float(np.max(np.abs(raw - raw_dag))),
-                     trace_drift=float(np.max(np.abs(traces - traces[0]))),
+    traj.meta.update(trace_drift=float(np.max(np.abs(traces - traces[0]))),
                      min_eigenvalue=min_eig)
     return traj
 
@@ -316,22 +410,23 @@ def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
     """Integrate the Markovian master equation
     d rho/dt = -i[H, rho] + sum_k (L_k rho L_k+ - {L_k+ L_k, rho}/2)
     over the 5x5 jump operators L_k, for one density (5, 5) or k stacked
-    along a leading axis (k, 5, 5).
+    along a leading axis (k, 5, 5), in real coordinates.
 
-    Snapshots are re-symmetrized (the worst deviation is logged in meta); the
+    The drive must be Hermitian and each density Hermitian to 1e-12; the
     trace is monitored and an eigenvalue below -1e-8 raises.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    return _checked_densities(_solve(drive, _commutator_matrix_t,
-                                     _dissipator_matrix(jump_ops).T, rho0, spec, "density"))
+    lift, dissipator = _open_parts(drive, jump_ops)
+    return _checked_densities(_solve(drive, lift, dissipator, _coordinates(rho0), spec,
+                                     "density", _coordinate_moduli))
 
 
 def _constant_generator(drive: Drive, jump_ops) -> np.ndarray:
-    """The transposed 25x25 Liouvillian G of a drive whose envelopes are
-    all constant, rows(t) = rows(0) exp(G t)."""
+    """The real 25x25 generator G of coordinate rows under a drive whose
+    envelopes are all constant, rows(t) = rows(0) exp(G t)."""
     if not all(isinstance(f, ConstantPulse) for f, _ in drive.terms):
         raise ValueError("an exact solve needs a drive whose envelopes are all constant")
-    return _commutator_matrix_t(drive(0.0)) + _dissipator_matrix(jump_ops).T
+    lift, dissipator = _open_parts(drive, jump_ops)
+    return lift(drive(0.0)) + dissipator
 
 
 def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
@@ -340,19 +435,18 @@ def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
     drive, solved exactly: each snapshot is the last one times exp(G s) for
     the snapshot interval s, one ``dense_expm`` for the whole strides and
     one more for a last partial stride.  The tolerances go unused."""
-    rho0 = np.asarray(rho0, dtype=complex)
+    rows = _coordinates(rho0)
     g = _constant_generator(drive, jump_ops)
     times = spec.sample_times()
     steps = np.diff(times)
-    whole = dense_expm(spec.record_stride * g) if spec.record_stride > 0.0 else None
-    last = whole if steps[-1] == spec.record_stride else dense_expm(steps[-1] * g)
-    rows = rho0.reshape(-1, DIM * DIM)
+    # the exponential of a real matrix is real
+    whole = dense_expm(spec.record_stride * g).real if spec.record_stride > 0.0 else None
+    last = whole if steps[-1] == spec.record_stride else dense_expm(steps[-1] * g).real
     snapshots = [rows]
     for u in [whole] * (len(steps) - 1) + [last]:
         rows = rows @ u
         snapshots.append(rows)
-    states = np.array(snapshots).reshape((-1,) + rho0.shape)
-    return _checked_densities(Trajectory(times=times, states=states,
+    return _checked_densities(Trajectory(times=times, states=np.array(snapshots),
                                          meta={"method": "expm", "n_steps": len(steps)}))
 
 
@@ -363,18 +457,18 @@ def semigroup_integral(drive: Drive, jump_ops, rho0: np.ndarray,
     both from one exponential of the augmented generator
     [[L, rho0], [0, 0]] (Van Loan): its upper-right block is the integral
     of exp(L s) rho0."""
-    rho0 = np.asarray(rho0, dtype=complex)
     if not duration > 0.0:
         raise ValueError("duration must be positive")
-    columns = rho0.reshape(-1, DIM * DIM).T
+    rows = _coordinates(rho0)
+    columns = rows.reshape(-1, DIM * DIM).T
     n, k = columns.shape
-    augmented = np.zeros((n + k, n + k), dtype=complex)
+    augmented = np.zeros((n + k, n + k))
     augmented[:n, :n] = _constant_generator(drive, jump_ops).T
     augmented[:n, n:] = columns
-    block = dense_expm(duration * augmented)
-    final = (block[:n, :n] @ columns).T.reshape(rho0.shape)
-    integral = block[:n, n:].T.reshape(rho0.shape)
-    traj = Trajectory(times=np.array([0.0, duration]), states=np.array([rho0, final]),
+    block = dense_expm(duration * augmented).real
+    final = (block[:n, :n] @ columns).T.reshape(rows.shape)
+    integral = _densities(block[:n, n:].T.reshape(rows.shape))
+    traj = Trajectory(times=np.array([0.0, duration]), states=np.array([rows, final]),
                       meta={"method": "expm (Van Loan)", "n_steps": 1})
     return _checked_densities(traj), integral
 

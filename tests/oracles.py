@@ -64,6 +64,47 @@ def liouvillian(h_of_t, jump_ops):
     return generator
 
 
+def _hermitian_basis() -> np.ndarray:
+    """The 25 orthonormal Hermitian 5x5 matrices B_a of the open solvers'
+    real coordinates, in their documented order: the diagonal units E_ii,
+    then for each i < j the pair (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2."""
+    basis = [_UNITS[DIM * i + i] for i in range(DIM)]
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            e_ij, e_ji = _UNITS[DIM * i + j], _UNITS[DIM * j + i]
+            basis += [(e_ij + e_ji) / math.sqrt(2.0), 1j * (e_ij - e_ji) / math.sqrt(2.0)]
+    return np.array(basis)
+
+
+HERMITIAN_BASIS = _hermitian_basis()
+
+
+def coordinates(rho) -> np.ndarray:
+    """The real coordinates Tr(B_a rho) (..., 25) of a 5x5 matrix or of a
+    stack (..., 5, 5)."""
+    return np.einsum("aji,...ij->...a", HERMITIAN_BASIS, rho).real
+
+
+def coordinate_liouvillian(h_of_t, jump_ops):
+    """t -> the real 25x25 generator of the master equation on coordinate
+    columns, for the Hamiltonian h_of_t(t) and the 5x5 jump operators.
+
+    Column a holds the coordinates Tr(B_b .) of the image of B_a under the
+    matrix form -i[H(t), B] + sum_k (L_k B L_k^+ - {L_k^+ L_k, B}/2), so no
+    change-of-basis product, Kronecker product or drive template enters.
+    """
+    basis = HERMITIAN_BASIS
+    dissipation = sum(op @ basis @ op.conj().T
+                      - 0.5 * (op.conj().T @ op @ basis + basis @ op.conj().T @ op)
+                      for op in jump_ops)
+
+    def generator(t):
+        h = h_of_t(t)
+        return coordinates(-1j * (h @ basis - basis @ h) + dissipation).T
+
+    return generator
+
+
 def sin_phi_y(pulses, t: float) -> float:
     """sin of the pump mixing angle from the envelope methods; 0 outside the
     pulse support."""

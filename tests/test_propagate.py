@@ -9,7 +9,7 @@ from holospin import model, propagate, pulses, scenarios
 from holospin.model import ModelParams, lindblad_channels
 from holospin.propagate import PropagationSpec
 from holospin.qcore import DIM, basis_state, dense_expm, density_from_state
-from oracles import dop853_reference, liouvillian
+from oracles import coordinate_liouvillian, coordinates, dop853_reference, liouvillian
 
 
 _zero_h = model.Drive(np.zeros((DIM, DIM), dtype=complex), ())
@@ -157,7 +157,32 @@ class TestLindblad:
             density_from_state(basis_state(0)), spec)
         assert traj.meta["trace_drift"] < 1e-9
         assert traj.meta["min_eigenvalue"] > -1e-8
-        assert traj.meta["hermiticity_deviation"] < 1e-9
+        # rebuilt from real coordinates, each snapshot is exactly Hermitian
+        np.testing.assert_array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("skew, accepted", [(1e-13, True), (1e-11, False)])
+    def test_density_must_be_hermitian(self, skew, accepted):
+        # real coordinates keep only the Hermitian part: a rounding-level
+        # anti-Hermitian part passes, a larger one raises
+        rho0 = density_from_state(basis_state(0))
+        rho0[0, 1] = skew
+        solve = lambda: propagate.lindblad_propagate(_zero_h, [], rho0, PropagationSpec(0.0, 1.0))
+        if accepted:
+            solve()
+        else:
+            with pytest.raises(ValueError, match="anti-Hermitian part 5.000e-12"):
+                solve()
+
+    def test_coupling_must_be_hermitian(self):
+        # checked on the couplings themselves, even under a zero envelope
+        one_way = np.zeros((DIM, DIM), dtype=complex)
+        one_way[0, 3] = 0.1
+        drive = model.Drive(np.zeros((DIM, DIM), dtype=complex),
+                            ((pulses.ConstantPulse(0.0), one_way),))
+        rho0 = density_from_state(basis_state(0))
+        for solve in (propagate.lindblad_propagate, propagate.semigroup_propagate):
+            with pytest.raises(ValueError, match="Hermitian couplings"):
+                solve(drive, [], rho0, PropagationSpec(0.0, 1.0))
 
     def test_positivity_violation_raises(self):
         rho0 = np.diag([1.2, -0.2, 0, 0, 0]).astype(complex)
@@ -236,10 +261,10 @@ class TestStacks:
                                                  np.stack([rho_q, loud, rho_q]), spec).meta
             return members, stack
 
-        (q, single), stack = lindblad_meta(_leaky_h, density_from_state(basis_state(1)), [])
-        assert q["hermiticity_deviation"] == 0.0 and single["hermiticity_deviation"] > 1e-5
-        assert stack["hermiticity_deviation"] == pytest.approx(
-            single["hermiticity_deviation"], rel=1e-9)
+        # real coordinates keep only the Hermitian part of a drive, so the
+        # open solvers refuse a non-Hermitian one instead
+        with pytest.raises(ValueError, match="Hermitian"):
+            lindblad_meta(_leaky_h, density_from_state(basis_state(1)), [])
 
         # the generator preserves the trace exactly, so the drift is rounding
         decay = np.zeros((1, DIM, DIM))
@@ -262,7 +287,7 @@ class TestSemigroup:
     def test_snapshots_are_the_exact_semigroup(self, stride, params):
         # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps;
         # 250 ps divides it; 0 stores the end points only.  Measured at most
-        # 2.7e-15
+        # 3.9e-15
         ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
                              driving=pulses.OFF)
         jumps = lindblad_channels(params)
@@ -308,16 +333,19 @@ def _reference_case(case, params):
 class TestAgainstSolveIvp:
     """The hand-written DOP853 loop keeps scipy's tableau, initial step,
     error norm and step control, so on a solve without snapshots it takes
-    solve_ivp's steps.  The reference builds its right-hand side from the
-    element-wise H(t) (and ``oracles.liouvillian``), not from a Drive."""
+    solve_ivp's steps; the open solves run on real coordinates, against a
+    reference on the complex vec(rho).  The reference builds its right-hand
+    side from the element-wise H(t) (and ``oracles.liouvillian``), not from
+    a Drive."""
 
     @pytest.mark.parametrize("case", ["y_closed_loop_open", "y_closed_loop_coherent",
                                       "z_fractional_open", "z_fractional_coherent",
                                       "lone_pulse"])
     def test_loop_takes_solve_ivps_steps(self, case, params):
-        # measured: equal step counts; the final states are bit-identical on
-        # the coherent solves and differ by at most 7.3e-16 on the open ones,
-        # whose reference Liouvillian is built from the matrix units
+        # measured: equal step counts; the loop sums each stage's argument
+        # with y inside the tableau product, not after it as solve_ivp does,
+        # so the finals differ by rounding: at most 1.1e-14 on the gate
+        # segments and 7.5e-14 on the 1,236 steps of the lone pulse
         ps, build, template, spec, stack, is_open = _reference_case(case, params)
         drive = template(ps, params)
         if is_open:
@@ -358,7 +386,7 @@ def _capture_generators(monkeypatch):
     given."""
     captured = []
 
-    def loop(generators, y0, spec, max_step, kind):
+    def loop(generators, y0, spec, max_step, kind, moduli):
         captured.append(generators)
         return propagate.Trajectory(times=np.array([spec.t_start, spec.t_end]),
                                     states=np.stack([y0, y0]))
@@ -387,30 +415,55 @@ class TestDriveTemplates:
         propagate.schrodinger_propagate(template(ps, params), psi, spec)
         propagate.lindblad_propagate(template(ps, params), jumps, rho, spec)
         schrodinger_generators, lindblad_generators = captured
+        lindbladian = coordinate_liouvillian(lambda t: build(t, ps, params), jumps)
 
         def schrodinger(t, y):
             return np.stack([-1j * build(t, ps, params) @ row for row in y])
 
         def lindblad(t, y):
-            h = build(t, ps, params)
-            out = -1j * (h @ y - y @ h)
-            for jump in jumps:
-                jump_dag = jump.conj().T
-                out += (jump @ y @ jump_dag
-                        - 0.5 * (jump_dag @ jump @ y + y @ jump_dag @ jump))
-            return out
+            return (lindbladian(t) @ y.T).T
 
         # the twelve stage times t + C h of a step from t of size h
         for t, h in zip(rng.uniform(-1000.0, 950.0, size=5), rng.uniform(1.0, 50.0, size=5)):
             times = t + h * DOP853.C
-            for shape, generators, textbook in ((psi.shape, schrodinger_generators, schrodinger),
-                                                (rho.shape, lindblad_generators, lindblad)):
-                batch = generators(times)
-                assert len(batch) == len(times) == 12
-                for time, g in zip(times, batch):
-                    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                    np.testing.assert_allclose((y.reshape(len(y), -1) @ g).ravel(),
-                                               textbook(time, y).ravel(), rtol=0, atol=1e-14)
+            schrodinger_batch = schrodinger_generators(times)
+            lindblad_batch = lindblad_generators(times)
+            assert len(schrodinger_batch) == len(lindblad_batch) == len(times) == 12
+            for time, g_psi, g_rho in zip(times, schrodinger_batch, lindblad_batch):
+                y = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
+                np.testing.assert_allclose(y @ g_psi, schrodinger(time, y), rtol=0, atol=1e-14)
+                # the coordinates of random Hermitian matrices
+                x = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+                r = coordinates(x + x.conj().swapaxes(-1, -2))
+                np.testing.assert_allclose(r @ g_rho, lindblad(time, r), rtol=0, atol=1e-14)
+
+    def test_open_generators_are_real(self, params, monkeypatch):
+        ps = pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0)
+        captured = _capture_generators(monkeypatch)
+        propagate.lindblad_propagate(model.drive_y(ps, params), lindblad_channels(params),
+                                     density_from_state(basis_state(0)),
+                                     PropagationSpec(-1000.0, 1000.0))
+        generators = captured[0](np.linspace(-300.0, 300.0, 12))
+        assert generators.dtype == np.float64 and generators.shape == (12, 25, 25)
+        constant = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+                                   driving=pulses.OFF)
+        generator = propagate._constant_generator(model.drive_y(constant, params),
+                                                  lindblad_channels(params))
+        assert generator.dtype == np.float64
+
+    def test_paired_moduli_keep_the_complex_error_norm(self, rng):
+        # scaling each coordinate by the modulus of its density entry gives
+        # the RMS norm that the complex entries, scaled by their moduli, give
+        def hermitian():
+            x = rng.normal(size=(4, DIM, DIM)) + 1j * rng.normal(size=(4, DIM, DIM))
+            return x + x.conj().swapaxes(-1, -2)
+
+        for _ in range(20):
+            rho, error = hermitian(), 1e-9 * hermitian()
+            complex_rms = propagate._rms(error / (1e-12 + np.abs(rho) * 1e-10))
+            moduli = propagate._coordinate_moduli(coordinates(rho))
+            real_rms = propagate._rms(coordinates(error) / (1e-12 + moduli * 1e-10))
+            assert real_rms == pytest.approx(complex_rms, rel=1e-15)
 
     def test_oracle_accepts_drive(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)

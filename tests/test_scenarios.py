@@ -358,9 +358,9 @@ class TestIndependentLiouvillian:
     @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional", "x_composite"])
     def test_open_reference_gate_matches_the_oracle(self, variant):
         # fourth-order oracle at 0.4/0.2 ps.  Measured against the gate's own
-        # solve (abs_tol GATE_ABS_TOL): 5.7e-10 (y), 7.0e-10 (z), 8.75e-10
-        # (x, four segments); the bound is GATE_ABS_TOL's 2e-9 error budget,
-        # about 2.3x the worst measured
+        # solve (abs_tol GATE_ABS_TOL, real coordinates): 5.73e-10 (y),
+        # 7.02e-10 (z), 8.75e-10 (x, four segments); the bound is
+        # GATE_ABS_TOL's 2e-9 error budget, about 2.3x the worst measured
         run = scenarios.default_gate_run(variant)
         plan = scenarios._plan(variant, run)
         finals, _ = scenarios._propagate_segments(plan.segments, run, True)
@@ -378,11 +378,11 @@ class TestIndependentLiouvillian:
     def test_initialization_is_the_exact_semigroup(self, polarization, params):
         # the pumping drive is constant, so every 20 ps snapshot interval is
         # one exp(20 ps L), exactly; sigma_plus is readout's run.  Both sides
-        # are exact, built apart (Kronecker superoperators against the matrix
-        # units): over all 2,001 snapshots of the 40 ns run, measured 2.9e-15
-        # (sigma_minus) and 9.3e-15 (sigma_plus), so the bound, a factor 100
-        # above, is rounding; the adaptive solve that ran here before read
-        # 2.8e-10 against 1e-9
+        # are exact, built apart (real-coordinate superoperators against the
+        # matrix units): over all 2,001 snapshots of the 40 ns run, measured
+        # 2.9e-15 (sigma_minus) and 9.4e-15 (sigma_plus), so the bound, a
+        # factor 100 above, is rounding; the adaptive solve that ran here
+        # before read 2.8e-10 against 1e-9
         stride = 20.0
         traj, _ = scenarios.run_initialization(polarization, _mixed_qubit(), params.gamma,
                                                40000.0, params, record_stride=stride)
@@ -534,8 +534,8 @@ class TestSymmetryInvariants:
     def test_open_first_segment_is_stokes_phase_covariant(self, variant, template):
         # the Stokes phase enters as the frame rotation F = diag(1, e^{i phi},
         # 1, 1, 1) of |1>, which the jump operators respect, so the channel
-        # at phase phi is F E_0(F^dag rho F) F^dag.  Measured 2.9e-15 (y) and
-        # 5.9e-15 (z); with F conjugated, 0.78 and 0.38
+        # at phase phi is F E_0(F^dag rho F) F^dag.  Measured 4.6e-15 (y) and
+        # 7.9e-15 (z); with F conjugated, 0.78 and 0.38
         run = scenarios.default_gate_run(variant)
         first, _ = scenarios._forward(variant, run)
         jumps = lindblad_channels(run.model)
