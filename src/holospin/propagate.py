@@ -19,26 +19,26 @@ own) and records both in ``Trajectory.meta``, with its step count
 
 Both integrators take one input (a state (5,) or a density (5, 5)) or a
 stack of k along a leading axis ((k, 5) or (k, 5, 5)), and solve the
-linear problem y' = y G(t) with each input as one row y.  They take the
-Hamiltonian as a ``model.Drive``, and the Lindblad integrator its jump
+linear problem y' = y G(t) with each input as one real row y.  They take
+the Hamiltonian as a ``model.Drive``, and the Lindblad integrator its jump
 operators as plain 5x5 arrays, stacked once per solve: each term becomes
 its part of the transposed generator, so G(t) = [1, f_1(t), ...] @ S for
-the stack S.  A state's row is the complex state, and a term's part is
-(-iK)^T.  A density's row is real: its coordinates r_a = Tr(B_a rho) in
-the orthonormal Hermitian basis {B_a} of the five diagonal units E_ii,
-then for each i < j the pair (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2.
-With V the 25x25 matrix whose rows are vec(B_a) (row-major), a term's part
-is Re(V C(K) V+) for the transposed commutator superoperator C(K), and the
-dissipator's is Re(V D^T V+).  A Lindblad generator maps Hermitian
-matrices to Hermitian matrices, so these parts are real without the Re,
-up to rounding, and every stage product is a real one: the
-coherence-vector form (Alicki & Lendi, Quantum Dynamical Semigroups and
-Applications, LNP 286).  The snapshots alone are rebuilt as densities
-r V, each entry pair rho_ij, rho_ji from one coordinate pair, so they are
-exactly Hermitian.  Real coordinates keep only the Hermitian part of a
-matrix, so an open solve raises on a drive whose h0 or any coupling is not
-exactly Hermitian, and on a density whose anti-Hermitian part exceeds
-1e-12.
+the stack S.  A row holds each complex entry as a real pair whose RMS is
+its modulus.  A state's row is sqrt2 (Re psi_i, Im psi_i), and a term's
+part the real form of (-iK)^T, an entry a + ib as [[a, b], [-b, a]].  A
+density's row is its coordinates r_a = Tr(B_a rho) in the orthonormal
+Hermitian basis {B_a}: the five diagonal units E_ii, then for each i < j
+the pair (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2.  With V the 25x25
+matrix whose rows are vec(B_a) (row-major), a term's part is Re(V C(K) V+)
+for the transposed commutator superoperator C(K), and the dissipator's is
+Re(V D^T V+), real without the Re up to rounding since a Lindblad
+generator maps Hermitian matrices to Hermitian ones (the coherence-vector
+form: Alicki & Lendi, Quantum Dynamical Semigroups and Applications, LNP
+286).  Only the snapshots are rebuilt, as states, or as densities r V that
+are exactly Hermitian since rho_ij and rho_ji come from one pair.  Real
+coordinates keep only the Hermitian part of a matrix, so an open solve
+raises on a drive whose h0 or any coupling is not exactly Hermitian, and
+on a density whose anti-Hermitian part exceeds 1e-12.
 
 The loop is written out here rather than run through scipy's
 ``solve_ivp``, because G(t) does not depend on y.  Each step attempt
@@ -50,9 +50,8 @@ estimates are one product and one reduction.  The loop keeps scipy's
 tableau (``scipy.integrate.DOP853``), initial-step rule, error norm and
 step-factor constants.  That norm is an RMS over the whole stack, so one
 step size serves every row, with each complex entry scaled by its
-modulus.  Real coordinates keep it: each coordinate is scaled by the
-modulus of the density entry it belongs to, |r| on the diagonal and
-sqrt((s^2 + a^2)/2) = |rho_ij| = |rho_ji| for both members s, a of a pair,
+modulus.  The rows keep it: each coordinate is scaled by its entry's
+modulus, and sqrt2 makes a state's 2n-coordinate RMS its n-entry RMS,
 so every RMS of the loop (the initial step's and both error estimates)
 equals the complex one in exact arithmetic.  A solve without snapshots
 therefore takes solve_ivp's steps, with the same step count on every
@@ -60,10 +59,10 @@ reference gate segment and finals within 1e-13 of solve_ivp's; only the
 three dense-output evaluations per snapshot go, since a spec with a record
 stride clips its steps to the sample times instead.  Measured on the
 reference y and z forward segments (2-core host, one BLAS thread; its
-speed alternates between levels up to 1.5x apart): a step costs 70-89 us
-for four densities (128-151 us as complex rows) and 73-101 us for four
-states, of which the step's generators (envelopes and the one product)
-take 21-28 us.
+speed alternates between levels up to 1.5x apart): a step costs 72-108 us
+for four densities and 63-90 us for four states (78-112 us as complex
+rows), of which the step's generators (envelopes and the one product)
+take 19-37 us.
 
 A drive whose envelopes are all constant is solved exactly, in the same
 real coordinates (``semigroup_propagate``): rho(t) = exp(L t) rho0, one
@@ -91,6 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853
+from scipy.linalg import block_diag
 
 from .model import Drive
 from .pulses import ConstantPulse
@@ -139,8 +139,8 @@ class PropagationSpec:
     abs_tol: float = ABS_TOL
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        if not -np.inf < self.t_start < self.t_end < np.inf:
+            raise ValueError("the window needs finite ends with t_end > t_start")
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError("tolerances must lie in (0, 1e-2]")
         # each comparison is false for NaN
@@ -186,12 +186,17 @@ def _hermitian_basis() -> np.ndarray:
 
 
 _BASIS = _hermitian_basis()
-# squared coordinates times this matrix give, for each coordinate, the squared
-# modulus of the density entry it belongs to: r^2 on the diagonal, and
-# (s^2 + a^2) / 2 = |rho_ij|^2 = |rho_ji|^2 for both members s, a of a pair
-_PAIR_MEANS = np.zeros((DIM * DIM, DIM * DIM))
-_PAIR_MEANS[:DIM, :DIM] = np.eye(DIM)
-_PAIR_MEANS[DIM:, DIM:] = np.kron(np.eye((DIM * DIM - DIM) // 2), np.full((2, 2), 0.5))
+
+
+def _pair_means(singles: int, pairs: int) -> np.ndarray:
+    """For rows of ``singles`` real coordinates, then ``pairs`` pairs: squared
+    coordinates times this matrix give each coordinate's squared entry
+    modulus, its own square or (x^2 + y^2) / 2 for both x, y of a pair."""
+    return block_diag(np.eye(singles), np.kron(np.eye(pairs), np.full((2, 2), 0.5)))
+
+
+# a state's row is five pairs; a density's its diagonal, then ten pairs
+_STATE_MEANS, _DENSITY_MEANS = _pair_means(0, DIM), _pair_means(DIM, DIM * (DIM - 1) // 2)
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -213,11 +218,10 @@ def _densities(rows: np.ndarray) -> np.ndarray:
     return (rows @ _BASIS).reshape(rows.shape[:-1] + (DIM, DIM))
 
 
-def _coordinate_moduli(rows: np.ndarray) -> np.ndarray:
-    """The modulus of the density entry that each coordinate belongs to, so
-    an RMS norm over coordinates scaled by it equals the RMS norm over the
-    complex entries scaled by their moduli (in exact arithmetic)."""
-    return np.sqrt((rows * rows) @ _PAIR_MEANS)
+def _pair_form(g: np.ndarray) -> np.ndarray:
+    """The real form of a complex matrix g on rows of (re, im) pairs: each
+    entry a + ib becomes the block [[a, b], [-b, a]]."""
+    return np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _real(superoperator_t: np.ndarray) -> np.ndarray:
@@ -235,9 +239,6 @@ def _generators(drive: Drive, lift, constant):
     parts = [lift(drive.h0) + constant] + [lift(k) for _, k in drive.terms]
     width = parts[0].shape[0]
     stack = np.stack(parts).reshape(len(parts), -1)
-    # a complex stack viewed as (re, im) pairs: a real product with the real
-    # coefficients gives the same numbers as a complex one
-    pairs = stack.view(float)
     envelopes = [f for f, _ in drive.terms]
 
     def at(times: np.ndarray) -> np.ndarray:
@@ -245,7 +246,7 @@ def _generators(drive: Drive, lift, constant):
         coef[:, 0] = 1.0
         for column, envelope in enumerate(envelopes, start=1):
             coef[:, column] = envelope(times)
-        return (coef @ pairs).view(stack.dtype).reshape(-1, width, width)
+        return (coef @ stack).reshape(-1, width, width)
 
     return at
 
@@ -256,19 +257,18 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
-            kind: str, moduli) -> Trajectory:
-    """One adaptive DOP853 solve of y' = y G(t) for the rows of y0, in the
-    generators' dtype, with scipy's tableau, initial step, error norm and
-    step control; ``moduli(y)`` gives the modulus that scales each entry of
-    y in the error norm.  A record stride clips the steps to the sample
-    times."""
+            kind: str, pair_means: np.ndarray) -> Trajectory:
+    """One adaptive DOP853 solve of y' = y G(t) for the real rows of y0,
+    with scipy's tableau, initial step, error norm and step control; each
+    coordinate of y is scaled in the error norm by the modulus of its entry,
+    sqrt((y * y) @ pair_means).  A record stride clips the steps to the
+    sample times."""
     rtol, atol = max(spec.rel_tol, _REL_TOL_FLOOR), spec.abs_tol
     t = spec.t_start
     g0 = generators(np.array([t]))[0]
-    tableau, estimators = _TABLEAU.astype(g0.dtype), _ERRORS.astype(g0.dtype)
     # y in row 0, the derivatives K_0..K_12 below it; each stage's argument
     # y + h sum_j A[s, j] K_j is built in place
-    stages = np.empty((_STAGES + 2, np.size(y0) // g0.shape[0], g0.shape[0]), dtype=g0.dtype)
+    stages = np.empty((_STAGES + 2, np.size(y0) // g0.shape[0], g0.shape[0]))
     flat = stages.reshape(_STAGES + 2, -1)
     y = stages[0]
     y[...] = np.reshape(y0, y.shape)
@@ -277,7 +277,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     np.matmul(y, g0, out=stages[1])
 
     # scipy's initial step (select_initial_step, error order 7)
-    y_moduli = moduli(y)
+    y_moduli = np.sqrt((y * y) @ pair_means)
     scale = atol + y_moduli * rtol
     d0, d1 = _rms(y / scale), _rms(stages[1] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -304,7 +304,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 h = t_new - t
                 h_abs = abs(h)
                 gens = generators(t + h * _C[1:])
-                weights = h * tableau
+                weights = h * _TABLEAU
                 weights[:, 0] = 1.0
                 for s in range(1, _STAGES):
                     np.dot(weights[s - 1, :s + 1], flat[:s + 1], out=argument_row)
@@ -312,11 +312,9 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 y_new = np.dot(weights[-1], flat[:-1]).reshape(y.shape)
                 np.matmul(y_new, gens[-1], out=stages[-1])
                 n_steps += 1
-                new_moduli = moduli(y_new)
+                new_moduli = np.sqrt((y_new * y_new) @ pair_means)
                 scale = atol + np.maximum(y_moduli, new_moduli).reshape(-1) * rtol
-                # both estimates' squared norms, a complex entry as its
-                # (re, im) pair
-                scaled = (np.dot(estimators, flat[1:]) / scale).view(float)
+                scaled = np.dot(_ERRORS, flat[1:]) / scale   # both error estimates
                 err5, err3 = np.einsum("ij,ij->i", scaled, scaled).tolist()
                 error = (0.0 if err5 == 0.0 and err3 == 0.0
                          else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size))
@@ -340,11 +338,11 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
 
 
 def _solve(drive: Drive, lift, constant, y0: np.ndarray, spec: PropagationSpec,
-           kind: str, moduli) -> Trajectory:
+           kind: str, pair_means: np.ndarray) -> Trajectory:
     """The adaptive solve of y0 under the drive's generators, with the step
     cap of the module docstring (a constant envelope's width is infinite)."""
     max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
-    return _dop853(_generators(drive, lift, constant), y0, spec, max_step, kind, moduli)
+    return _dop853(_generators(drive, lift, constant), y0, spec, max_step, kind, pair_means)
 
 
 def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
@@ -354,10 +352,12 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     Snapshots are stored raw; the worst norm drift is recorded in meta and
     bounded in terms of the step count, never silently renormalized.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.ascontiguousarray(psi0, dtype=complex)
     if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
         raise ValueError("initial state must be normalized")
-    traj = _solve(drive, lambda h: (-1j * h).T, 0.0, psi0, spec, "state", np.abs)
+    traj = _solve(drive, lambda h: _pair_form((-1j * h).T), 0.0,
+                  math.sqrt(2.0) * psi0.view(float), spec, "state", _STATE_MEANS)
+    traj.states = traj.states.view(complex) / math.sqrt(2.0)
     traj.meta["norm_drift"] = float(np.max(np.abs(np.linalg.norm(traj.final(), axis=-1) - 1.0)))
     return traj
 
@@ -417,7 +417,7 @@ def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
     """
     lift, dissipator = _open_parts(drive, jump_ops)
     return _checked_densities(_solve(drive, lift, dissipator, _coordinates(rho0), spec,
-                                     "density", _coordinate_moduli))
+                                     "density", _DENSITY_MEANS))
 
 
 def _constant_generator(drive: Drive, jump_ops) -> np.ndarray:
@@ -499,8 +499,8 @@ def oracle_propagate(generator_of_t, y0: np.ndarray, dt: float,
     into whole steps and does not exceed dt.
     Independent of the adaptive integrators; used to cross-validate them.
     """
-    if dt <= 0.0:
-        raise ValueError("oracle step must be positive")
+    if not (dt > 0.0 and t_end > t_start):
+        raise ValueError("oracle step and window must be positive")
     n = max(1, int(np.ceil((t_end - t_start) / dt)))
     y0 = np.asarray(y0, dtype=complex)
     coarse = _midpoint_product(generator_of_t, y0, t_start, t_end, n)

@@ -17,8 +17,12 @@ _zero_h = model.Drive(np.zeros((DIM, DIM), dtype=complex), ())
 
 class TestSpecValidation:
     def test_window(self):
-        with pytest.raises(ValueError):
-            PropagationSpec(1.0, 1.0)
+        # both ends finite and t_end > t_start; a NaN end would otherwise
+        # give a solve of no steps that returns its input
+        for t_start, t_end in [(-950.0, math.nan), (math.nan, 0.0), (-math.inf, 0.0),
+                               (0.0, math.inf), (1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError, match="window"):
+                PropagationSpec(t_start, t_end)
 
     def test_tolerances(self):
         with pytest.raises(ValueError):
@@ -235,6 +239,23 @@ class TestStacks:
             single = propagate.lindblad_propagate(h_of_t, chans, rho, spec)
             assert np.max(np.abs(stack.states[:, k] - single.states)) < 1e-9
 
+    @pytest.mark.parametrize("layout", ["reversed", "strided"])
+    def test_non_contiguous_stack_matches_its_copy(self, layout, params):
+        # state rows are built from a contiguous float view of the input
+        stack = np.stack(_QUBIT_INPUTS)
+        if layout == "reversed":
+            stack = stack[:, ::-1]
+        else:
+            wide = np.zeros((len(stack), 2 * DIM), dtype=complex)
+            wide[:, ::2] = stack
+            stack = wide[:, ::2]
+        assert not stack.flags.c_contiguous
+        drive = model.drive_y(pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0), params)
+        spec = PropagationSpec(-950.0, 950.0, record_stride=100.0)
+        strided = propagate.schrodinger_propagate(drive, stack, spec)
+        copied = propagate.schrodinger_propagate(drive, stack.copy(), spec)
+        np.testing.assert_array_equal(strided.states, copied.states)
+
     def test_unnormalized_member_rejected(self):
         # a row stack with exactly one member off unit norm
         stack = np.stack([basis_state(0), 0.5 * basis_state(1), basis_state(2)])
@@ -333,8 +354,8 @@ def _reference_case(case, params):
 class TestAgainstSolveIvp:
     """The hand-written DOP853 loop keeps scipy's tableau, initial step,
     error norm and step control, so on a solve without snapshots it takes
-    solve_ivp's steps; the open solves run on real coordinates, against a
-    reference on the complex vec(rho).  The reference builds its right-hand
+    solve_ivp's steps; every solve runs on real rows, against a reference on
+    the complex states or vec(rho).  The reference builds its right-hand
     side from the element-wise H(t) (and ``oracles.liouvillian``), not from
     a Drive."""
 
@@ -344,8 +365,9 @@ class TestAgainstSolveIvp:
     def test_loop_takes_solve_ivps_steps(self, case, params):
         # measured: equal step counts; the loop sums each stage's argument
         # with y inside the tableau product, not after it as solve_ivp does,
-        # so the finals differ by rounding: at most 1.1e-14 on the gate
-        # segments and 7.5e-14 on the 1,236 steps of the lone pulse
+        # so the finals differ by rounding: at most 1.1e-14 on the open and
+        # 1.3e-14 on the coherent gate segments, and 3.1e-14 on the 1,236
+        # steps of the lone pulse
         ps, build, template, spec, stack, is_open = _reference_case(case, params)
         drive = template(ps, params)
         if is_open:
@@ -386,7 +408,7 @@ def _capture_generators(monkeypatch):
     given."""
     captured = []
 
-    def loop(generators, y0, spec, max_step, kind, moduli):
+    def loop(generators, y0, spec, max_step, kind, pair_means):
         captured.append(generators)
         return propagate.Trajectory(times=np.array([spec.t_start, spec.t_end]),
                                     states=np.stack([y0, y0]))
@@ -430,21 +452,27 @@ class TestDriveTemplates:
             lindblad_batch = lindblad_generators(times)
             assert len(schrodinger_batch) == len(lindblad_batch) == len(times) == 12
             for time, g_psi, g_rho in zip(times, schrodinger_batch, lindblad_batch):
+                # the coordinate rows of random complex states, and the
+                # states rebuilt from their image
                 y = rng.normal(size=psi.shape) + 1j * rng.normal(size=psi.shape)
-                np.testing.assert_allclose(y @ g_psi, schrodinger(time, y), rtol=0, atol=1e-14)
+                image = (math.sqrt(2.0) * y.view(float)) @ g_psi
+                np.testing.assert_allclose(image.view(complex) / math.sqrt(2.0),
+                                           schrodinger(time, y), rtol=0, atol=1e-14)
                 # the coordinates of random Hermitian matrices
                 x = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
                 r = coordinates(x + x.conj().swapaxes(-1, -2))
                 np.testing.assert_allclose(r @ g_rho, lindblad(time, r), rtol=0, atol=1e-14)
 
-    def test_open_generators_are_real(self, params, monkeypatch):
+    def test_generators_are_real(self, params, monkeypatch):
         ps = pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0)
         captured = _capture_generators(monkeypatch)
+        spec = PropagationSpec(-1000.0, 1000.0)
+        propagate.schrodinger_propagate(model.drive_y(ps, params), basis_state(0), spec)
         propagate.lindblad_propagate(model.drive_y(ps, params), lindblad_channels(params),
-                                     density_from_state(basis_state(0)),
-                                     PropagationSpec(-1000.0, 1000.0))
-        generators = captured[0](np.linspace(-300.0, 300.0, 12))
-        assert generators.dtype == np.float64 and generators.shape == (12, 25, 25)
+                                     density_from_state(basis_state(0)), spec)
+        for generators, width in zip(captured, (2 * DIM, DIM * DIM)):
+            batch = generators(np.linspace(-300.0, 300.0, 12))
+            assert batch.dtype == np.float64 and batch.shape == (12, width, width)
         constant = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
                                    driving=pulses.OFF)
         generator = propagate._constant_generator(model.drive_y(constant, params),
@@ -452,18 +480,25 @@ class TestDriveTemplates:
         assert generator.dtype == np.float64
 
     def test_paired_moduli_keep_the_complex_error_norm(self, rng):
-        # scaling each coordinate by the modulus of its density entry gives
-        # the RMS norm that the complex entries, scaled by their moduli, give
+        # scaling each coordinate by the modulus of its entry gives the RMS
+        # norm that the complex entries, scaled by their moduli, give: for
+        # the rows of states and for the coordinates of Hermitian matrices
+        def state():
+            return rng.normal(size=(4, DIM)) + 1j * rng.normal(size=(4, DIM))
+
         def hermitian():
             x = rng.normal(size=(4, DIM, DIM)) + 1j * rng.normal(size=(4, DIM, DIM))
             return x + x.conj().swapaxes(-1, -2)
 
-        for _ in range(20):
-            rho, error = hermitian(), 1e-9 * hermitian()
-            complex_rms = propagate._rms(error / (1e-12 + np.abs(rho) * 1e-10))
-            moduli = propagate._coordinate_moduli(coordinates(rho))
-            real_rms = propagate._rms(coordinates(error) / (1e-12 + moduli * 1e-10))
-            assert real_rms == pytest.approx(complex_rms, rel=1e-15)
+        layouts = [(state, lambda psi: math.sqrt(2.0) * psi.view(float), propagate._STATE_MEANS),
+                   (hermitian, coordinates, propagate._DENSITY_MEANS)]
+        for entries, rows, means in layouts:
+            for _ in range(20):
+                y, error = entries(), 1e-9 * entries()
+                complex_rms = propagate._rms(error / (1e-12 + np.abs(y) * 1e-10))
+                moduli = np.sqrt((rows(y) * rows(y)) @ means)
+                real_rms = propagate._rms(rows(error) / (1e-12 + moduli * 1e-10))
+                assert real_rms == pytest.approx(complex_rms, rel=1e-15)
 
     def test_oracle_accepts_drive(self, params):
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
@@ -494,8 +529,11 @@ class TestOracle:
         assert err[1] == pytest.approx(err[0] / 16.0, rel=0.2)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            propagate.oracle_propagate(_zero_h, basis_state(0), 0.0, 0.0, 1.0)
+        # a step that is not positive, and a window that is empty or runs
+        # backwards, which the oracle would otherwise integrate backwards
+        for dt, t_start, t_end in [(0.0, 0.0, 1.0), (0.5, 10.0, 0.0), (0.5, 1.0, 1.0)]:
+            with pytest.raises(ValueError):
+                propagate.oracle_propagate(_zero_h, basis_state(0), dt, t_start, t_end)
 
     @pytest.mark.parametrize("n", [1, propagate._ORACLE_BLOCK, 2 * propagate._ORACLE_BLOCK + 1])
     def test_blocks_equal_one_exponential_per_step(self, n, params):
