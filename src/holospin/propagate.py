@@ -41,28 +41,30 @@ raises on a drive whose h0 or any coupling is not exactly Hermitian, and
 on a density whose anti-Hermitian part exceeds 1e-12.
 
 The loop is written out here rather than run through scipy's
-``solve_ivp``, because G(t) does not depend on y.  Each step attempt
-evaluates the envelopes once, on the array of its stage times, and one
-product with S gives every stage's G.  The stage array holds y in its
-first row, so with the step's weights [1, h A] each stage is one
-combination of the rows above it and one product with its G; both error
-estimates are one product and one reduction.  The loop keeps scipy's
-tableau (``scipy.integrate.DOP853``), initial-step rule, error norm and
-step-factor constants.  That norm is an RMS over the whole stack, so one
-step size serves every row, with each complex entry scaled by its
-modulus.  The rows keep it: each coordinate is scaled by its entry's
-modulus, and sqrt2 makes a state's 2n-coordinate RMS its n-entry RMS,
-so every RMS of the loop (the initial step's and both error estimates)
-equals the complex one in exact arithmetic.  A solve without snapshots
-therefore takes solve_ivp's steps, with the same step count on every
-reference gate segment and finals within 1e-13 of solve_ivp's; only the
-three dense-output evaluations per snapshot go, since a spec with a record
-stride clips its steps to the sample times instead.  Measured on the
-reference y and z forward segments (2-core host, one BLAS thread; its
-speed alternates between levels up to 1.5x apart): a step costs 72-108 us
-for four densities and 63-90 us for four states (78-112 us as complex
-rows), of which the step's generators (envelopes and the one product)
-take 19-37 us.
+``solve_ivp``, because G(t) does not depend on y.  Every envelope is its
+amplitude times a sum of Gaussian components (a constant one has none), so
+the stack S holds one row per component, and each step attempt gets every
+stage's G from one exp over the components at its stage times and one
+product with S.  The stage array holds y in its first row, so with the
+step's weights [1, h A] each stage is one combination of the rows above
+it and one product with its G; both error estimates are one product and
+one reduction.  Each stage's views of the weights, rows and generator,
+and every buffer of a step, are built once per solve.  The loop keeps
+scipy's tableau (``scipy.integrate.DOP853``), initial-step rule, error
+norm and step-factor constants.  That norm is an RMS over the whole
+stack, so one step size serves every row, with each complex entry scaled
+by its modulus.  The rows keep it: each coordinate is scaled by its
+entry's modulus, and sqrt2 makes a state's 2n-coordinate RMS its n-entry
+RMS, so every RMS of the loop (the initial step's and both error
+estimates) equals the complex one in exact arithmetic.  A solve without
+snapshots therefore takes solve_ivp's steps, with the same step count on
+every reference gate segment and finals within 1e-13 of solve_ivp's; only
+the three dense-output evaluations per snapshot go, since a spec with a
+record stride clips its steps to the sample times instead.  Measured on
+the reference y and z forward segments (2-core host, one BLAS thread; its
+speed alternates between levels up to 1.7x apart): a step costs 47-85 us
+for four densities and 39-74 us for four states, of which the step's
+generators take 10-17 us and 7-13 us.
 
 A drive whose envelopes are all constant is solved exactly, in the same
 real coordinates (``semigroup_propagate``): rho(t) = exp(L t) rho0, one
@@ -93,7 +95,7 @@ from scipy.integrate import DOP853
 from scipy.linalg import block_diag
 
 from .model import Drive
-from .pulses import ConstantPulse
+from .pulses import ConstantPulse, GaussianPulse, TwoPartPulse
 from .qcore import DIM, dense_expm
 
 
@@ -146,8 +148,8 @@ class PropagationSpec:
         # each comparison is false for NaN
         if not 0.0 < self.abs_tol < np.inf:
             raise ValueError("abs_tol must be a positive finite number")
-        if self.record_stride < 0.0:
-            raise ValueError("record_stride must be non-negative")
+        if not 0.0 <= self.record_stride < np.inf:
+            raise ValueError("record_stride must be a non-negative finite number")
 
     def sample_times(self) -> np.ndarray:
         if self.record_stride == 0.0:
@@ -202,11 +204,14 @@ _STATE_MEANS, _DENSITY_MEANS = _pair_means(0, DIM), _pair_means(DIM, DIM * (DIM 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
     """The real coordinates Tr(B_a rho) (..., 25) of a density (5, 5) or of
     a stack along a leading axis.  They keep only the Hermitian part, so a
-    density whose anti-Hermitian part exceeds 1e-12 raises."""
+    density whose anti-Hermitian part exceeds 1e-12, or with an entry that is
+    not finite, raises."""
     rho = np.asarray(rho, dtype=complex)
     skew = 0.5 * float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
-    if skew > 1e-12:
-        raise ValueError(f"input density is not Hermitian: anti-Hermitian part {skew:.3e}")
+    # false for a density with a NaN or infinite entry, whose skew is NaN
+    if not skew <= 1e-12:
+        raise ValueError("input density is not finite and Hermitian: "
+                         f"anti-Hermitian part {skew:.3e}")
     return (rho.reshape(rho.shape[:-2] + (DIM * DIM,)) @ _BASIS.conj().T).real
 
 
@@ -232,21 +237,42 @@ def _real(superoperator_t: np.ndarray) -> np.ndarray:
 
 
 def _generators(drive: Drive, lift, constant):
-    """times -> the generators G(t) (n, w, w) at an array of n times, with
-    G(t) = [1, f_1(t), ...] @ S for the drive's terms stacked once as S,
-    where lift maps one 5x5 Hamiltonian term to its w x w part of G and the
-    constant is added to the h0 term."""
-    parts = [lift(drive.h0) + constant] + [lift(k) for _, k in drive.terms]
+    """(times, out) -> the generators G(t) at an array of n times, written
+    into out (n, w * w) and returned as its (n, w, w) view, where lift maps
+    one 5x5 Hamiltonian term to its w x w part of G and the constant is
+    added to the h0 term.
+
+    Every envelope is its amplitude times a sum, over its ``centers``, of
+    Gaussian components exp(-((t - c) / width)^2), and a constant envelope
+    has none.  So the drive is stacked once as S: the h0 part with each
+    constant envelope's term folded in, then one row per Gaussian component,
+    its amplitude times its coupling's part.  G(t) = [1, e_1(t), ...] @ S
+    for the components e_j, one exp over every component and time.  An
+    envelope of any other type raises."""
+    parts = [lift(drive.h0) + constant]
+    centers, widths = [], []
+    for envelope, coupling in drive.terms:
+        if type(envelope) not in (GaussianPulse, TwoPartPulse, ConstantPulse):
+            raise ValueError("the adaptive solve needs GaussianPulse, TwoPartPulse or "
+                             f"ConstantPulse envelopes, not {type(envelope).__name__}")
+        part = envelope.amplitude * lift(coupling)
+        if not envelope.centers:
+            parts[0] = parts[0] + part
+        for center in envelope.centers:
+            parts.append(part)
+            centers.append(center)
+            widths.append(envelope.width)
     width = parts[0].shape[0]
     stack = np.stack(parts).reshape(len(parts), -1)
-    envelopes = [f for f, _ in drive.terms]
+    centers, widths = np.array(centers), np.array(widths)
 
-    def at(times: np.ndarray) -> np.ndarray:
+    def at(times: np.ndarray, out: np.ndarray) -> np.ndarray:
         coef = np.empty((len(times), len(parts)))
         coef[:, 0] = 1.0
-        for column, envelope in enumerate(envelopes, start=1):
-            coef[:, column] = envelope(times)
-        return (coef @ stack).reshape(-1, width, width)
+        # x as the envelopes compute it, (t - c) / width
+        x = (times[:, None] - centers) / widths
+        np.exp(-x * x, out=coef[:, 1:])
+        return np.dot(coef, stack, out=out).reshape(-1, width, width)
 
     return at
 
@@ -261,20 +287,23 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     """One adaptive DOP853 solve of y' = y G(t) for the real rows of y0,
     with scipy's tableau, initial step, error norm and step control; each
     coordinate of y is scaled in the error norm by the modulus of its entry,
-    sqrt((y * y) @ pair_means).  A record stride clips the steps to the
-    sample times."""
+    sqrt((y * y) @ pair_means), for the w x w pair_means of rows of width w.
+    ``generators(times, out)`` writes G at each of the times into rows of
+    the loop's one (11, w * w) buffer, so each call overwrites the last, the
+    initial step's two single-time calls included.  A record stride clips
+    the steps to the sample times."""
     rtol, atol = max(spec.rel_tol, _REL_TOL_FLOOR), spec.abs_tol
     t = spec.t_start
-    g0 = generators(np.array([t]))[0]
+    width = len(pair_means)
+    gens = np.empty((_STAGES - 1, width, width))
+    gens_flat = gens.reshape(_STAGES - 1, -1)
     # y in row 0, the derivatives K_0..K_12 below it; each stage's argument
     # y + h sum_j A[s, j] K_j is built in place
-    stages = np.empty((_STAGES + 2, np.size(y0) // g0.shape[0], g0.shape[0]))
+    stages = np.empty((_STAGES + 2, np.size(y0) // width, width))
     flat = stages.reshape(_STAGES + 2, -1)
     y = stages[0]
     y[...] = np.reshape(y0, y.shape)
-    argument = np.empty_like(y)
-    argument_row = argument.reshape(-1)
-    np.matmul(y, g0, out=stages[1])
+    np.matmul(y, generators(np.array([t]), gens_flat[:1])[0], out=stages[1])
 
     # scipy's initial step (select_initial_step, error order 7)
     y_moduli = np.sqrt((y * y) @ pair_means)
@@ -282,11 +311,23 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     d0, d1 = _rms(y / scale), _rms(stages[1] / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, spec.t_end - t)
-    f1 = (y + h0 * stages[1]) @ generators(np.array([t + h0]))[0]
+    f1 = (y + h0 * stages[1]) @ generators(np.array([t + h0]), gens_flat[:1])[0]
     d2 = _rms((f1 - stages[1]) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT))
     h_abs = min(100 * h0, h1, spec.t_end - t, max_step)
+
+    # every buffer of a step, and each stage's views into them: its weights
+    # [1, h A[s]], the rows they weigh, its generator and its derivative's row
+    weights = np.ones_like(_TABLEAU)
+    step_weights, tableau = weights[:, 1:], _TABLEAU[:, 1:]
+    argument, y_new, new_moduli = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    argument_row, y_new_row = argument.reshape(-1), y_new.reshape(-1)
+    plan = [(weights[s - 1, :s + 1], flat[:s + 1], gens[s - 1], stages[s + 1])
+            for s in range(1, _STAGES)]
+    end_weights, end_rows, derivatives = weights[-1], flat[:-1], flat[1:]
+    squares, scale = np.empty_like(y), np.empty_like(y)
+    scale_row, scaled = scale.reshape(-1), np.empty((len(_ERRORS), y.size))
 
     samples = spec.sample_times()
     snapshots = [y.copy()]
@@ -297,24 +338,27 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
             h_abs = min(max(h_abs, min_step), max_step)
             rejected = False
             while True:
-                if h_abs < min_step:
+                # false for a NaN step too
+                if not h_abs >= min_step:
                     raise ValueError(f"stiffness/tolerance failure in the {kind} solve near "
                                      f"t = {t:.6g} ps")
                 t_new = min(t + h_abs, bound)
                 h = t_new - t
                 h_abs = abs(h)
-                gens = generators(t + h * _C[1:])
-                weights = h * _TABLEAU
-                weights[:, 0] = 1.0
-                for s in range(1, _STAGES):
-                    np.dot(weights[s - 1, :s + 1], flat[:s + 1], out=argument_row)
-                    np.matmul(argument, gens[s - 1], out=stages[s + 1])
-                y_new = np.dot(weights[-1], flat[:-1]).reshape(y.shape)
-                np.matmul(y_new, gens[-1], out=stages[-1])
+                generators(t + h * _C[1:], gens_flat)
+                np.multiply(h, tableau, out=step_weights)
+                for stage_weights, rows, g, derivative in plan:
+                    np.dot(stage_weights, rows, out=argument_row)
+                    np.dot(argument, g, out=derivative)
+                np.dot(end_weights, end_rows, out=y_new_row)
+                np.dot(y_new, gens[-1], out=stages[-1])
                 n_steps += 1
-                new_moduli = np.sqrt((y_new * y_new) @ pair_means)
-                scale = atol + np.maximum(y_moduli, new_moduli).reshape(-1) * rtol
-                scaled = np.dot(_ERRORS, flat[1:]) / scale   # both error estimates
+                np.multiply(y_new, y_new, out=squares)
+                np.sqrt(np.dot(squares, pair_means, out=new_moduli), out=new_moduli)
+                np.maximum(y_moduli, new_moduli, out=scale)
+                scale *= rtol
+                scale += atol
+                np.divide(np.dot(_ERRORS, derivatives, out=scaled), scale_row, out=scaled)
                 err5, err3 = np.einsum("ij,ij->i", scaled, scaled).tolist()
                 error = (0.0 if err5 == 0.0 and err3 == 0.0
                          else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size))
@@ -325,7 +369,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
                 rejected = True
-            t, y_moduli = t_new, new_moduli
+            t, y_moduli, new_moduli = t_new, new_moduli, y_moduli
             y[...] = y_new
             stages[1] = stages[-1]
         snapshots.append(y.copy())
@@ -341,8 +385,9 @@ def _solve(drive: Drive, lift, constant, y0: np.ndarray, spec: PropagationSpec,
            kind: str, pair_means: np.ndarray) -> Trajectory:
     """The adaptive solve of y0 under the drive's generators, with the step
     cap of the module docstring (a constant envelope's width is infinite)."""
+    generators = _generators(drive, lift, constant)
     max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
-    return _dop853(_generators(drive, lift, constant), y0, spec, max_step, kind, pair_means)
+    return _dop853(generators, y0, spec, max_step, kind, pair_means)
 
 
 def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec) -> Trajectory:
@@ -353,8 +398,9 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     bounded in terms of the step count, never silently renormalized.
     """
     psi0 = np.ascontiguousarray(psi0, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) > 1e-9):
-        raise ValueError("initial state must be normalized")
+    # false for a state with a NaN or infinite entry too
+    if not np.all(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) <= 1e-9):
+        raise ValueError("initial state must be finite and normalized")
     traj = _solve(drive, lambda h: _pair_form((-1j * h).T), 0.0,
                   math.sqrt(2.0) * psi0.view(float), spec, "state", _STATE_MEANS)
     traj.states = traj.states.view(complex) / math.sqrt(2.0)

@@ -2,10 +2,11 @@
 
 Units: time in picoseconds, envelope values are half Rabi frequencies in
 rad/ps (the envelopes are exactly the coupling strengths entering the
-Hamiltonians, with no extra factor of two anywhere).  An envelope called
-on a float returns a float; called on an array of times (an adaptive
-step's stage times), it returns the array of values from the same
-formula.
+Hamiltonians, with no extra factor of two anywhere).  Every envelope is
+its amplitude times a sum of Gaussians exp(-((t - c) / width)^2), one per
+entry of its ``centers``; a constant envelope has none.  Amplitudes,
+centers and widths must be finite, amplitudes non-negative and widths
+positive.
 
 Two protocol families are provided:
 
@@ -23,16 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
-
-def _exp(x):
-    """exp(x) by math.exp, of a float or of each element of an array: numpy's
-    exp differs from it in the last bit for about one argument in twenty, so
-    an array of times gets the same values as the times one by one."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.flat), float, x.size).reshape(x.shape)
-    return math.exp(x)
+def _check(pulse) -> None:
+    """Raise unless the pulse's amplitude is non-negative and finite and its
+    centers finite, and a Gaussian pulse's width positive and finite (a
+    constant pulse has no center and an infinite width).  Each comparison
+    is false for NaN."""
+    if not 0.0 <= pulse.amplitude < math.inf:
+        raise ValueError("pulse amplitude must be non-negative and finite")
+    if not all(map(math.isfinite, pulse.centers)):
+        raise ValueError("pulse centers must be finite")
+    if pulse.centers and not 0.0 < pulse.width < math.inf:
+        raise ValueError("pulse width must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,15 @@ class GaussianPulse:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("pulse width must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("pulse amplitude must be non-negative")
+        _check(self)
 
     @property
     def centers(self) -> tuple:
         return (self.center,)
 
-    def __call__(self, t):
+    def __call__(self, t: float) -> float:
         x = (t - self.center) / self.width
-        return self.amplitude * _exp(-x * x)
+        return self.amplitude * math.exp(-x * x)
 
     def derivative(self, t: float) -> float:
         x = (t - self.center) / self.width
@@ -72,19 +72,16 @@ class TwoPartPulse:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError("pulse width must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("pulse amplitude must be non-negative")
+        _check(self)
 
     @property
     def centers(self) -> tuple:
         return (self.early_center, self.late_center)
 
-    def __call__(self, t):
+    def __call__(self, t: float) -> float:
         xe = (t - self.early_center) / self.width
         xl = (t - self.late_center) / self.width
-        return self.amplitude * (_exp(-xe * xe) + _exp(-xl * xl))
+        return self.amplitude * (math.exp(-xe * xe) + math.exp(-xl * xl))
 
     def derivative(self, t: float) -> float:
         xe = (t - self.early_center) / self.width
@@ -103,11 +100,10 @@ class ConstantPulse:
     width = math.inf
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("pulse amplitude must be non-negative")
+        _check(self)
 
-    def __call__(self, t):
-        return self.amplitude + 0.0 * t
+    def __call__(self, t: float) -> float:
+        return self.amplitude
 
     def derivative(self, t: float) -> float:
         return 0.0

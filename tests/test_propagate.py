@@ -33,6 +33,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="abs_tol"):
             PropagationSpec(0.0, 1.0, abs_tol=abs_tol)
 
+    @pytest.mark.parametrize("stride", [-1.0, math.nan, math.inf])
+    def test_record_stride_must_be_non_negative_and_finite(self, stride):
+        with pytest.raises(ValueError, match="record_stride"):
+            PropagationSpec(0.0, 1.0, record_stride=stride)
+
     def test_sample_times(self):
         spec = PropagationSpec(0.0, 10.0, record_stride=3.0)
         np.testing.assert_allclose(spec.sample_times(), [0, 3, 6, 9, 10])
@@ -96,6 +101,14 @@ class TestSchrodinger:
         with pytest.raises(ValueError):
             propagate.schrodinger_propagate(_zero_h, 0.5 * basis_state(0),
                                             PropagationSpec(0.0, 1.0))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_a_non_finite_state_before_the_loop(self, entry, monkeypatch):
+        monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
+        psi0 = basis_state(0)
+        psi0[2] = entry
+        with pytest.raises(ValueError, match="finite and normalized"):
+            propagate.schrodinger_propagate(_zero_h, psi0, PropagationSpec(0.0, 1.0))
 
     def test_diagonal_hamiltonian_freezes_populations(self, params):
         # silent envelopes leave both Hamiltonians diagonal: phases only
@@ -176,6 +189,14 @@ class TestLindblad:
         else:
             with pytest.raises(ValueError, match="anti-Hermitian part 5.000e-12"):
                 solve()
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_a_non_finite_density_before_the_loop(self, entry, monkeypatch):
+        monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
+        rho0 = density_from_state(basis_state(0))
+        rho0[1, 1] = entry
+        with pytest.raises(ValueError, match="not finite and Hermitian"):
+            propagate.lindblad_propagate(_zero_h, [], rho0, PropagationSpec(0.0, 1.0))
 
     def test_coupling_must_be_hermitian(self):
         # checked on the couplings themselves, even under a zero envelope
@@ -389,17 +410,83 @@ class TestAgainstSolveIvp:
         # a coupling that jumps from 0 to 1e6 rad/ps at t = 1 ps: no step
         # across the jump meets the tolerance, so the step shrinks below
         # ten units in the last place of t
+        h = np.zeros((DIM, DIM), dtype=complex)
+        h[0, 3] = h[3, 0] = -1.0
+        part = propagate._pair_form((-1j * h).T)
+        generators = _stepwise(lambda times: np.where(times < 1.0, 0.0, 1e6), part)
+        with pytest.raises(ValueError, match=r"stiffness/tolerance failure in the state "
+                                             r"solve near t = 1 ps"):
+            propagate._dop853(generators, _state_row(basis_state(0)), PropagationSpec(0.0, 2.0),
+                              math.inf, "state", propagate._STATE_MEANS)
+
+    def test_nan_generator_raises(self):
+        # a NaN generator makes the initial step NaN, which no step-size
+        # test may let through; more generator calls than any step
+        # sequence here could make mean the loop did not stop
+        calls = []
+        nan_generators = _stepwise(lambda times: np.full_like(times, math.nan), np.eye(2 * DIM))
+
+        def generators(times, out):
+            calls.append(len(times))
+            assert len(calls) < 10_000, "the loop did not stop on a NaN step"
+            return nan_generators(times, out)
+
+        with pytest.raises(ValueError, match="stiffness/tolerance failure in the state solve"):
+            propagate._dop853(generators, _state_row(basis_state(0)), PropagationSpec(0.0, 2.0),
+                              math.inf, "state", propagate._STATE_MEANS)
+
+
+def _unreachable_loop(*args):
+    raise AssertionError("the input reached the DOP853 loop")
+
+
+def _state_row(psi: np.ndarray) -> np.ndarray:
+    """A state's real row sqrt2 (Re psi_i, Im psi_i)."""
+    return math.sqrt(2.0) * psi.view(float)
+
+
+def _stepwise(envelope, part):
+    """Generators (times, out) -> envelope(times) part, written into out."""
+    def generators(times, out):
+        gens = np.multiply.outer(envelope(times), part)
+        out[...] = gens.reshape(out.shape)
+        return gens
+    return generators
+
+
+class TestComponentGenerators:
+    """The generators fold each envelope's amplitude into its coupling's
+    part and evaluate every Gaussian component with one exp; at any time
+    they are the lift of the drive's H(t) from the scalar envelope calls."""
+
+    def test_match_the_scalar_envelope_calls(self):
+        couplings = [model._coupling(ground, amp)
+                     for ground, amp in ((0, 1.0), (1, np.exp(-0.7j)), (2, 1.0))]
+        envelopes = [pulses.GaussianPulse(0.4, 30.0, 100.0),
+                     pulses.TwoPartPulse(0.5, -650.0, 0.0, 100.0),
+                     pulses.ConstantPulse(0.3)]
+        h0 = np.diag([0.0, 0.0, 0.0, 0.2, -0.3]).astype(complex)
+        drive = model.Drive(h0, tuple(zip(envelopes, couplings)))
+        lift = lambda h: propagate._pair_form((-1j * h).T)
+        generators = propagate._generators(drive, lift, 0.0)
+        times = np.linspace(-1200.0, 900.0, 211)
+        out = np.empty((len(times), (2 * DIM) ** 2))
+        batch = generators(times, out)
+        assert batch.base is out
+        for t, g in zip(times.tolist(), batch):
+            np.testing.assert_allclose(g, lift(drive(t)), rtol=0, atol=1e-15)
+
+    def test_unknown_envelope_type_is_rejected_by_name(self):
         class Jump:
-            width = math.inf
+            amplitude, centers, width = 1.0, (), math.inf
 
             def __call__(self, t):
-                return np.where(t < 1.0, 0.0, 1e6)
+                return 1.0
 
         h = np.zeros((DIM, DIM), dtype=complex)
         h[0, 3] = h[3, 0] = -1.0
         drive = model.Drive(np.zeros((DIM, DIM), dtype=complex), ((Jump(), h),))
-        with pytest.raises(ValueError, match=r"stiffness/tolerance failure in the state "
-                                             r"solve near t = 1 ps"):
+        with pytest.raises(ValueError, match="not Jump"):
             propagate.schrodinger_propagate(drive, basis_state(0), PropagationSpec(0.0, 2.0))
 
 
@@ -448,8 +535,8 @@ class TestDriveTemplates:
         # the twelve stage times t + C h of a step from t of size h
         for t, h in zip(rng.uniform(-1000.0, 950.0, size=5), rng.uniform(1.0, 50.0, size=5)):
             times = t + h * DOP853.C
-            schrodinger_batch = schrodinger_generators(times)
-            lindblad_batch = lindblad_generators(times)
+            schrodinger_batch = schrodinger_generators(times, np.empty((12, (2 * DIM) ** 2)))
+            lindblad_batch = lindblad_generators(times, np.empty((12, (DIM * DIM) ** 2)))
             assert len(schrodinger_batch) == len(lindblad_batch) == len(times) == 12
             for time, g_psi, g_rho in zip(times, schrodinger_batch, lindblad_batch):
                 # the coordinate rows of random complex states, and the
@@ -471,7 +558,7 @@ class TestDriveTemplates:
         propagate.lindblad_propagate(model.drive_y(ps, params), lindblad_channels(params),
                                      density_from_state(basis_state(0)), spec)
         for generators, width in zip(captured, (2 * DIM, DIM * DIM)):
-            batch = generators(np.linspace(-300.0, 300.0, 12))
+            batch = generators(np.linspace(-300.0, 300.0, 12), np.empty((12, width * width)))
             assert batch.dtype == np.float64 and batch.shape == (12, width, width)
         constant = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
                                    driving=pulses.OFF)
