@@ -16,7 +16,6 @@ finite-difference form here.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 import numpy as np
 
@@ -138,17 +137,13 @@ def theta_rate(pulses: PulseSet, t: float) -> float:
     return (pulses.stokes.derivative(t) * om_d - om_s * pulses.driving.derivative(t)) / denom
 
 
-# the fields an integrand reads from each envelope kind, in unpacking order
-_FIELD_NAMES = {GaussianPulse: ("amplitude", "center", "width"),
-                TwoPartPulse: ("amplitude", "early_center", "late_center", "width")}
-
-
 def _fields(envelope, kind) -> tuple:
-    """The envelope's fields, by name, read once per integrand."""
+    """The envelope's amplitude, centers and width, the contract every
+    envelope kind shares, read once per integrand."""
     if type(envelope) is not kind:
         raise ValueError(f"the holonomy integrand needs a {kind.__name__} here, "
                          f"not {type(envelope).__name__}")
-    return attrgetter(*_FIELD_NAMES[kind])(envelope)
+    return envelope.amplitude, envelope.centers, envelope.width
 
 
 # The two closures below are the holonomy integrands sin(phi) * theta'(t).
@@ -160,9 +155,9 @@ def _fields(envelope, kind) -> tuple:
 def angle_rate_y(pulses: PulseSet):
     """t -> sin(phi_pump) * d theta/dt for a make_y_pulseset set (0 where the
     fields have vanished)."""
-    a_p, c_p, w_p = _fields(pulses.pump, GaussianPulse)
-    a_s, c_s, w_s = _fields(pulses.stokes, GaussianPulse)
-    a_d, c_d, w_d = _fields(pulses.driving, GaussianPulse)
+    a_p, (c_p,), w_p = _fields(pulses.pump, GaussianPulse)
+    a_s, (c_s,), w_s = _fields(pulses.stokes, GaussianPulse)
+    a_d, (c_d,), w_d = _fields(pulses.driving, GaussianPulse)
     exp, sqrt = math.exp, math.sqrt
 
     def rate(t: float) -> float:
@@ -189,8 +184,8 @@ def angle_rate_y(pulses: PulseSet):
 def angle_rate_z(pulses: PulseSet, delta: float):
     """t -> sin(phi_zeeman) * d theta/dt for a make_z_pulseset set; the pump
     is off and does not enter."""
-    a_s, c_s, w_s = _fields(pulses.stokes, GaussianPulse)
-    a_d, c_e, c_l, w_d = _fields(pulses.driving, TwoPartPulse)
+    a_s, (c_s,), w_s = _fields(pulses.stokes, GaussianPulse)
+    a_d, (c_e, c_l), w_d = _fields(pulses.driving, TwoPartPulse)
     exp, hypot = math.exp, math.hypot
     half = delta / 2.0
     root2 = math.sqrt(2.0)

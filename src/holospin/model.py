@@ -6,9 +6,10 @@ Two driven configurations of the five-level system are built here:
   all to both electron levels with equal strength; the three fields share a
   common one-photon detuning (three-photon resonance).  Used for the
   geometric y rotation.
-* ``build_h_z``: pump off, |0> fully decoupled; Stokes (with relative phase)
-  and driving tuned to the midpoint of the two electron levels.  Used for
-  the fractional-STIRAP z protocol.
+* ``build_h_z``: the y Hamiltonian with the pump off, so |0> is fully
+  decoupled, and the one-photon detuning at the midpoint -delta/2 of the
+  electron levels, which ``ModelParams`` reserves for it.  Used for the
+  fractional-STIRAP z protocol.
 
 The same two Hamiltonians also come as drive templates, ``drive_y`` and
 ``drive_z``: a ``Drive`` holds H(t) = h0 + sum_k f_k(t) K_k with the three
@@ -79,24 +80,16 @@ def build_h_y(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
 
 
 def build_h_z(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
-    """Midpoint-tuned Hamiltonian of the z configuration at time t.
-
-    Two-photon resonance with both fields tuned halfway between the electron
-    levels: diagonal (0, 0, 0, +delta/2, -delta/2).  |0> is exactly
-    decoupled; the Stokes coupling carries exp(-i * stokes_phase).
+    """Midpoint-tuned Hamiltonian of the z configuration at time t: the y
+    Hamiltonian with the pump off and the one-photon detuning at the
+    midpoint -delta/2, so the diagonal is (0, 0, 0, +delta/2, -delta/2).  |0>
+    is exactly decoupled; the Stokes coupling carries exp(-i * stokes_phase).
     """
-    if pulses.pump(t) != 0.0:
+    h = build_h_y(t, pulses, params)
+    if h[IDX_E1, IDX_ZERO] != 0.0:
         raise ValueError("z-configuration requires a vanishing pump envelope")
-    h = np.zeros((DIM, DIM), dtype=complex)
     h[IDX_E1, IDX_E1] = +params.delta / 2.0
     h[IDX_E2, IDX_E2] = -params.delta / 2.0
-    om_s = pulses.stokes(t) * np.exp(-1j * pulses.stokes_phase)
-    om_d = pulses.driving(t)
-    for e in (IDX_E1, IDX_E2):
-        h[e, IDX_ONE] = -om_s
-        h[e, IDX_ANC] = -om_d
-        h[IDX_ONE, e] = -np.conj(om_s)
-        h[IDX_ANC, e] = -om_d
     return h
 
 
@@ -137,13 +130,13 @@ def drive_y(pulses: PulseSet, params: ModelParams) -> Drive:
 
 
 def drive_z(pulses: PulseSet, params: ModelParams) -> Drive:
-    """The z-configuration Hamiltonian of ``build_h_z`` as a drive template;
-    the pump must be off, and its term is left out."""
+    """The z-configuration Hamiltonian of ``build_h_z`` as a drive template:
+    the midpoint h0 over the Stokes and driving terms of ``drive_y``; the
+    pump must be off, and its term is left out."""
     if pulses.pump.amplitude != 0.0:
         raise ValueError("z-configuration requires a vanishing pump envelope")
     h0 = np.diag([0.0, 0.0, 0.0, params.delta / 2.0, -params.delta / 2.0]).astype(complex)
-    return Drive(h0, ((pulses.stokes, _coupling(IDX_ONE, np.exp(-1j * pulses.stokes_phase))),
-                      (pulses.driving, _coupling(IDX_ANC, 1.0))))
+    return Drive(h0, drive_y(pulses, params).terms[1:])
 
 
 def lindblad_channels(params: ModelParams) -> list[np.ndarray]:

@@ -66,11 +66,12 @@ speed alternates between levels up to 1.7x apart): a step costs 47-85 us
 for four densities and 39-74 us for four states, of which the step's
 generators take 10-17 us and 7-13 us.
 
-A drive whose envelopes are all constant is solved exactly, in the same
-real coordinates (``semigroup_propagate``): rho(t) = exp(L t) rho0, one
-``dense_expm`` per snapshot stride, and its time integral from one
-augmented exponential (``semigroup_integral``; Van Loan, IEEE Trans.
-Autom. Control 23, 395 (1978)).
+A drive whose envelopes are all constant is solved exactly from 0 to a
+duration, in the same real coordinates and with no tolerance: rho(t) =
+exp(L t) rho0 at each record stride by one real ``dense_expm``
+(``semigroup_propagate``), and its time integral from one augmented
+exponential (``semigroup_integral``; Van Loan, IEEE Trans. Autom. Control
+23, 395 (1978)).
 
 The oracle integrates y' = G(t) y for any callable that returns the d x d
 step generator G(t): -iH(t) (5x5) for a state, a Liouvillian (25x25) for
@@ -155,7 +156,8 @@ class PropagationSpec:
         if self.record_stride == 0.0:
             return np.array([self.t_start, self.t_end])
         inner = np.arange(self.t_start, self.t_end, self.record_stride)
-        return np.unique(np.concatenate([inner, [self.t_end]]))
+        # arange may round a last point up to or past t_end
+        return np.append(inner[inner < self.t_end], self.t_end)
 
 
 @dataclass
@@ -207,8 +209,10 @@ def _coordinates(rho: np.ndarray) -> np.ndarray:
     density whose anti-Hermitian part exceeds 1e-12, or with an entry that is
     not finite, raises."""
     rho = np.asarray(rho, dtype=complex)
-    skew = 0.5 * float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
-    # false for a density with a NaN or infinite entry, whose skew is NaN
+    # a non-finite entry gives a NaN skew, which fails the check, without
+    # the arithmetic, which would warn
+    skew = (0.5 * float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
+            if np.isfinite(rho).all() else math.nan)
     if not skew <= 1e-12:
         raise ValueError("input density is not finite and Hermitian: "
                          f"anti-Hermitian part {skew:.3e}")
@@ -398,8 +402,8 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     bounded in terms of the step count, never silently renormalized.
     """
     psi0 = np.ascontiguousarray(psi0, dtype=complex)
-    # false for a state with a NaN or infinite entry too
-    if not np.all(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) <= 1e-9):
+    if not (np.isfinite(psi0).all()
+            and np.all(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("initial state must be finite and normalized")
     traj = _solve(drive, lambda h: _pair_form((-1j * h).T), 0.0,
                   math.sqrt(2.0) * psi0.view(float), spec, "state", _STATE_MEANS)
@@ -475,19 +479,19 @@ def _constant_generator(drive: Drive, jump_ops) -> np.ndarray:
     return lift(drive(0.0)) + dissipator
 
 
-def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
-                        spec: PropagationSpec) -> Trajectory:
+def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray, duration: float,
+                        record_stride: float) -> Trajectory:
     """The master equation of ``lindblad_propagate`` under a constant
-    drive, solved exactly: each snapshot is the last one times exp(G s) for
-    the snapshot interval s, one ``dense_expm`` for the whole strides and
-    one more for a last partial stride.  The tolerances go unused."""
+    drive, solved exactly from 0 to duration at ``PropagationSpec``'s sample
+    times: each snapshot is the last one times exp(G s) for the snapshot
+    interval s, one ``dense_expm`` for the whole strides, if one fits, and
+    one more for a last partial stride."""
+    times = PropagationSpec(0.0, duration, record_stride=record_stride).sample_times()
     rows = _coordinates(rho0)
     g = _constant_generator(drive, jump_ops)
-    times = spec.sample_times()
     steps = np.diff(times)
-    # the exponential of a real matrix is real
-    whole = dense_expm(spec.record_stride * g).real if spec.record_stride > 0.0 else None
-    last = whole if steps[-1] == spec.record_stride else dense_expm(steps[-1] * g).real
+    whole = dense_expm(record_stride * g) if 0.0 < record_stride <= duration else None
+    last = whole if steps[-1] == record_stride else dense_expm(steps[-1] * g)
     snapshots = [rows]
     for u in [whole] * (len(steps) - 1) + [last]:
         rows = rows @ u
@@ -511,7 +515,7 @@ def semigroup_integral(drive: Drive, jump_ops, rho0: np.ndarray,
     augmented = np.zeros((n + k, n + k))
     augmented[:n, :n] = _constant_generator(drive, jump_ops).T
     augmented[:n, n:] = columns
-    block = dense_expm(duration * augmented).real
+    block = dense_expm(duration * augmented)
     final = (block[:n, :n] @ columns).T.reshape(rows.shape)
     integral = _densities(block[:n, n:].T.reshape(rows.shape))
     traj = Trajectory(times=np.array([0.0, duration]), states=np.array([rows, final]),

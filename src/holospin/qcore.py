@@ -68,10 +68,10 @@ def dense_expm(matrix: np.ndarray) -> np.ndarray:
     """exp(matrix), or of each matrix of a stack, by SciPy's
     scaling-and-squaring Pade method (Al-Mohy & Higham 2009); used as the
     propagation oracle throughout the package.  A caller that wants
-    exp(t A) forms the product t * A itself.  Non-finite input raises
-    ValueError.
+    exp(t A) forms the product t * A itself; the result keeps the input's
+    number type, real or complex.  Non-finite input raises ValueError.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite input")
     return expm(a)

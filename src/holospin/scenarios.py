@@ -132,9 +132,9 @@ def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
     rho_11) at each snapshot.
     """
     drive = _pumping(polarization, rabi, params)
-    # PropagationSpec rejects a duration <= 0
-    spec = PropagationSpec(0.0, duration, record_stride=record_stride)
-    traj = semigroup_propagate(drive, lindblad_channels(params), lift_density(qubit_block), spec)
+    # semigroup_propagate rejects a duration <= 0
+    traj = semigroup_propagate(drive, lindblad_channels(params), lift_density(qubit_block),
+                               duration, record_stride)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
     sign = 1.0 if polarization == "sigma_minus" else -1.0

@@ -44,6 +44,13 @@ class TestSpecValidation:
         spec = PropagationSpec(0.0, 10.0)
         np.testing.assert_allclose(spec.sample_times(), [0, 10])
 
+    @pytest.mark.parametrize("t_start, t_end, stride", [(1.0, 1.3, 0.1), (1120.8, 3010.8, 8.4)])
+    def test_sample_times_end_exactly_at_t_end(self, t_start, t_end, stride):
+        # from these starts arange rounds a last point up to or past t_end
+        times = PropagationSpec(t_start, t_end, record_stride=stride).sample_times()
+        assert times[0] == t_start and times[-1] == t_end
+        assert np.all(np.diff(times) > 0.0) and times[-2] < t_end
+
 
 class TestSchrodinger:
     def test_free_evolution(self):
@@ -102,6 +109,8 @@ class TestSchrodinger:
             propagate.schrodinger_propagate(_zero_h, 0.5 * basis_state(0),
                                             PropagationSpec(0.0, 1.0))
 
+    # the check comes before any arithmetic on the state, so it warns of nothing
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_rejects_a_non_finite_state_before_the_loop(self, entry, monkeypatch):
         monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
@@ -190,6 +199,8 @@ class TestLindblad:
             with pytest.raises(ValueError, match="anti-Hermitian part 5.000e-12"):
                 solve()
 
+    # the check comes before any arithmetic on the density, so it warns of nothing
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
     def test_rejects_a_non_finite_density_before_the_loop(self, entry, monkeypatch):
         monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
@@ -205,9 +216,10 @@ class TestLindblad:
         drive = model.Drive(np.zeros((DIM, DIM), dtype=complex),
                             ((pulses.ConstantPulse(0.0), one_way),))
         rho0 = density_from_state(basis_state(0))
-        for solve in (propagate.lindblad_propagate, propagate.semigroup_propagate):
-            with pytest.raises(ValueError, match="Hermitian couplings"):
-                solve(drive, [], rho0, PropagationSpec(0.0, 1.0))
+        with pytest.raises(ValueError, match="Hermitian couplings"):
+            propagate.lindblad_propagate(drive, [], rho0, PropagationSpec(0.0, 1.0))
+        with pytest.raises(ValueError, match="Hermitian couplings"):
+            propagate.semigroup_propagate(drive, [], rho0, 1.0, 0.0)
 
     def test_positivity_violation_raises(self):
         rho0 = np.diag([1.2, -0.2, 0, 0, 0]).astype(complex)
@@ -334,9 +346,10 @@ class TestSemigroup:
                              driving=pulses.OFF)
         jumps = lindblad_channels(params)
         rho0 = density_from_state(basis_state(0))
-        spec = PropagationSpec(0.0, 1000.0, record_stride=stride)
-        traj = propagate.semigroup_propagate(model.drive_y(ps, params), jumps, rho0, spec)
-        np.testing.assert_array_equal(traj.times, spec.sample_times())
+        drive = model.drive_y(ps, params)
+        traj = propagate.semigroup_propagate(drive, jumps, rho0, 1000.0, stride)
+        np.testing.assert_array_equal(
+            traj.times, PropagationSpec(0.0, 1000.0, record_stride=stride).sample_times())
         assert traj.meta["n_steps"] == len(traj.times) - 1
         generator = liouvillian(lambda t: model.build_h_y(t, ps, params), jumps)(0.0)
         for t, rho in zip(traj.times, traj.states):
@@ -347,8 +360,23 @@ class TestSemigroup:
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         with pytest.raises(ValueError, match="constant"):
             propagate.semigroup_propagate(model.drive_y(ps, params), [],
-                                          density_from_state(basis_state(0)),
-                                          PropagationSpec(0.0, 10.0))
+                                          density_from_state(basis_state(0)), 10.0, 0.0)
+
+    @pytest.mark.parametrize("duration, stride, calls", [
+        (100.0, 300.0, 1), (100.0, 0.0, 1), (1000.0, 250.0, 1), (1000.0, 300.0, 2)])
+    def test_one_exponential_per_distinct_interval(self, duration, stride, calls, params,
+                                                   monkeypatch):
+        # the whole-stride exponential is built only when a whole stride
+        # fits; a stride longer than the window needs only the last one
+        made = []
+        monkeypatch.setattr(propagate, "dense_expm",
+                            lambda m: made.append(m) or dense_expm(m))
+        ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+                             driving=pulses.OFF)
+        traj = propagate.semigroup_propagate(model.drive_y(ps, params), lindblad_channels(params),
+                                             density_from_state(basis_state(0)), duration, stride)
+        assert traj.times[-1] == duration
+        assert len(made) == calls
 
 
 def _lone_pulse_set():

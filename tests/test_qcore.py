@@ -104,6 +104,12 @@ class TestDenseExpm:
             u = qcore.dense_expm(t1 * m)
             assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
 
+    def test_real_matrix_gives_a_real_result(self, rng):
+        m = rng.normal(size=(2, 5, 5))
+        out = qcore.dense_expm(m)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, qcore.dense_expm(m.astype(complex)), rtol=0, atol=1e-12)
+
     def test_rejects_non_finite(self):
         bad = np.zeros((5, 5))
         bad[0, 0] = np.inf
