@@ -40,7 +40,7 @@ from . import holonomy
 from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa: F401
                     lindblad_channels)
 from .propagate import (PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate,
-                        semigroup_integral, semigroup_propagate)
+                        semigroup_propagate)
 from .pulses import OFF, ConstantPulse, PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
@@ -62,7 +62,10 @@ _SIX_AXIAL = np.vstack([_QUBITS, _QUBITS[2:] * [1.0, -1.0]])
 # ---------------------------------------------------------------------------
 
 # beyond ~40 widths of delay the Gaussian overlap underflows double precision
-# and the mixing-angle crossover becomes unrepresentable
+# and the mixing-angle crossover becomes unrepresentable.  The t-domain
+# quadrature fails well before that: z returns ~0 instead of pi/4 from 16.80
+# (6.1e-33 there, 5e-29 at 30), and y raises at 19.12-19.27 and returns 0,
+# with an error estimate of 0, instead of pi/2 from 19.28 (ROADMAP item 1)
 MAX_DELAY_RATIO = 40.0
 
 
@@ -126,15 +129,15 @@ def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,
     from a unit-trace 2x2 qubit density block.
 
     sigma_minus drives |0> (preparing spin up), sigma_plus drives |1>
-    (preparing spin down).  The drive is constant, so the snapshots are the
-    exact semigroup (``semigroup_propagate``).  Returns the trajectory and
-    the signed preparation fidelity (rho_target - rho_other)/(rho_00 +
-    rho_11) at each snapshot.
+    (preparing spin down).  The drive is constant, so the snapshots come
+    from the one exact solver, ``semigroup_propagate``.  Returns the
+    trajectory and the signed preparation fidelity (rho_target -
+    rho_other)/(rho_00 + rho_11) at each snapshot.
     """
     drive = _pumping(polarization, rabi, params)
     # semigroup_propagate rejects a duration <= 0
-    traj = semigroup_propagate(drive, lindblad_channels(params), lift_density(qubit_block),
-                               duration, record_stride)
+    traj, _ = semigroup_propagate(drive, lindblad_channels(params), lift_density(qubit_block),
+                                  duration, record_stride)
     r00 = traj.states[:, IDX_ZERO, IDX_ZERO].real
     r11 = traj.states[:, IDX_ONE, IDX_ONE].real
     sign = 1.0 if polarization == "sigma_minus" else -1.0
@@ -400,16 +403,16 @@ def run_readout(qubit_block: np.ndarray, duration: float, params: ModelParams,
     sigma_plus pumping of ``run_initialization``, read as photons.
 
     Expected emissions are the time integral of 2 gamma (rho_e1e1 +
-    rho_e2e2), taken exactly with the final state from one augmented
-    exponential (``semigroup_integral``); the four recombination channels
-    are equal, so exactly half the photons accompany decay to each spin
-    state.  A |1> occupation cycles (emit, then re-excite with probability
+    rho_e2e2), taken exactly, with the final state, from the one exact
+    solver, ``semigroup_propagate``, at stride 0; the four recombination
+    channels are equal, so exactly half the photons accompany decay to each
+    spin state.  A |1> occupation cycles (emit, then re-excite with probability
     1/2) until it shelves in |0>, giving two expected photons; |0> input
     stays dark.
     """
-    traj, integral = semigroup_integral(_pumping("sigma_plus", rabi, params),
-                                        lindblad_channels(params), lift_density(qubit_block),
-                                        duration)
+    traj, integral = semigroup_propagate(_pumping("sigma_plus", rabi, params),
+                                         lindblad_channels(params), lift_density(qubit_block),
+                                         duration, 0.0)
     excited = integral[IDX_E1, IDX_E1].real + integral[IDX_E2, IDX_E2].real
     final = traj.final()
     driven_left = float(final[IDX_ONE, IDX_ONE].real + final[IDX_E1, IDX_E1].real

@@ -319,7 +319,7 @@ class TestRun:
         # method and its steps (init: one per 250 ps stride), and carries no
         # RHS count or tolerance
         for solver, method, steps in ((manifest["solver"], "expm", 4),
-                                      (readout["solver"], "expm (Van Loan)", 1)):
+                                      (readout["solver"], "expm", 1)):
             assert len(solver) == 1
             assert solver[0]["method"] == method and solver[0]["n_steps"] == steps
             assert not {"n_rhs_evals", "rel_tol", "abs_tol"} & set(solver[0])

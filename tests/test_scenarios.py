@@ -121,6 +121,21 @@ class TestSweeps:
         with pytest.raises(ValueError, match="holonomy quadrature did not converge"):
             _sweep_y([19.2, 19.25])
 
+    # the t-domain quadrature returns ~0 at these ratios (z 6.1e-33 at 16.8,
+    # y 0 with an error estimate of 0 from 19.28); the fix turns each of
+    # these into an unexpected pass, so the marks go with it
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("ratio", [16.8, 25.0, 30.0, 40.0])
+    def test_phase_z_at_large_delay(self, ratio, params):
+        angles, _ = _sweep_z([ratio], 0.5, params)
+        assert angles[0] == pytest.approx(math.pi / 4, abs=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("ratio", [19.28, 25.0, 30.0, 40.0])
+    def test_angle_y_at_large_delay(self, ratio):
+        angles, _ = _sweep_y([ratio])
+        assert angles[0] == pytest.approx(math.pi / 2, abs=1e-6)
+
     @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional"])
     def test_row_is_the_gate_angle(self, variant):
         # one construction: a sweep row at the run's own delay ratio is the
