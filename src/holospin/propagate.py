@@ -136,12 +136,22 @@ def _pair_means(singles: int, pairs: int) -> np.ndarray:
 _STATE_MEANS, _DENSITY_MEANS = _pair_means(0, DIM), _pair_means(DIM, DIM * (DIM - 1) // 2)
 
 
+def _check_shape(x: np.ndarray, single: tuple, what: str) -> None:
+    """Raise unless x is one input of shape ``single`` or a stack of k >= 1
+    of them along a leading axis."""
+    if not (x.shape == single or (x.shape[1:] == single and len(x) > 0)):
+        stack = "(k, " + ", ".join(map(str, single)) + ")"
+        raise ValueError(f"{what} must have shape {single} or {stack} with k >= 1, "
+                         f"not {x.shape}")
+
+
 def _coordinates(rho: np.ndarray) -> np.ndarray:
     """The real coordinates Tr(B_a rho) (..., 25) of a density (5, 5) or of
-    a stack along a leading axis.  They keep only the Hermitian part, so a
-    density whose anti-Hermitian part exceeds 1e-12, or with an entry that is
-    not finite, raises."""
+    a stack (k, 5, 5).  They keep only the Hermitian part, so a density whose
+    anti-Hermitian part exceeds 1e-12, or with an entry that is not finite,
+    raises, as does any other shape."""
     rho = np.asarray(rho, dtype=complex)
+    _check_shape(rho, (DIM, DIM), "the density")
     # a non-finite entry gives a NaN skew, which fails the check, without
     # the arithmetic, which would warn
     skew = (0.5 * float(np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))))
@@ -203,13 +213,21 @@ def _generators(drive: Drive, lift, constant):
     stack = np.stack(parts).reshape(len(parts), -1)
     centers, widths = np.array(centers), np.array(widths)
 
+    # per number of times: the coefficients [1, e_1, ...] and the scratch x
+    buffers = {}
+
     def at(times: np.ndarray, out: np.ndarray) -> np.ndarray:
-        coef = np.empty((len(times), len(parts)))
-        coef[:, 0] = 1.0
+        if len(times) not in buffers:
+            coef = np.ones((len(times), len(parts)))
+            buffers[len(times)] = coef.dot, coef[:, 1:], np.empty_like(coef[:, 1:])
+        coef_dot, components, x = buffers[len(times)]
         # x as the envelopes compute it, (t - c) / width
-        x = (times[:, None] - centers) / widths
-        np.exp(-x * x, out=coef[:, 1:])
-        return np.dot(coef, stack, out=out).reshape(-1, width, width)
+        np.subtract(times[:, None], centers, out=x)
+        x /= widths
+        x *= x
+        np.negative(x, out=x)
+        np.exp(x, out=components)
+        return coef_dot(stack, out=out).reshape(-1, width, width)
 
     return at
 
@@ -231,7 +249,11 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     snapshots takes solve_ivp's steps.  ``generators(times, out)`` writes G
     at each of the times into rows of the loop's one (11, w * w) buffer, so
     each call overwrites the last, the initial step's two single-time calls
-    included.  A record stride clips the steps to the sample times."""
+    included.  A record stride clips the steps to the sample times.  Every
+    product in the loop is an ``ndarray.dot`` bound once per solve, since
+    ``np.dot`` first runs numpy's Python-level dispatcher, which costs about
+    as much as a stage's product itself; the error sums err5 and err3 are
+    the diagonal of the one Gram product of the two scaled estimates."""
     rtol, atol = max(spec.rel_tol, _REL_TOL_FLOOR), spec.abs_tol
     t = spec.t_start
     width = len(pair_means)
@@ -257,17 +279,22 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
           else (0.01 / max(d1, d2)) ** (-_ERROR_EXPONENT))
     h_abs = min(100 * h0, h1, spec.t_end - t, max_step)
 
-    # every buffer of a step, and each stage's views into them: its weights
-    # [1, h A[s]], the rows they weigh, its generator and its derivative's row
+    # every buffer of a step, and each stage's views into them: the product
+    # with its weights [1, h A[s]], the rows they weigh, its generator and
+    # its derivative's row
     weights = np.ones_like(_TABLEAU)
     step_weights, tableau = weights[:, 1:], _TABLEAU[:, 1:]
     argument, y_new, new_moduli = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     argument_row, y_new_row = argument.reshape(-1), y_new.reshape(-1)
-    plan = [(weights[s - 1, :s + 1], flat[:s + 1], gens[s - 1], stages[s + 1])
+    argument_dot, y_new_dot = argument.dot, y_new.dot
+    plan = [(weights[s - 1, :s + 1].dot, flat[:s + 1], gens[s - 1], stages[s + 1])
             for s in range(1, _STAGES)]
-    end_weights, end_rows, derivatives = weights[-1], flat[:-1], flat[1:]
+    end_dot, end_rows, derivatives = weights[-1].dot, flat[:-1], flat[1:]
+    end_generator, end_derivative = gens[-1], stages[-1]
     squares, scale = np.empty_like(y), np.empty_like(y)
+    squares_dot, errors_dot = squares.dot, _ERRORS.dot
     scale_row, scaled = scale.reshape(-1), np.empty((len(_ERRORS), y.size))
+    scaled_dot, scaled_t, gram = scaled.dot, scaled.T, np.empty((len(_ERRORS),) * 2)
 
     samples = spec.sample_times()
     snapshots = [y.copy()]
@@ -287,19 +314,19 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 h_abs = abs(h)
                 generators(t + h * _C[1:], gens_flat)
                 np.multiply(h, tableau, out=step_weights)
-                for stage_weights, rows, g, derivative in plan:
-                    np.dot(stage_weights, rows, out=argument_row)
-                    np.dot(argument, g, out=derivative)
-                np.dot(end_weights, end_rows, out=y_new_row)
-                np.dot(y_new, gens[-1], out=stages[-1])
+                for weigh, rows, g, derivative in plan:
+                    weigh(rows, out=argument_row)
+                    argument_dot(g, out=derivative)
+                end_dot(end_rows, out=y_new_row)
+                y_new_dot(end_generator, out=end_derivative)
                 n_steps += 1
                 np.multiply(y_new, y_new, out=squares)
-                np.sqrt(np.dot(squares, pair_means, out=new_moduli), out=new_moduli)
+                np.sqrt(squares_dot(pair_means, out=new_moduli), out=new_moduli)
                 np.maximum(y_moduli, new_moduli, out=scale)
                 scale *= rtol
                 scale += atol
-                np.divide(np.dot(_ERRORS, derivatives, out=scaled), scale_row, out=scaled)
-                err5, err3 = np.einsum("ij,ij->i", scaled, scaled).tolist()
+                np.divide(errors_dot(derivatives, out=scaled), scale_row, out=scaled)
+                (err5, _), (_, err3) = scaled_dot(scaled_t, out=gram).tolist()
                 error = (0.0 if err5 == 0.0 and err3 == 0.0
                          else h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * scale.size))
                 if error < 1.0:
@@ -311,7 +338,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 rejected = True
             t, y_moduli, new_moduli = t_new, new_moduli, y_moduli
             y[...] = y_new
-            stages[1] = stages[-1]
+            stages[1] = end_derivative
         snapshots.append(y.copy())
 
     # one evaluation each at the start and for the initial step, then one
@@ -343,6 +370,7 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
     the step count, never silently renormalized.
     """
     psi0 = np.ascontiguousarray(psi0, dtype=complex)
+    _check_shape(psi0, (DIM,), "the initial state")
     if not (np.isfinite(psi0).all()
             and np.all(np.abs(np.linalg.norm(psi0, axis=-1) - 1.0) <= 1e-9)):
         raise ValueError("initial state must be finite and normalized")

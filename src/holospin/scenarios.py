@@ -229,10 +229,20 @@ def _forward(variant: str, run: GateRun) -> tuple:
     return forward, holonomy.geometric_angle_y(forward)
 
 
-def _quarter_turn_pump_amp(run: GateRun) -> float:
-    """Pump peak that tunes the forward-pass geometric angle to pi/4."""
+def _quarter_turn(run: GateRun) -> tuple:
+    """The run with the pump peak that tunes the forward-pass geometric angle
+    to pi/4, and ``_forward``'s result at that peak.  Each peak's quadrature
+    runs once: the search's top endpoint is the reach test's peak, and its
+    root one of the peaks it tried."""
+    forwards = {}
+
+    def forward(amp_p):
+        if amp_p not in forwards:
+            forwards[amp_p] = _forward("x_composite", replace(run, pump_amp=amp_p))
+        return forwards[amp_p]
+
     def miss(amp_p):
-        return _forward("x_composite", replace(run, pump_amp=amp_p))[1].angle - math.pi / 4.0
+        return forward(amp_p)[1].angle - math.pi / 4.0
 
     # the forward angle grows with the pump peak, so the bracket's top is the
     # largest angle the search can reach
@@ -242,7 +252,8 @@ def _quarter_turn_pump_amp(run: GateRun) -> float:
             f"x_composite: no pump peak up to amp_stokes reaches the pi/4 forward angle at "
             f"tau0_over_tau = {run.tau0_over_tau:g} (largest reachable angle {reach:.4f} rad); "
             "set amp_pump or use a larger tau0_over_tau")
-    return brentq(miss, 1e-4 * run.amp, run.amp, xtol=1e-12)
+    root = brentq(miss, 1e-4 * run.amp, run.amp, xtol=1e-12)
+    return replace(run, pump_amp=root), forward(root)
 
 
 @dataclass(frozen=True)
@@ -265,8 +276,9 @@ def _plan(variant: str, run: GateRun) -> _Plan:
     if variant not in _REFERENCE_RUNS:
         raise ValueError(f"unknown gate variant {variant!r}")
     if variant == "x_composite" and run.pump_amp is None:
-        run = replace(run, pump_amp=_quarter_turn_pump_amp(run))
-    first, quadrature = _forward(variant, run)
+        run, (first, quadrature) = _quarter_turn(run)
+    else:
+        first, quadrature = _forward(variant, run)
     angle = quadrature.angle
     tret = run.return_delay_over_tau * run.tau
 

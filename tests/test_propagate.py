@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestSchrodinger:
         with pytest.raises(ValueError, match="finite and normalized"):
             propagate.schrodinger_propagate(_zero_h, psi0, PropagationSpec(0.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [(0, DIM), (DIM - 1,), (2, 2, DIM)])
+    def test_rejects_a_bad_shape_before_the_loop(self, shape, monkeypatch):
+        monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
+        psi0 = np.zeros(shape, dtype=complex)
+        psi0[..., :1] = 1.0
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(5,) or (k, 5) with k >= 1, not {shape}")):
+            propagate.schrodinger_propagate(_zero_h, psi0, PropagationSpec(0.0, 1.0))
+
     def test_diagonal_hamiltonian_freezes_populations(self, params):
         # silent envelopes leave both Hamiltonians diagonal: phases only
         silent = pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF,
@@ -208,6 +218,18 @@ class TestLindblad:
         rho0[1, 1] = entry
         with pytest.raises(ValueError, match="not finite and Hermitian"):
             propagate.lindblad_propagate(_zero_h, [], rho0, PropagationSpec(0.0, 1.0))
+
+    @pytest.mark.parametrize("solve", ["lindblad", "semigroup"])
+    @pytest.mark.parametrize("shape", [(0, DIM, DIM), (DIM - 1, DIM - 1), (DIM,)])
+    def test_rejects_a_bad_shape_before_the_loop(self, shape, solve, monkeypatch):
+        monkeypatch.setattr(propagate, "_dop853", _unreachable_loop)
+        rho0 = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(5, 5) or (k, 5, 5) with k >= 1, not {shape}")):
+            if solve == "lindblad":
+                propagate.lindblad_propagate(_zero_h, [], rho0, PropagationSpec(0.0, 1.0))
+            else:
+                propagate.semigroup_propagate(_zero_h, [], rho0, 1.0, 0.0)
 
     def test_coupling_must_be_hermitian(self):
         # checked on the couplings themselves, even under a zero envelope
@@ -533,6 +555,30 @@ class TestComponentGenerators:
         assert batch.base is out
         for t, g in zip(times.tolist(), batch):
             np.testing.assert_allclose(g, lift(drive(t)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("open_system", [False, True])
+    def test_one_closure_serves_any_number_of_times_in_turn(self, open_system, params):
+        # the closure reuses its buffers between calls; a call at one length
+        # must leave nothing behind for a call at another
+        couplings = [model._coupling(ground, amp)
+                     for ground, amp in ((0, 1.0), (1, np.exp(0.4j)), (2, 1.0))]
+        envelopes = [pulses.GaussianPulse(0.6, -80.0, 120.0),
+                     pulses.TwoPartPulse(0.3, -500.0, 50.0, 90.0),
+                     pulses.ConstantPulse(0.2)]
+        drive = model.Drive(np.diag([0.0, 0.0, 0.0, 0.1, -0.4]).astype(complex),
+                            tuple(zip(envelopes, couplings)))
+        if open_system:
+            lift, constant = propagate._open_parts(drive, lindblad_channels(params))
+        else:
+            lift, constant = (lambda h: propagate._pair_form((-1j * h).T)), 0.0
+        generators = propagate._generators(drive, lift, constant)
+        width = len(lift(drive.h0))
+        for n, start in ((1, -37.0), (11, -900.0), (211, -1100.0), (1, 412.5)):
+            times = np.linspace(start, start + 2000.0, n)
+            batch = generators(times, np.empty((n, width * width)))
+            assert batch.shape == (n, width, width)
+            for t, g in zip(times.tolist(), batch):
+                np.testing.assert_allclose(g, lift(drive(t)) + constant, rtol=0, atol=1e-15)
 
     def test_unknown_envelope_type_is_rejected_by_name(self):
         class Jump:

@@ -271,6 +271,23 @@ class TestGateSimulation:
                        for pulses, template in reversed(loop))
         assert x_segments[2:] == mirror
 
+    def test_x_pump_tuning_runs_each_quadrature_once(self, monkeypatch):
+        # the reach test's peak is the search's top endpoint, and the root is
+        # a peak the search tried, so no pump peak is integrated twice
+        peaks = []
+        angle_y = holonomy.geometric_angle_y
+
+        def counted(pulses):
+            peaks.append(pulses.pump.amplitude)
+            return angle_y(pulses)
+        monkeypatch.setattr(holonomy, "geometric_angle_y", counted)
+        plan = scenarios._plan("x_composite", scenarios.default_gate_run("x_composite"))
+        assert len(peaks) == len(set(peaks))
+        first, _ = plan.segments[0]
+        assert first.pump.amplitude in peaks
+        assert plan.angle == angle_y(first).angle
+        assert abs(plan.angle - math.pi / 4.0) < 1e-9
+
     @pytest.mark.parametrize("variant", ["y_closed_loop", "x_composite"])
     def test_adiabatic_gates_follow_prediction(self, variant):
         _, report = scenarios.simulate_gate(variant, with_decoherence=False)

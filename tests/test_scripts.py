@@ -65,3 +65,39 @@ def test_compare_parent_reports_differences():
         "2.000e+03"
     assert script["compare_json"](old, {**moved, "fidelity": 0.9}) == \
         "physics identical; solver statistics: largest numeric difference 2.000e+03"
+
+
+@pytest.mark.skipif(not (SCRIPTS.parent / ".git").exists(), reason="needs a git checkout")
+def test_bench_pairs_writes_the_bench_schema(tmp_path):
+    # one short pair of HEAD against itself, so uncommitted changes cannot
+    # move the result
+    script = _script("bench_pairs.py")
+    script["extract"]("HEAD", tmp_path)
+    report = script["bench_pairs"](tmp_path, tmp_path, "HEAD", ["gate-coherent"], 1, 0.1)
+    assert list(report) == ["what", "command", "machine", "parent", "runs", "pairs", "summary"]
+    assert [(run["side"], run["trace"], run["seed"]) for run in report["pairs"]] == \
+        [("parent", 0, 3001), ("change", 0, 3001)]
+    assert [(run["side"], run["trace"], run["seed"]) for run in report["runs"]] == \
+        [("parent", 1, 301), ("change", 1, 301)]
+    assert all(run["result"]["correct"] for run in report["pairs"] + report["runs"])
+    summary = report["summary"]["gate-coherent"]
+    assert set(summary) == {"wall_s", "setup_s", "peak_rss_mb", "ops_failed_frac", "correct"}
+    assert summary["correct"] and summary["wall_s"]["pairs"] == 1
+    assert report["machine"].startswith("nproc=")
+
+
+def test_bench_pairs_counts_the_pairs_each_side_wins():
+    def run(side, wall, fraction):
+        return {"side": side, "workload": "w", "result": {"correct": True, "metrics": {
+            "wall_s": {"value": wall}, "hit_frac": {"value": fraction}}}}
+    pairs = [run("parent", 1.0, 0.5), run("change", 0.8, 0.5),
+             run("change", 0.9, 0.4), run("parent", 0.7, 0.6),
+             run("parent", 1.1, 0.5), run("change", 0.6, 0.7)]
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "hit_frac", "better": "higher"}]
+    summary = _script("bench_pairs.py")["summarize"](pairs, metrics)["w"]
+    assert summary["wall_s"] == {
+        "parent": pytest.approx({"median": 1.0, "q1": 0.85, "q3": 1.05}),
+        "change": pytest.approx({"median": 0.8, "q1": 0.7, "q3": 0.85}),
+        "pairs": 3, "change_better": 2, "change_worse": 1}
+    assert (summary["hit_frac"]["change_better"], summary["hit_frac"]["change_worse"]) == (1, 1)
+    assert summary["correct"]
