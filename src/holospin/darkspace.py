@@ -11,6 +11,10 @@ The dark pair is one 5x2 frame D whose columns are (d1, d2).  The matrix-
 valued gauge connection D^dag dD/dtheta over it drives the geometric
 rotation; it is computed analytically and cross-checked against a
 finite-difference form here.
+
+Along a pulse set, the holonomy integrands sin(phi) theta' are scalar
+closures, and the adiabaticity ratio is array expressions of one
+``pulses.values_and_slopes`` evaluation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import numpy as np
 
 from .model import ModelParams
-from .pulses import GaussianPulse, PulseSet, TwoPartPulse
+from .pulses import GaussianPulse, PulseSet, TwoPartPulse, values_and_slopes
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -122,20 +126,9 @@ def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level angle rates evaluated from a PulseSet.  They use the
-# envelopes' analytic derivatives through the exact ratio formulas, so no
-# finite differencing enters the holonomy quadrature.
+# Protocol-level angle rates of a PulseSet, from the envelopes' analytic
+# derivatives through the exact ratio formulas: no finite differencing.
 # ---------------------------------------------------------------------------
-
-def theta_rate(pulses: PulseSet, t: float) -> float:
-    """d theta / dt from the envelope derivatives (exact ratio formula)."""
-    om_s = pulses.stokes(t)
-    om_d = pulses.driving(t)
-    denom = om_s * om_s + om_d * om_d
-    if denom == 0.0:
-        return 0.0
-    return (pulses.stokes.derivative(t) * om_d - om_s * pulses.driving.derivative(t)) / denom
-
 
 def _fields(envelope, kind) -> tuple:
     """The envelope's amplitude, centers and width, the contract every
@@ -147,10 +140,10 @@ def _fields(envelope, kind) -> tuple:
 
 
 # The two closures below are the holonomy integrands sin(phi) * theta'(t).
-# They inline GaussianPulse/TwoPartPulse values and derivatives, theta_rate
-# and sin(phi) in the same operation order, so each value is bit-identical
-# to the one built from the envelope methods; a Gaussian's value and slope
-# share one exp.
+# They inline GaussianPulse/TwoPartPulse values and derivatives, theta' by
+# its ratio formula and sin(phi) in the same operation order, so each value
+# is bit-identical to the one built from the envelope methods; a Gaussian's
+# value and slope share one exp.
 
 def angle_rate_y(pulses: PulseSet):
     """t -> sin(phi_pump) * d theta/dt for a make_y_pulseset set (0 where the
@@ -210,44 +203,19 @@ def angle_rate_z(pulses: PulseSet, delta: float):
     return rate
 
 
-def phi_rate_y(pulses: PulseSet, t: float) -> float:
-    """d/dt of the pump mixing angle (zero where all fields vanished)."""
-    om_p = pulses.pump(t)
-    om_s = pulses.stokes(t)
-    om_d = pulses.driving(t)
-    g2 = om_s * om_s + om_d * om_d
-    total = om_p * om_p + g2
-    if total == 0.0:
-        return 0.0
-    g = math.sqrt(g2)
-    gdot = 0.0 if g == 0.0 else (om_s * pulses.stokes.derivative(t)
-                                 + om_d * pulses.driving.derivative(t)) / g
-    return (pulses.pump.derivative(t) * g - om_p * gdot) / total
-
-
-def phi_rate_z(pulses: PulseSet, t: float, delta: float) -> float:
-    """d/dt of the Zeeman mixing angle."""
-    om_s = pulses.stokes(t)
-    om_d = pulses.driving(t)
-    half = delta / 2.0
-    g2 = om_s * om_s + om_d * om_d
-    if g2 == 0.0:
-        return 0.0
-    fdot = math.sqrt(2.0) * (om_s * pulses.stokes.derivative(t)
-                             + om_d * pulses.driving.derivative(t)) / math.sqrt(g2)
-    return -half * fdot / (half * half + 2.0 * g2)
-
-
-def bright_splitting(pulses: PulseSet, t: float, params: ModelParams) -> float:
-    """Dark-to-bright eigenvalue splitting; a z set's pump is off, so its
-    term adds nothing there."""
-    f2 = 2.0 * (pulses.pump(t) ** 2 + pulses.stokes(t) ** 2 + pulses.driving(t) ** 2)
-    return 2.0 * math.sqrt(f2 + (params.delta / 2.0) ** 2)
+def _quotient(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator, and 0 where the denominator vanishes."""
+    return np.divide(numerator, denominator, out=np.zeros_like(numerator),
+                     where=denominator != 0.0)
 
 
 def adiabaticity_ratio(pulses: PulseSet, params: ModelParams, times,
                        config: str) -> float:
     """max over `times` of |mixing-angle rate| / bright splitting.
+
+    The rates are theta' and the pump (y) or Zeeman (z) angle's phi', 0
+    where their fields vanish; the splitting is 2 sqrt(2 (omega_p^2 +
+    omega_s^2 + omega_d^2) + (delta/2)^2), as a z set's pump is off.
 
     The classic sufficient condition for confinement to the dark space asks
     this to be small throughout the dynamically active window (the ratio
@@ -256,11 +224,16 @@ def adiabaticity_ratio(pulses: PulseSet, params: ModelParams, times,
     """
     if config not in ("y", "z"):
         raise ValueError("config must be 'y' or 'z'")
-    worst = 0.0
-    for t in times:
-        phi_rate = phi_rate_y(pulses, t) if config == "y" else phi_rate_z(pulses, t, params.delta)
-        rate = max(abs(theta_rate(pulses, t)), abs(phi_rate))
-        gap = bright_splitting(pulses, t, params)
-        if gap > 0.0:
-            worst = max(worst, rate / gap)
-    return worst
+    (om_p, om_s, om_d), (dp, ds, dd) = values_and_slopes(
+        (pulses.pump, pulses.stokes, pulses.driving), times)
+    half = params.delta / 2.0
+    g2 = om_s * om_s + om_d * om_d
+    g = np.sqrt(g2)
+    g_gdot = om_s * ds + om_d * dd
+    theta_rate = _quotient(ds * om_d - om_s * dd, g2)
+    if config == "y":
+        phi_rate = _quotient(dp * g - om_p * _quotient(g_gdot, g), om_p * om_p + g2)
+    else:
+        phi_rate = -half * _quotient(math.sqrt(2.0) * g_gdot, g) / (half * half + 2.0 * g2)
+    gap = 2.0 * np.sqrt(2.0 * (om_p ** 2 + om_s ** 2 + om_d ** 2) + half ** 2)
+    return float(np.max(np.maximum(np.abs(theta_rate), np.abs(phi_rate)) / gap, initial=0.0))

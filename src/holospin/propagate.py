@@ -29,7 +29,7 @@ from scipy.integrate import DOP853
 from scipy.linalg import block_diag
 
 from .model import Drive
-from .pulses import ConstantPulse, GaussianPulse, TwoPartPulse
+from . import pulses
 from .qcore import DIM, dense_expm
 
 
@@ -189,29 +189,21 @@ def _generators(drive: Drive, lift, constant):
     one 5x5 Hamiltonian term to its w x w part of G and the constant is
     added to the h0 term.
 
-    Every envelope is its amplitude times a sum, over its ``centers``, of
-    Gaussian components exp(-((t - c) / width)^2), and a constant envelope
-    has none.  So the drive is stacked once as S: the h0 part with each
-    constant envelope's term folded in, then one row per Gaussian component,
-    its amplitude times its coupling's part.  G(t) = [1, e_1(t), ...] @ S
-    for the components e_j, one exp over every component and time.  An
-    envelope of any other type raises."""
+    The drive is stacked once as S: the h0 part with each constant
+    envelope's term folded in, then one row per Gaussian component of
+    ``pulses.components``, its amplitude times its coupling's part.  G(t) =
+    [1, e_1(t), ...] @ S for the components e_j = exp(-((t - c) / width)^2),
+    one exp over every component and time."""
+    envelopes = [envelope for envelope, _ in drive.terms]
+    index, amplitudes, centers, widths = pulses.components(envelopes)
+    lifted = [lift(coupling) for _, coupling in drive.terms]
     parts = [lift(drive.h0) + constant]
-    centers, widths = [], []
-    for envelope, coupling in drive.terms:
-        if type(envelope) not in (GaussianPulse, TwoPartPulse, ConstantPulse):
-            raise ValueError("the adaptive solve needs GaussianPulse, TwoPartPulse or "
-                             f"ConstantPulse envelopes, not {type(envelope).__name__}")
-        part = envelope.amplitude * lift(coupling)
+    for envelope, part in zip(envelopes, lifted):
         if not envelope.centers:
-            parts[0] = parts[0] + part
-        for center in envelope.centers:
-            parts.append(part)
-            centers.append(center)
-            widths.append(envelope.width)
+            parts[0] = parts[0] + envelope.amplitude * part
+    parts += [amplitude * lifted[k] for k, amplitude in zip(index, amplitudes)]
     width = parts[0].shape[0]
     stack = np.stack(parts).reshape(len(parts), -1)
-    centers, widths = np.array(centers), np.array(widths)
 
     # per number of times: the coefficients [1, e_1, ...] and the scratch x
     buffers = {}
@@ -458,7 +450,7 @@ def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray, duration: floa
     reference, against 2e-19."""
     times = PropagationSpec(0.0, duration, record_stride=record_stride).sample_times()
     rows = _coordinates(rho0)
-    if not all(isinstance(f, ConstantPulse) for f, _ in drive.terms):
+    if not all(isinstance(f, pulses.ConstantPulse) for f, _ in drive.terms):
         raise ValueError("an exact solve needs a drive whose envelopes are all constant")
     lift, dissipator = _open_parts(drive, jump_ops)
     g = lift(drive(0.0)) + dissipator

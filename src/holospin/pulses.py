@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def _check(pulse) -> None:
     """Raise unless the pulse's amplitude is non-negative and finite and its
@@ -110,6 +112,38 @@ class ConstantPulse:
 
 
 OFF = ConstantPulse(0.0)
+
+
+def components(envelopes) -> tuple:
+    """The Gaussian components of the envelopes, in order: contiguous arrays
+    of each component's envelope index, amplitude, center and width, one
+    entry per center (a constant envelope has none).  An envelope of any
+    other type raises, by its name."""
+    for envelope in envelopes:
+        if type(envelope) not in (GaussianPulse, TwoPartPulse, ConstantPulse):
+            raise ValueError("a pulse set's components need GaussianPulse, TwoPartPulse or "
+                             f"ConstantPulse envelopes, not {type(envelope).__name__}")
+    table = [(k, envelope.amplitude, center, envelope.width)
+             for k, envelope in enumerate(envelopes) for center in envelope.centers]
+    index, amplitude, center, width = np.array(table, dtype=float).reshape(-1, 4).T.copy()
+    return index.astype(np.intp), amplitude, center, width
+
+
+def values_and_slopes(envelopes, times) -> tuple[np.ndarray, np.ndarray]:
+    """Each envelope's values and time derivatives at an array of times, as
+    two (len(envelopes), len(times)) arrays from one exp over every Gaussian
+    component, each component's value and slope in a GaussianPulse's
+    operation order; a constant envelope adds its amplitude and no slope."""
+    times = np.asarray(times, dtype=float)
+    index, amplitude, center, width = components(envelopes)
+    x = (times - center[:, None]) / width[:, None]
+    e = np.exp(-x * x)
+    constants = [[0.0 if envelope.centers else envelope.amplitude] for envelope in envelopes]
+    values = np.repeat(np.array(constants, dtype=float), len(times), axis=1)
+    slopes = np.zeros_like(values)
+    np.add.at(values, index, amplitude[:, None] * e)
+    np.add.at(slopes, index, -2.0 * x / width[:, None] * amplitude[:, None] * e)
+    return values, slopes
 
 
 @dataclass(frozen=True)

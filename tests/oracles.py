@@ -105,6 +105,18 @@ def coordinate_liouvillian(h_of_t, jump_ops):
     return generator
 
 
+def theta_rate(pulses, t: float) -> float:
+    """d theta / dt from the envelope methods, by the exact ratio formula
+    (omega_s' omega_d - omega_s omega_d') / (omega_s^2 + omega_d^2); 0 where
+    both fields have vanished."""
+    om_s = pulses.stokes(t)
+    om_d = pulses.driving(t)
+    denom = om_s * om_s + om_d * om_d
+    if denom == 0.0:
+        return 0.0
+    return (pulses.stokes.derivative(t) * om_d - om_s * pulses.driving.derivative(t)) / denom
+
+
 def sin_phi_y(pulses, t: float) -> float:
     """sin of the pump mixing angle from the envelope methods; 0 outside the
     pulse support."""

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from holospin import cli, darkspace, holonomy, pulses
 from holospin.qcore import dense_expm
-from oracles import path_ordered_exponential, predicted_final_state_z, sin_phi_y, sin_phi_z
+from oracles import (path_ordered_exponential, predicted_final_state_z, sin_phi_y, sin_phi_z,
+                     theta_rate)
 
 # Frozen expected values, cross-checked below against a dense trapezoid
 # integration that is independent of the adaptive quadrature.
@@ -18,7 +19,7 @@ GAMMA_F_AT_6P5 = 0.7778434166171311
 def _trapezoid_angle_y(pulseset, n=400_001):
     lo, hi = pulseset.window()
     ts = np.linspace(lo, hi, n)
-    vals = [sin_phi_y(pulseset, t) * darkspace.theta_rate(pulseset, t)
+    vals = [sin_phi_y(pulseset, t) * theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)
 
@@ -28,7 +29,7 @@ def _trapezoid_phase_z(pulseset, delta, n=400_001):
     lo, hi = pulseset.window()
     half = max(-lo, hi)
     ts = np.linspace(-half, half, n)
-    vals = [sin_phi_z(pulseset, t, delta) * darkspace.theta_rate(pulseset, t)
+    vals = [sin_phi_z(pulseset, t, delta) * theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)
 
@@ -114,7 +115,7 @@ class TestGeometricPhaseZ:
                     * (om_s * dd - om_d * ds)
                     / math.sqrt(2 * (om_s ** 2 + om_d ** 2) + half ** 2))
             mixing = -(sin_phi_z(ps, t, params.delta)
-                       * darkspace.theta_rate(ps, t))
+                       * theta_rate(ps, t))
             assert line == pytest.approx(mixing, abs=1e-15, rel=1e-9)
             assert line == pytest.approx(-rate(t), abs=1e-15, rel=1e-9)
 
@@ -160,7 +161,7 @@ class TestPathOrderedExponential:
         mids = 0.5 * (edges[:-1] + edges[1:])
         dt = edges[1] - edges[0]
         samples = [(darkspace.connection_y(math.asin(sin_phi_y(ps, t)))
-                    * darkspace.theta_rate(ps, t), dt) for t in mids]
+                    * theta_rate(ps, t), dt) for t in mids]
         u = path_ordered_exponential(samples)
         assert np.max(np.abs(u - holonomy.predicted_ry(beta))) < 1e-6
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,57 @@ def test_every_field_must_be_finite(make, fields, value):
         bad[index] = value
         with pytest.raises(ValueError, match="finite"):
             make(*bad)
+
+
+class TestComponents:
+    ENVELOPES = (pulses.GaussianPulse(0.4, 30.0, 100.0),
+                 pulses.TwoPartPulse(0.5, -650.0, 0.0, 100.0),
+                 pulses.ConstantPulse(0.3))
+
+    def test_one_entry_per_center_in_order(self):
+        index, amplitude, center, width = pulses.components(self.ENVELOPES)
+        assert index.tolist() == [0, 1, 1]
+        assert amplitude.tolist() == [0.4, 0.5, 0.5]
+        assert center.tolist() == [30.0, -650.0, 0.0]
+        assert width.tolist() == [100.0, 100.0, 100.0]
+        assert all(column.flags.c_contiguous for column in (index, amplitude, center, width))
+
+    def test_values_and_slopes_match_the_envelope_methods(self):
+        # the peaks, the two-part midpoint where the slope's terms cancel,
+        # one width off, the window edges, subnormal tails (27.2 widths out)
+        # and tails where every component underflows to 0 (40 widths out)
+        times = [30.0, -650.0, 0.0, -325.0, 130.0, -750.0]
+        for widths in (8.0, 27.2, 40.0):
+            times += [-650.0 - widths * 100.0, 30.0 + widths * 100.0]
+        times += np.linspace(-1500.0, 900.0, 241).tolist()
+        values, slopes = pulses.values_and_slopes(self.ENVELOPES, np.array(times))
+        assert values.shape == slopes.shape == (3, len(times))
+        # rounding level: numpy's exp and math.exp differ by an ulp on a few
+        # percent of arguments, and a two-part sum is added in another
+        # order; each bound is 4 ulps of the sum of the components' moduli,
+        # plus the smallest normal float for subnormal tails
+        bound = 4.0 * np.finfo(float).eps
+        tiny = np.finfo(float).tiny
+        for k, envelope in enumerate(self.ENVELOPES):
+            parts = [pulses.GaussianPulse(envelope.amplitude, c, envelope.width)
+                     for c in envelope.centers]
+            for t, value, slope in zip(times, values[k].tolist(), slopes[k].tolist()):
+                assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, (k, t)
+                modulus = sum(abs(part.derivative(t)) for part in parts)
+                assert abs(slope - envelope.derivative(t)) <= bound * modulus + tiny, (k, t)
+        # the far tails underflow to exactly the constant envelope's values
+        assert values[:2, 10:12].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert values[2].tolist() == [0.3] * len(times)
+        assert slopes[2].tolist() == [0.0] * len(times)
+
+    def test_other_envelope_types_are_rejected_by_name(self):
+        class Ramp:
+            amplitude, centers, width = 1.0, (0.0,), 10.0
+
+        with pytest.raises(ValueError, match="not Ramp"):
+            pulses.components((pulses.OFF, Ramp()))
+        with pytest.raises(ValueError, match="not Ramp"):
+            pulses.values_and_slopes((Ramp(),), np.zeros(3))
 
 
 class TestYPulseSet:
