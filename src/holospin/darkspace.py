@@ -12,9 +12,10 @@ valued gauge connection D^dag dD/dtheta over it drives the geometric
 rotation; it is computed analytically and cross-checked against a
 finite-difference form here.
 
-Along a pulse set, the holonomy integrands sin(phi) theta' are scalar
-closures, and the adiabaticity ratio is array expressions of one
-``pulses.values_and_slopes`` evaluation.
+Along a pulse set, the y holonomy integrand sin(phi) theta' is a scalar
+closure (the z phase is integrated in theta, in ``holonomy``), and the
+adiabaticity ratio is array expressions of one ``pulses.values_and_slopes``
+evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .model import ModelParams
-from .pulses import GaussianPulse, PulseSet, TwoPartPulse, values_and_slopes
+from .pulses import GaussianPulse, PulseSet, values_and_slopes
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -126,31 +127,31 @@ def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level angle rates of a PulseSet, from the envelopes' analytic
-# derivatives through the exact ratio formulas: no finite differencing.
+# The y angle rate of a PulseSet, from the envelopes' analytic derivatives
+# through the exact ratio formulas: no finite differencing.
 # ---------------------------------------------------------------------------
 
-def _fields(envelope, kind) -> tuple:
-    """The envelope's amplitude, centers and width, the contract every
-    envelope kind shares, read once per integrand."""
-    if type(envelope) is not kind:
-        raise ValueError(f"the holonomy integrand needs a {kind.__name__} here, "
+def _gaussian(envelope) -> tuple:
+    """The Gaussian envelope's amplitude, center and width, read once per
+    integrand."""
+    if type(envelope) is not GaussianPulse:
+        raise ValueError("the holonomy integrand needs a GaussianPulse here, "
                          f"not {type(envelope).__name__}")
-    return envelope.amplitude, envelope.centers, envelope.width
+    return envelope.amplitude, envelope.center, envelope.width
 
 
-# The two closures below are the holonomy integrands sin(phi) * theta'(t).
-# They inline GaussianPulse/TwoPartPulse values and derivatives, theta' by
-# its ratio formula and sin(phi) in the same operation order, so each value
-# is bit-identical to the one built from the envelope methods; a Gaussian's
-# value and slope share one exp.
+# The closure below is the y holonomy integrand sin(phi) * theta'(t).  It
+# inlines GaussianPulse values and derivatives, theta' by its ratio formula
+# and sin(phi) in the same operation order, so each value is bit-identical
+# to the one built from the envelope methods; a Gaussian's value and slope
+# share one exp.
 
 def angle_rate_y(pulses: PulseSet):
     """t -> sin(phi_pump) * d theta/dt for a make_y_pulseset set (0 where the
     fields have vanished)."""
-    a_p, (c_p,), w_p = _fields(pulses.pump, GaussianPulse)
-    a_s, (c_s,), w_s = _fields(pulses.stokes, GaussianPulse)
-    a_d, (c_d,), w_d = _fields(pulses.driving, GaussianPulse)
+    a_p, c_p, w_p = _gaussian(pulses.pump)
+    a_s, c_s, w_s = _gaussian(pulses.stokes)
+    a_d, c_d, w_d = _gaussian(pulses.driving)
     exp, sqrt = math.exp, math.sqrt
 
     def rate(t: float) -> float:
@@ -166,35 +167,6 @@ def angle_rate_y(pulses: PulseSet):
         dd = -2.0 * x / w_d * a_d * e
         norm = sqrt(om_p ** 2 + om_s ** 2 + om_d ** 2)
         sin_phi = 0.0 if norm == 0.0 else om_p / norm
-        denom = om_s * om_s + om_d * om_d
-        if denom == 0.0:
-            return 0.0
-        return sin_phi * ((ds * om_d - om_s * dd) / denom)
-
-    return rate
-
-
-def angle_rate_z(pulses: PulseSet, delta: float):
-    """t -> sin(phi_zeeman) * d theta/dt for a make_z_pulseset set; the pump
-    is off and does not enter."""
-    a_s, (c_s,), w_s = _fields(pulses.stokes, GaussianPulse)
-    a_d, (c_e, c_l), w_d = _fields(pulses.driving, TwoPartPulse)
-    exp, hypot = math.exp, math.hypot
-    half = delta / 2.0
-    root2 = math.sqrt(2.0)
-
-    def rate(t: float) -> float:
-        x = (t - c_s) / w_s
-        e = exp(-x * x)
-        om_s = a_s * e
-        ds = -2.0 * x / w_s * a_s * e
-        xe = (t - c_e) / w_d
-        xl = (t - c_l) / w_d
-        ee = exp(-xe * xe)
-        el = exp(-xl * xl)
-        om_d = a_d * (ee + el)
-        dd = -2.0 * a_d / w_d * (xe * ee + xl * el)
-        sin_phi = half / hypot(half, root2 * hypot(om_s, om_d))
         denom = om_s * om_s + om_d * om_d
         if denom == 0.0:
             return 0.0

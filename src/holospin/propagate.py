@@ -46,15 +46,17 @@ _ORACLE_BLOCK = 1000
 # last stage and the derivative at the step's end share one generator
 _C = DOP853.C
 _STAGES = len(_C)
-# a step's stage array holds y in row 0 and the derivatives K_0..K_12 below
-# it (K_12 at the step's end).  Row s - 1 of _TABLEAU weighs rows 0..s into
-# the argument of stage s (s = 1..11), its last row rows 0..12 into the
-# step's end; a step of size h multiplies it by h and puts 1 on y
+# a step's stage array holds y in row 0 and the derivatives K_0..K_11 below
+# it.  Row s - 1 of _TABLEAU weighs rows 0..s into the argument of stage s
+# (s = 1..11), its last row rows 0..12 into the step's end; a step of size h
+# multiplies it by h and puts 1 on y
 _TABLEAU = np.zeros((_STAGES, _STAGES + 1))
 _TABLEAU[:-1, 1:] = DOP853.A[1:]
 _TABLEAU[-1, 1:] = DOP853.B
-# the fifth- and third-order error estimators over K_0..K_12, one product
-_ERRORS = np.stack([DOP853.E5, DOP853.E3])
+# the fifth- and third-order error estimators over K_0..K_11, one product;
+# both weigh the derivative at the step's end, K_12, by 0, so an accepted
+# step alone computes it, as the next step's K_0
+_ERRORS = np.stack([DOP853.E5, DOP853.E3])[:, :-1]
 # scipy's step-size controller (scipy.integrate._ivp.rk): safety factor,
 # bounds on the factor per step, and the exponent -1 / (error order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -251,10 +253,10 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     width = len(pair_means)
     gens = np.empty((_STAGES - 1, width, width))
     gens_flat = gens.reshape(_STAGES - 1, -1)
-    # y in row 0, the derivatives K_0..K_12 below it; each stage's argument
+    # y in row 0, the derivatives K_0..K_11 below it; each stage's argument
     # y + h sum_j A[s, j] K_j is built in place
-    stages = np.empty((_STAGES + 2, np.size(y0) // width, width))
-    flat = stages.reshape(_STAGES + 2, -1)
+    stages = np.empty((_STAGES + 1, np.size(y0) // width, width))
+    flat = stages.reshape(_STAGES + 1, -1)
     y = stages[0]
     y[...] = np.reshape(y0, y.shape)
     np.matmul(y, generators(np.array([t]), gens_flat[:1])[0], out=stages[1])
@@ -281,8 +283,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
     argument_dot, y_new_dot = argument.dot, y_new.dot
     plan = [(weights[s - 1, :s + 1].dot, flat[:s + 1], gens[s - 1], stages[s + 1])
             for s in range(1, _STAGES)]
-    end_dot, end_rows, derivatives = weights[-1].dot, flat[:-1], flat[1:]
-    end_generator, end_derivative = gens[-1], stages[-1]
+    end_dot, derivatives, end_generator = weights[-1].dot, flat[1:], gens[-1]
     squares, scale = np.empty_like(y), np.empty_like(y)
     squares_dot, errors_dot = squares.dot, _ERRORS.dot
     scale_row, scaled = scale.reshape(-1), np.empty((len(_ERRORS), y.size))
@@ -290,7 +291,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
 
     samples = spec.sample_times()
     snapshots = [y.copy()]
-    n_steps = 0
+    n_steps = n_accepted = 0
     for bound in samples[1:]:
         while t < bound:
             min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -309,8 +310,7 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 for weigh, rows, g, derivative in plan:
                     weigh(rows, out=argument_row)
                     argument_dot(g, out=derivative)
-                end_dot(end_rows, out=y_new_row)
-                y_new_dot(end_generator, out=end_derivative)
+                end_dot(flat, out=y_new_row)
                 n_steps += 1
                 np.multiply(y_new, y_new, out=squares)
                 np.sqrt(squares_dot(pair_means, out=new_moduli), out=new_moduli)
@@ -330,13 +330,16 @@ def _dop853(generators, y0: np.ndarray, spec: PropagationSpec, max_step: float,
                 rejected = True
             t, y_moduli, new_moduli = t_new, new_moduli, y_moduli
             y[...] = y_new
-            stages[1] = end_derivative
+            # K_12 = y_new G(t + h), the next step's K_0
+            y_new_dot(end_generator, out=stages[1])
+            n_accepted += 1
         snapshots.append(y.copy())
 
-    # one evaluation each at the start and for the initial step, then one
-    # per stage of every step tried
+    # one evaluation each at the start and for the initial step, one per
+    # stage of every step tried, and one at the end of every accepted step
     return Trajectory(times=samples, states=np.array(snapshots).reshape((-1,) + np.shape(y0)),
-                      meta={"n_rhs_evals": 2 + _STAGES * n_steps, "n_steps": n_steps,
+                      meta={"n_rhs_evals": 2 + (_STAGES - 1) * n_steps + n_accepted,
+                            "n_steps": n_steps,
                             "rel_tol": spec.rel_tol, "abs_tol": spec.abs_tol})
 
 

@@ -12,7 +12,7 @@ default (0.7 tau) sits in the adiabatic sweet spot of the delayed-Gaussian
 family.  Every y segment is one ``make_y_pulseset`` set, given by its pump
 peak, its signed delay (+tau0 forward, -tau_ret back) and its Stokes phase.
 A gate's first segment (its forward pass, or the z set) is built in one
-place, ``_forward``, which also gives the sweeps their rows.
+place, ``_first_set``, which also gives the sweeps their rows.
 The x rotation is that loop, its pump tuned to a pi/4 forward angle, then
 its mirror: the two sets in reverse order, delays negated, Stokes phase
 -phase.
@@ -62,10 +62,10 @@ _SIX_AXIAL = np.vstack([_QUBITS, _QUBITS[2:] * [1.0, -1.0]])
 # ---------------------------------------------------------------------------
 
 # beyond ~40 widths of delay the Gaussian overlap underflows double precision
-# and the mixing-angle crossover becomes unrepresentable.  The t-domain
-# quadrature fails well before that: z returns ~0 instead of pi/4 from 16.80
-# (6.1e-33 there, 5e-29 at 30), and y raises at 19.12-19.27 and returns 0,
-# with an error estimate of 0, instead of pi/2 from 19.28 (ROADMAP item 1)
+# and the mixing-angle crossover becomes unrepresentable in t.  The z phase,
+# integrated in theta, is pi/4 up to 40; the y angle's t-domain quadrature
+# fails well before that: it raises at 19.12-19.27 and returns 0, with an
+# error estimate of 0, instead of pi/2 from 19.28 (ROADMAP item 1)
 MAX_DELAY_RATIO = 40.0
 
 
@@ -93,13 +93,15 @@ def sweep_angle(variant: str, run: GateRun, ratios) -> tuple[np.ndarray, np.ndar
 
     Neither angle depends on the time scale: the y angle reads the delay
     and the pump-to-Stokes peak ratio, the z phase the delay and
-    amp / model.delta.
+    amp / model.delta.  The z rows are one array evaluation.
     """
     if variant not in ("y_closed_loop", "z_fractional"):
         raise ValueError(f"no sweep of gate variant {variant!r}; "
                          "sweep y_closed_loop or z_fractional")
-    results = [_forward(variant, replace(run, tau0_over_tau=r))[1]
-               for r in check_sweep_ratios(ratios)]
+    sets = [_first_set(variant, replace(run, tau0_over_tau=r)) for r in check_sweep_ratios(ratios)]
+    if variant == "z_fractional":
+        return holonomy.phases_z(sets, run.model)
+    results = [holonomy.geometric_angle_y(pulses) for pulses in sets]
     return (np.array([r.angle for r in results]),
             np.array([r.quad_error for r in results]))
 
@@ -216,17 +218,23 @@ def _y_sets(run: GateRun, *passes) -> tuple:
                          stokes_phase=phase) for pump, delay, phase in passes)
 
 
-def _forward(variant: str, run: GateRun) -> tuple:
-    """The variant's first pulse set and its geometric quadrature: the z
-    set, or the y forward pass with pump peak run.pump_amp (run.amp when
-    None)."""
+def _first_set(variant: str, run: GateRun) -> PulseSet:
+    """The variant's first pulse set: the z set, or the y forward pass with
+    pump peak run.pump_amp (run.amp when None)."""
     tau0 = run.tau0_over_tau * run.tau
     if variant == "z_fractional":
-        pulses = make_z_pulseset(run.amp, run.amp, tau0, run.tau, run.phase)
-        return pulses, holonomy.geometric_phase_z(pulses, run.model)
+        return make_z_pulseset(run.amp, run.amp, tau0, run.tau, run.phase)
     pump = run.pump_amp if run.pump_amp is not None else run.amp
     forward, = _y_sets(run, (pump, tau0, 0.0))
-    return forward, holonomy.geometric_angle_y(forward)
+    return forward
+
+
+def _forward(variant: str, run: GateRun) -> tuple:
+    """The variant's first pulse set and its geometric quadrature."""
+    pulses = _first_set(variant, run)
+    if variant == "z_fractional":
+        return pulses, holonomy.geometric_phase_z(pulses, run.model)
+    return pulses, holonomy.geometric_angle_y(pulses)
 
 
 def _quarter_turn(run: GateRun) -> tuple:

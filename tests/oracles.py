@@ -149,9 +149,9 @@ def predicted_final_state_z(gamma_f: float, phase: float) -> np.ndarray:
 def dop853_reference(generator_of_t, y0, t_start: float, t_end: float, rel_tol: float,
                      abs_tol: float, max_step: float):
     """scipy's ``solve_ivp(method="DOP853")`` on y' = y G(t) for the rows of
-    y0, with G(t) = ``generator_of_t(t)``: the final rows and the number of
-    steps tried.  With no snapshots asked for, solve_ivp makes no dense
-    output, so its RHS count is two plus twelve per step."""
+    y0, with G(t) = ``generator_of_t(t)``: the final rows and the numbers of
+    steps tried and accepted.  With no snapshots asked for, solve_ivp makes
+    no dense output, so its RHS count is two plus twelve per step tried."""
     y0 = np.asarray(y0, dtype=complex)
     width = generator_of_t(t_start).shape[0]
 
@@ -164,4 +164,4 @@ def dop853_reference(generator_of_t, y0, t_start: float, t_end: float, rel_tol: 
         raise ValueError(sol.message)
     steps, rest = divmod(sol.nfev - 2, 12)
     assert rest == 0
-    return sol.y[:, -1].reshape(y0.shape), steps
+    return sol.y[:, -1].reshape(y0.shape), steps, len(sol.t) - 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from holospin import cli, propagate, scenarios
+from holospin import cli, holonomy, propagate, scenarios
 from holospin.model import ModelParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -343,8 +343,10 @@ class TestRun:
         cli.run(config, tmp_path)
         segments = json.loads((tmp_path / "manifest.json").read_text())["solver"]
         assert len(segments) == 2
-        # each step tried, accepted or rejected, evaluates twelve generators
-        assert all(seg["n_steps"] > 0 and seg["n_rhs_evals"] == 2 + 12 * seg["n_steps"]
+        # each step tried, accepted or rejected, evaluates eleven stage
+        # generators, and each accepted one the derivative at its end
+        assert all(seg["n_steps"] > 0
+                   and 2 + 11 * seg["n_steps"] < seg["n_rhs_evals"] <= 2 + 12 * seg["n_steps"]
                    for seg in segments)
         assert all(seg["abs_tol"] == scenarios.GATE_ABS_TOL for seg in segments)
         assert all(seg["rel_tol"] == propagate.PropagationSpec(0.0, 1.0).rel_tol
@@ -391,6 +393,18 @@ class TestRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["exit_status"] == status
         assert "representable range" in manifest["error"]
+
+    def test_starved_z_rule_fails_the_ceiling_check(self, tmp_path, monkeypatch):
+        # four and eight nodes cannot resolve the small-delay rows: the sweep
+        # still writes every row, and its error ceiling check fails the run
+        monkeypatch.setattr(holonomy, "_Z_NODES", 4)
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text("sweep_ratios = 0.1,1,6.5\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep-gamma", "--config", str(cfg), "--out", str(out)]) == 2
+        assert len((out / "sweep_gamma.csv").read_text().splitlines()) == 4
+        [check] = json.loads((out / "manifest.json").read_text())["checks"]
+        assert check["name"] == "quadrature_error_ceiling" and not check["passed"]
 
     @pytest.mark.parametrize("text", ["tau0_over_tau = 0.2\n", "amp_stokes = 0\n"])
     def test_x_composite_unreachable_quarter_turn(self, text, tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from holospin import cli, darkspace, model, pulses
+from holospin import cli, darkspace, holonomy, model, pulses
 from holospin.qcore import DIM, IDX_E1, IDX_E2
 from oracles import sin_phi_y, sin_phi_z, theta_rate
 
@@ -219,8 +220,9 @@ def _probe_times(pulseset):
 
 
 class TestAngleRates:
-    """The flat integrands equal sin(phi) * theta'(t) built from the envelope
-    methods, bit for bit."""
+    """The flat y integrand equals sin(phi) * theta'(t) built from the
+    envelope methods, bit for bit, and the closed forms of the z phase's
+    theta-domain rule equal the envelope methods' values to rounding."""
 
     def test_y_closure_is_exact(self):
         for ps in _y_sets():
@@ -228,18 +230,28 @@ class TestAngleRates:
             for t in _probe_times(ps):
                 assert rate(t) == sin_phi_y(ps, t) * theta_rate(ps, t), (ps, t)
 
-    def test_z_closure_is_exact(self, params):
+    def test_z_theta_form_is_exact(self, params):
+        # over the window of each set, from the layout the rule reads:
+        # tan(theta) = (a_s / a_d) expit(2 v rho + rho^2) with v = t / width
+        # (the late center is at 0), and sin(phi) = 1 / sqrt(1 + e^ls) with
+        # ls = ln(8 a_s^2 / delta^2) - 2 v^2 - 2 ln sin(theta)
         for ps, scale in _z_sets():
             delta = scale * params.delta
-            rate = darkspace.angle_rate_z(ps, delta)
-            for t in _probe_times(ps):
-                assert rate(t) == sin_phi_z(ps, t, delta) * theta_rate(ps, t), (ps, t)
+            a_s, a_d, rho, _, _ = holonomy._z_layout(ps)
+            for t in np.linspace(*ps.window(), 601):
+                v = t / ps.stokes.width
+                theta = math.atan2(a_s * expit(2.0 * v * rho + rho * rho), a_d)
+                assert theta == pytest.approx(darkspace.mixing_theta(ps.stokes(t), ps.driving(t)),
+                                              rel=1e-12, abs=1e-15), (ps, t)
+                ls = math.log(8.0 * (a_s / delta) ** 2) - 2.0 * v * v - 2.0 * math.log(math.sin(theta))
+                assert 1.0 / math.sqrt(1.0 + math.exp(ls)) == pytest.approx(
+                    sin_phi_z(ps, t, delta), rel=1e-12), (ps, t)
 
     def test_rejects_other_envelope_kinds(self, params):
         y = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
         z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
-        with pytest.raises(ValueError, match="TwoPartPulse"):
-            darkspace.angle_rate_z(y, params.delta)
+        with pytest.raises(ValueError, match="make_z_pulseset layout"):
+            holonomy.geometric_phase_z(y, params)
         with pytest.raises(ValueError, match="GaussianPulse"):
             darkspace.angle_rate_y(z)
         with pytest.raises(ValueError, match="ConstantPulse"):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from holospin import cli, darkspace, holonomy, pulses
 from holospin.qcore import dense_expm
@@ -25,10 +27,8 @@ def _trapezoid_angle_y(pulseset, n=400_001):
 
 
 def _trapezoid_phase_z(pulseset, delta, n=400_001):
-    # the symmetric hull of the window, as the quadrature takes it
     lo, hi = pulseset.window()
-    half = max(-lo, hi)
-    ts = np.linspace(-half, half, n)
+    ts = np.linspace(lo, hi, n)
     vals = [sin_phi_z(pulseset, t, delta) * theta_rate(pulseset, t)
             for t in ts]
     return np.trapezoid(vals, ts)
@@ -103,9 +103,16 @@ class TestGeometricPhaseZ:
     def test_integrand_equals_line_integral_form(self, params, rng):
         # the same phase written as a field-space line integral:
         # (delta/2)/(Os^2+Od^2) * (Os dOd - Od dOs)/sqrt(2(Os^2+Od^2)+(delta/2)^2)
-        # equals -sin(phi) theta'(t) pointwise
+        # equals -sin(phi) theta'(t) pointwise, and the theta-domain rule's
+        # integrand sin(phi) d(theta) is that form times dt: 1 / sqrt(1 +
+        # 8 Os^2 / (delta^2 sin^2 theta)) at tan(theta) = expit(2 v rho +
+        # rho^2), v = t / tau, times d(theta)/dt by central differences
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
-        rate = darkspace.angle_rate_z(ps, params.delta)
+        rho, h = 6.5, 1e-3
+
+        def theta_of(t):
+            return math.atan(expit(2.0 * (t / 100.0) * rho + rho * rho))
+
         for _ in range(50):
             t = rng.uniform(-1200.0, 700.0)
             om_s, om_d = ps.stokes(t), ps.driving(t)
@@ -117,11 +124,83 @@ class TestGeometricPhaseZ:
             mixing = -(sin_phi_z(ps, t, params.delta)
                        * theta_rate(ps, t))
             assert line == pytest.approx(mixing, abs=1e-15, rel=1e-9)
-            assert line == pytest.approx(-rate(t), abs=1e-15, rel=1e-9)
+            theta = theta_of(t)
+            sin_phi = 1.0 / math.sqrt(1.0 + 8.0 * om_s ** 2 / (params.delta * math.sin(theta)) ** 2)
+            slope = (theta_of(t + h) - theta_of(t - h)) / (2.0 * h)
+            assert line == pytest.approx(-sin_phi * slope, abs=1e-15, rel=1e-6)
 
     def test_joint_scale_invariance(self, params):
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
         assert cli.scale_shift(_phase_z, ps, params, (0.3, 4.2)) < 1e-9
+
+
+def _z_row_sets(ratios):
+    return [pulses.make_z_pulseset(0.5, 0.5, r * 100.0, 100.0, 0.0) for r in ratios]
+
+
+class TestPhaseRuleZ:
+    """The theta-domain rule of the z phase over many sets at once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 512])
+    def test_nodes_are_numpys_gauss_legendre(self, n):
+        x, w = holonomy._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-9, atol=1e-15)
+        # exact through degree 2n - 1
+        assert w @ x ** (2 * n - 2) == pytest.approx(2.0 / (2 * n - 1), rel=1e-13)
+
+    def test_estimate_bounds_the_error_against_a_finer_rule(self, params, monkeypatch):
+        # each row's estimate |I_n - I_2n| against its distance to the rule at
+        # twice the nodes (I_4n), over ratios in (0, 0.05] and up to 40.  The
+        # floor: no node of either rule lies closer to an end of the theta
+        # range than about 3e-10 of its width, and at ratios near 3 sin(phi)
+        # steps closer than that; against a 2048-node rule the estimate
+        # falls short there by at most 4.1e-11
+        ratios = np.concatenate([np.geomspace(1e-9, 0.05, 40), np.linspace(0.06, 12.0, 200),
+                                 [16.79, 16.8, 25.0, 40.0]])
+        sets = _z_row_sets(ratios)
+        phases, errors = holonomy.phases_z(sets, params)
+        monkeypatch.setattr(holonomy, "_Z_NODES", 2 * holonomy._Z_NODES)
+        finer, _ = holonomy.phases_z(sets, params)
+        assert np.all(np.abs(phases - finer) <= errors + 1e-10)
+        assert np.all(errors < holonomy.QUAD_ERROR_CEILING)
+
+    def test_seeded_grid_against_trapezoid(self, params):
+        # every row of a 600-row grid on [0, 12], as the benchmark's sweeps
+        # draw it, within max(1e-9, its estimate) of a t-domain trapezoid
+        # over the window at 20,001 points
+        ratios = np.sort(np.random.default_rng(301).uniform(0.0, 12.0, 600))
+        sets = _z_row_sets(ratios)
+        phases, errors = holonomy.phases_z(sets, params)
+        assert np.all(errors < holonomy.QUAD_ERROR_CEILING)
+        half = params.delta / 2.0
+        for ps, phase, error in zip(sets, phases, errors):
+            ts = np.linspace(*ps.window(), 20_001)
+            (_, om_s, om_d), (_, ds, dd) = pulses.values_and_slopes(
+                (ps.pump, ps.stokes, ps.driving), ts)
+            g2 = om_s * om_s + om_d * om_d
+            rate = np.divide(ds * om_d - om_s * dd, g2, out=np.zeros_like(g2), where=g2 > 0.0)
+            trapezoid = np.trapezoid(half / np.sqrt(half * half + 2.0 * g2) * rate, ts)
+            assert abs(phase - trapezoid) <= max(1e-9, error), ps
+
+    def test_rows_do_not_depend_on_their_block(self, params):
+        # three blocks of rows, each row bit for bit the set's own phase
+        sets = _z_row_sets(np.linspace(0.0, 12.0, 150))
+        phases, errors = holonomy.phases_z(sets, params)
+        alone = [holonomy.geometric_phase_z(ps, params) for ps in sets]
+        assert phases.tolist() == [r.angle for r in alone]
+        assert errors.tolist() == [r.quad_error for r in alone]
+
+    def test_rejects_other_layouts(self, params):
+        z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
+        for bad in (pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0),
+                    replace(z, pump=pulses.ConstantPulse(0.1)),
+                    replace(z, stokes=pulses.GaussianPulse(0.5, 10.0, 100.0)),
+                    replace(z, stokes=pulses.GaussianPulse(0.5, 0.0, 90.0)),
+                    pulses.make_z_pulseset(0.5, 0.5, -650.0, 100.0, 0.0)):
+            with pytest.raises(ValueError, match="make_z_pulseset layout"):
+                holonomy.geometric_phase_z(bad, params)
 
 
 @pytest.mark.parametrize("ratio", [1.5, 6.5])
