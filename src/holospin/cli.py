@@ -33,7 +33,7 @@ from . import darkspace, holonomy, qcore, scenarios
 from .model import ModelParams, build_h_y, build_h_z, drive_y, drive_z
 from .propagate import PropagationSpec, oracle_propagate, schrodinger_propagate
 from .pulses import make_y_pulseset, make_z_pulseset
-from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
+from .qcore import DIM, IDX_ONE
 
 
 class ConfigError(ValueError):
@@ -279,14 +279,9 @@ def _run_init(config: RunConfig, out_dir: Path):
     traj, fid = scenarios.run_initialization(v["polarization"], np.diag([0.5, 0.5]),
                                              v["rabi_per_ps"], v["duration_ps"], config.model,
                                              record_stride=v["record_stride_ps"])
-    path = out_dir / "init.csv"
-    rows = []
-    for i, t in enumerate(traj.times):
-        s = traj.states[i]
-        rows.append((t, s[IDX_ZERO, IDX_ZERO].real, s[IDX_ONE, IDX_ONE].real,
-                     s[IDX_ANC, IDX_ANC].real, s[IDX_E1, IDX_E1].real,
-                     s[IDX_E2, IDX_E2].real, fid[i]))
-    _write_csv(path, "t_ps,rho00,rho11,rho_aa,rho_e1e1,rho_e2e2,fidelity", rows)
+    # the populations in level order: |0>, |1>, |a>, |e1>, |e2>
+    rows = np.column_stack((traj.times, np.einsum("nii->ni", traj.states).real, fid))
+    _write_csv(out_dir / "init.csv", "t_ps,rho00,rho11,rho_aa,rho_e1e1,rho_e2e2,fidelity", rows)
     checks = [{"name": "trace_preserved", "passed": traj.meta["trace_drift"] < 1e-9,
                "detail": f"trace drift {traj.meta['trace_drift']:.3e}"}]
     results = {"preparation_fidelity": float(fid[-1])}

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .model import ModelParams
-from .pulses import GaussianPulse, PulseSet, values_and_slopes
+from .pulses import PulseSet, values_and_slopes
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -132,19 +132,20 @@ def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _gaussian(envelope) -> tuple:
-    """The Gaussian envelope's amplitude, center and width, read once per
+    """A one-center envelope's amplitude, center and width, read once per
     integrand."""
-    if type(envelope) is not GaussianPulse:
-        raise ValueError("the holonomy integrand needs a GaussianPulse here, "
-                         f"not {type(envelope).__name__}")
-    return envelope.amplitude, envelope.center, envelope.width
+    if len(envelope.centers) != 1:
+        raise ValueError("the holonomy integrand needs one-center envelopes here, "
+                         f"not {len(envelope.centers)} centers")
+    (center,) = envelope.centers
+    return envelope.amplitude, center, envelope.width
 
 
 # The closure below is the y holonomy integrand sin(phi) * theta'(t).  It
-# inlines GaussianPulse values and derivatives, theta' by its ratio formula
-# and sin(phi) in the same operation order, so each value is bit-identical
-# to the one built from the envelope methods; a Gaussian's value and slope
-# share one exp.
+# inlines one-center envelope values and derivatives, theta' by its ratio
+# formula and sin(phi) in the same operation order, so each value is
+# bit-identical to the one built from the envelope methods; a Gaussian's
+# value and slope share one exp.
 
 def angle_rate_y(pulses: PulseSet):
     """t -> sin(phi_pump) * d theta/dt for a make_y_pulseset set (0 where the

@@ -111,14 +111,15 @@ def _theta_rule(n: int) -> tuple:
 
 def _z_layout(pulses: PulseSet) -> tuple:
     """(a_s, a_d, rho, v_lo, v_hi) of a make_z_pulseset set, read from its
-    components: the Stokes and driving peaks, and the delay and the window's
-    ends in widths, the ends measured from the late center."""
+    components: the peaks of the one-center Stokes envelope and of the
+    two-center driving envelope, and the delay and the window's ends in
+    widths, the ends measured from the late center."""
     index, amplitude, center, width = components((pulses.pump, pulses.stokes, pulses.driving))
     if (pulses.pump.amplitude != 0.0 or index.tolist() != [1, 2, 2]
             or not width[0] == width[1] == width[2] or center[0] != center[2]
             or not center[1] <= center[2]):
         raise ValueError("the z phase needs a make_z_pulseset layout: the pump off, a "
-                         "GaussianPulse Stokes field and a TwoPartPulse drive of one width, "
+                         "one-center Stokes field and a two-center drive of one width, "
                          "the Stokes center on the late drive center, the early one not after it")
     lo, hi = pulses.window()
     late, tau = center[2], width[0]

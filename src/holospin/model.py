@@ -25,6 +25,7 @@ channels (|e1,2> -> |0,1>) plus hole and electron spin-flip channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,13 @@ class ModelParams:
     gamma_ee: float = 1e-9    # electron spin-flip rate
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("electron Zeeman splitting must be positive")
-        if min(self.gamma, self.gamma_hh, self.gamma_ee) < 0.0:
-            raise ValueError("decay rates must be non-negative")
+        # each comparison is false for NaN
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("electron Zeeman splitting must be positive and finite")
+        if not math.isfinite(self.detuning):
+            raise ValueError("one-photon detuning must be finite")
+        if not all(0.0 <= rate < math.inf for rate in (self.gamma, self.gamma_hh, self.gamma_ee)):
+            raise ValueError("decay rates must be non-negative and finite")
         if abs(self.detuning + self.delta / 2.0) <= 1e-12 * max(1.0, self.delta):
             raise ValueError("midpoint tuning reserved for z-configuration")
 

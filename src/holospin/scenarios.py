@@ -41,7 +41,7 @@ from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa
                     lindblad_channels)
 from .propagate import (PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate,
                         semigroup_propagate)
-from .pulses import OFF, ConstantPulse, PulseSet, make_y_pulseset, make_z_pulseset
+from .pulses import OFF, Envelope, PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
 
@@ -113,10 +113,10 @@ def sweep_angle(variant: str, run: GateRun, ratios) -> tuple[np.ndarray, np.ndar
 def _pumping(polarization: str, rabi: float, params: ModelParams):
     """The constant single-field drive of optical pumping: sigma_minus drives
     |0>, sigma_plus drives |1>."""
-    # ConstantPulse rejects a negative rabi
+    # Envelope rejects a negative rabi
     if polarization not in ("sigma_minus", "sigma_plus"):
         raise ValueError("polarization must be sigma_minus or sigma_plus")
-    field = ConstantPulse(rabi)
+    field = Envelope(rabi)
     if polarization == "sigma_minus":
         pulses = PulseSet(pump=field, stokes=OFF, driving=OFF)
     else:

@@ -252,9 +252,12 @@ class TestAngleRates:
         z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
         with pytest.raises(ValueError, match="make_z_pulseset layout"):
             holonomy.geometric_phase_z(y, params)
-        with pytest.raises(ValueError, match="GaussianPulse"):
+        # z's pump is off: no center
+        with pytest.raises(ValueError, match="one-center envelopes here, not 0 centers"):
             darkspace.angle_rate_y(z)
-        with pytest.raises(ValueError, match="ConstantPulse"):
+        with pytest.raises(ValueError, match="not 2 centers"):
+            darkspace.angle_rate_y(pulses.PulseSet(y.pump, y.stokes, z.driving))
+        with pytest.raises(ValueError, match="not 0 centers"):
             darkspace.angle_rate_y(pulses.PulseSet(pulses.OFF, y.stokes, y.driving))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ class TestModelParams:
         for rate in ("gamma", "gamma_hh", "gamma_ee"):
             with pytest.raises(ValueError, match="non-negative"):
                 model.ModelParams(**{rate: -1.0})
+
+    @pytest.mark.parametrize("field", ["delta", "detuning", "gamma", "gamma_hh", "gamma_ee"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_field_must_be_finite(self, field, value):
+        # each comparison is false for NaN: without the check, a NaN delta
+        # or detuning failed the solve's Hermiticity check, a NaN or
+        # infinite rate its step-size control, and an infinite delta the
+        # midpoint check
+        with pytest.raises(ValueError, match="finite"):
+            model.ModelParams(**{field: value})
 
     def test_midpoint_detuning_rejected(self):
         # -delta/2 is the z configuration's tuning; no y run may take it
@@ -80,7 +92,7 @@ class TestHamiltonianZ:
         assert np.max(np.abs(h - h.conj().T)) < 1e-18
 
     def test_pump_rejected(self, params):
-        bad = pulses.PulseSet(pump=pulses.ConstantPulse(0.1), stokes=pulses.OFF,
+        bad = pulses.PulseSet(pump=pulses.Envelope(0.1), stokes=pulses.OFF,
                               driving=pulses.OFF)
         with pytest.raises(ValueError, match="pump"):
             model.build_h_z(0.0, bad, params)
@@ -100,7 +112,7 @@ def _template_segments():
         segments = scenarios._plan(variant, scenarios.default_gate_run(variant)).segments
         out += [(variant, pulseset, template, pulseset.window())
                 for pulseset, template in segments]
-    init = pulses.PulseSet(pump=pulses.ConstantPulse(0.05), stokes=pulses.OFF,
+    init = pulses.PulseSet(pump=pulses.Envelope(0.05), stokes=pulses.OFF,
                            driving=pulses.OFF)
     return out + [("init", init, model.drive_y, (0.0, 1000.0))]
 
@@ -124,7 +136,7 @@ class TestDriveTemplates:
         assert envelopes[0] is ps.stokes and envelopes[1] is ps.driving
 
     def test_z_rejects_pump(self, params):
-        bad = pulses.PulseSet(pump=pulses.GaussianPulse(0.1, 0.0, 100.0), stokes=pulses.OFF,
+        bad = pulses.PulseSet(pump=pulses.Envelope(0.1, (0.0,), 100.0), stokes=pulses.OFF,
                               driving=pulses.OFF)
         with pytest.raises(ValueError, match="pump"):
             model.drive_z(bad, params)

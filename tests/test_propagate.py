@@ -236,7 +236,7 @@ class TestLindblad:
         one_way = np.zeros((DIM, DIM), dtype=complex)
         one_way[0, 3] = 0.1
         drive = model.Drive(np.zeros((DIM, DIM), dtype=complex),
-                            ((pulses.ConstantPulse(0.0), one_way),))
+                            ((pulses.Envelope(0.0), one_way),))
         rho0 = density_from_state(basis_state(0))
         with pytest.raises(ValueError, match="Hermitian couplings"):
             propagate.lindblad_propagate(drive, [], rho0, PropagationSpec(0.0, 1.0))
@@ -364,7 +364,7 @@ class TestSemigroup:
         # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps;
         # 250 ps divides it; 0 stores the end points only.  Measured at most
         # 3.9e-15
-        ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
                              driving=pulses.OFF)
         jumps = lindblad_channels(params)
         rho0 = density_from_state(basis_state(0))
@@ -386,7 +386,7 @@ class TestSemigroup:
         # of both (bound 10x that).  Simpson's own error there is about
         # 2e-11 (3.1e-10 at 0.2 ps, fourth order); below 0.1 ps rounding
         # over the steps grows the difference again
-        ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
                              driving=pulses.OFF)
         jumps = lindblad_channels(params)
         rho0 = density_from_state(basis_state(0))
@@ -421,7 +421,7 @@ class TestSemigroup:
         made = []
         monkeypatch.setattr(propagate, "dense_expm",
                             lambda m: made.append(m) or dense_expm(m))
-        ps = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
                              driving=pulses.OFF)
         traj, _ = propagate.semigroup_propagate(model.drive_y(ps, params),
                                                 lindblad_channels(params),
@@ -433,7 +433,7 @@ class TestSemigroup:
 
 def _lone_pulse_set():
     """A 10 ps pump pulse at 5000 ps, every other field off."""
-    pump = pulses.GaussianPulse(0.05, 5000.0, 10.0)
+    pump = pulses.Envelope(0.05, (5000.0,), 10.0)
     return pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF)
 
 
@@ -543,9 +543,9 @@ class TestComponentGenerators:
     def test_match_the_scalar_envelope_calls(self):
         couplings = [model._coupling(ground, amp)
                      for ground, amp in ((0, 1.0), (1, np.exp(-0.7j)), (2, 1.0))]
-        envelopes = [pulses.GaussianPulse(0.4, 30.0, 100.0),
-                     pulses.TwoPartPulse(0.5, -650.0, 0.0, 100.0),
-                     pulses.ConstantPulse(0.3)]
+        envelopes = [pulses.Envelope(0.4, (30.0,), 100.0),
+                     pulses.Envelope(0.5, (-650.0, 0.0), 100.0),
+                     pulses.Envelope(0.3)]
         h0 = np.diag([0.0, 0.0, 0.0, 0.2, -0.3]).astype(complex)
         drive = model.Drive(h0, tuple(zip(envelopes, couplings)))
         lift = lambda h: propagate._pair_form((-1j * h).T)
@@ -563,9 +563,9 @@ class TestComponentGenerators:
         # must leave nothing behind for a call at another
         couplings = [model._coupling(ground, amp)
                      for ground, amp in ((0, 1.0), (1, np.exp(0.4j)), (2, 1.0))]
-        envelopes = [pulses.GaussianPulse(0.6, -80.0, 120.0),
-                     pulses.TwoPartPulse(0.3, -500.0, 50.0, 90.0),
-                     pulses.ConstantPulse(0.2)]
+        envelopes = [pulses.Envelope(0.6, (-80.0,), 120.0),
+                     pulses.Envelope(0.3, (-500.0, 50.0), 90.0),
+                     pulses.Envelope(0.2)]
         drive = model.Drive(np.diag([0.0, 0.0, 0.0, 0.1, -0.4]).astype(complex),
                             tuple(zip(envelopes, couplings)))
         if open_system:
@@ -668,7 +668,7 @@ class TestDriveTemplates:
         # the exact solve's one exponential, of its block generator
         made = []
         monkeypatch.setattr(propagate, "dense_expm", lambda m: made.append(m) or dense_expm(m))
-        constant = pulses.PulseSet(pump=pulses.ConstantPulse(0.02), stokes=pulses.OFF,
+        constant = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
                                    driving=pulses.OFF)
         propagate.semigroup_propagate(model.drive_y(constant, params), lindblad_channels(params),
                                       density_from_state(basis_state(0)), 10.0, 0.0)

@@ -216,3 +216,28 @@ def test_no_unused_imports():
             found += [f"{path.relative_to(ROOT)}: {name}"
                       for name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, f"imports nothing uses: {found}"
+
+
+# the benchmark tracer patches the envelope methods under these old class
+# names (ROADMAP item 3); the one line in pulses that binds them to
+# Envelope must be their only use, so that they can go with the tracer's
+# change
+TRACER_ALIASES = ("GaussianPulse", "TwoPartPulse", "ConstantPulse")
+ALIAS_LINE = "GaussianPulse = TwoPartPulse = ConstantPulse = Envelope"
+
+
+def test_tracer_aliases_occur_only_on_their_line():
+    found, alias_lines = [], []
+    for directory in (ROOT / "src", ROOT / "tests", ROOT / "scripts"):
+        for path in sorted(directory.rglob("*.py")):
+            if path == Path(__file__).resolve():
+                continue
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                where = f"{path.relative_to(ROOT)}:{number}"
+                if line == ALIAS_LINE:
+                    alias_lines.append(where)
+                elif any(name in line for name in TRACER_ALIASES):
+                    found.append(where)
+    assert not found, f"tracer-only names used outside their alias line: {found}"
+    assert len(alias_lines) == 1 and alias_lines[0].startswith("src/holospin/pulses.py:"), \
+        alias_lines

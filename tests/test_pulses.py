@@ -10,34 +10,34 @@ from holospin import pulses, scenarios
 
 class TestGaussian:
     def test_peak(self):
-        assert pulses.GaussianPulse(0.5, 0.0, 100.0)(0.0) == pytest.approx(0.5)
+        assert pulses.Envelope(0.5, (0.0,), 100.0)(0.0) == pytest.approx(0.5)
 
     def test_one_width_from_peak(self):
-        assert pulses.GaussianPulse(0.5, 0.0, 100.0)(100.0) == pytest.approx(0.5 / math.e)
+        assert pulses.Envelope(0.5, (0.0,), 100.0)(100.0) == pytest.approx(0.5 / math.e)
 
     def test_shifted_peak(self):
-        assert pulses.GaussianPulse(0.5, -150.0, 100.0)(-150.0) == pytest.approx(0.5)
+        assert pulses.Envelope(0.5, (-150.0,), 100.0)(-150.0) == pytest.approx(0.5)
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
-            pulses.GaussianPulse(0.5, 0.0, 0.0)
+            pulses.Envelope(0.5, (0.0,), 0.0)
 
     @settings(deadline=None)
     @given(st.floats(-1e4, 1e4), st.floats(0, 10), st.floats(-1e3, 1e3),
            st.floats(1e-2, 1e3))
     def test_non_negative(self, t, amp, center, width):
-        assert pulses.GaussianPulse(amp, center, width)(t) >= 0.0
+        assert pulses.Envelope(amp, (center,), width)(t) >= 0.0
 
     def test_tail_below_threshold(self):
         # value at 8 widths from the peak is < 1e-27 of the amplitude
-        p = pulses.GaussianPulse(0.5, 0.0, 100.0)
+        p = pulses.Envelope(0.5, (0.0,), 100.0)
         assert p(800.0) < 1e-27 * 0.5
         assert p(-800.0) < 1e-27 * 0.5
 
 
 @pytest.mark.parametrize("pulse", [
-    pulses.GaussianPulse(0.5, 30.0, 100.0),
-    pulses.TwoPartPulse(0.4, -650.0, 0.0, 100.0),
+    pulses.Envelope(0.5, (30.0,), 100.0),
+    pulses.Envelope(0.4, (-650.0, 0.0), 100.0),
 ])
 def test_derivative_matches_central_difference(pulse):
     # O(h^2) convergence: halving h shrinks the defect by about 4
@@ -51,26 +51,90 @@ def test_derivative_matches_central_difference(pulse):
             assert errs[1] < errs[0] / 3.0
 
 
-@pytest.mark.parametrize("make, fields", [
-    (pulses.GaussianPulse, (0.5, 30.0, 100.0)),
-    (pulses.TwoPartPulse, (0.5, -650.0, 0.0, 100.0)),
-    (pulses.ConstantPulse, (0.3,)),
-])
+def _with_each_number(fields, value):
+    """The fields with each number in turn, each center among them, set to
+    value."""
+    amplitude, *rest = fields
+    yield (value, *rest)
+    if rest:
+        centers, width = rest
+        for i in range(len(centers)):
+            yield amplitude, centers[:i] + (value,) + centers[i + 1:], width
+        yield amplitude, centers, value
+
+
+@pytest.mark.parametrize("fields", [(0.5, (30.0,), 100.0), (0.5, (-650.0, 0.0), 100.0), (0.3,)],
+                         ids=["one_center", "two_centers", "constant"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_every_field_must_be_finite(make, fields, value):
-    # each field in turn: a NaN passes every comparison-based check, and a
+def test_every_field_must_be_finite(fields, value):
+    # each number in turn: a NaN passes every comparison-based check, and a
     # solve under a NaN envelope never takes a step
-    for index in range(len(fields)):
-        bad = list(fields)
-        bad[index] = value
+    for bad in _with_each_number(fields, value):
         with pytest.raises(ValueError, match="finite"):
-            make(*bad)
+            pulses.Envelope(*bad)
+
+
+class TestEnvelopeChecks:
+    @pytest.mark.parametrize("centers", [0.0, [0.0], (0.0, "1"), (None,)])
+    def test_centers_must_be_a_tuple_of_numbers(self, centers):
+        with pytest.raises(ValueError, match="tuple of finite floats"):
+            pulses.Envelope(0.5, centers, 100.0)
+
+    def test_a_constant_envelope_has_an_infinite_width(self):
+        # so every envelope with a finite width has a center to bound its
+        # window, and a solve under constant drives stays uncapped
+        with pytest.raises(ValueError, match="infinite width"):
+            pulses.Envelope(0.5, (), 100.0)
+        flat = pulses.Envelope(0.5)
+        assert (flat.centers, flat.width, flat(-1e9), flat.derivative(3.0)) == ((), math.inf,
+                                                                                0.5, 0.0)
+
+
+def _one_center(a, c, w, t):
+    # reference formulas: one Gaussian's value and slope, and the value of a
+    # sum of two
+    x = (t - c) / w
+    return a * math.exp(-x * x), -2.0 * x / w * a * math.exp(-x * x)
+
+
+def _two_centers(a, c1, c2, w, t):
+    xe, xl = (t - c1) / w, (t - c2) / w
+    return a * (math.exp(-xe * xe) + math.exp(-xl * xl))
+
+
+# for envelopes centered at 30 (one center) and at -650 and 0 (two), width
+# 100: the peaks, the two-center midpoint where the slope's terms cancel,
+# one width off, the window edges, subnormal tails (27.2 widths out) and
+# tails where every component underflows to 0 (40 widths out), then a grid
+TIMES = ([30.0, -650.0, 0.0, -325.0, 130.0, -750.0]
+         + [t for widths in (8.0, 27.2, 40.0) for t in (-650.0 - 100.0 * widths,
+                                                          30.0 + 100.0 * widths)]
+         + np.linspace(-1500.0, 900.0, 241).tolist())
+
+
+class TestEnvelopeFormulas:
+    def test_values_match_the_written_out_formulas_bit_for_bit(self):
+        one = pulses.Envelope(0.4, (30.0,), 100.0)
+        two = pulses.Envelope(0.5, (-650.0, 0.0), 100.0)
+        for t in TIMES:
+            assert (one(t), one.derivative(t)) == _one_center(0.4, 30.0, 100.0, t), t
+            assert two(t) == _two_centers(0.5, -650.0, 0.0, 100.0, t), t
+        assert one(4030.0) == two(-4650.0) == 0.0
+        assert 0.0 < one(2750.0) < np.finfo(float).tiny
+
+    @settings(deadline=None)
+    @given(st.floats(-1e4, 1e4), st.floats(0, 10), st.floats(-1e3, 1e3),
+           st.floats(-1e3, 1e3), st.floats(1e-2, 1e3))
+    def test_any_values_match_bit_for_bit(self, t, amp, early, late, width):
+        assert pulses.Envelope(amp, (early,), width)(t) == _one_center(amp, early, width, t)[0]
+        assert (pulses.Envelope(amp, (early, late), width)(t)
+                == _two_centers(amp, early, late, width, t))
 
 
 class TestComponents:
-    ENVELOPES = (pulses.GaussianPulse(0.4, 30.0, 100.0),
-                 pulses.TwoPartPulse(0.5, -650.0, 0.0, 100.0),
-                 pulses.ConstantPulse(0.3))
+    ENVELOPES = (pulses.Envelope(0.4, (30.0,), 100.0),
+                 pulses.Envelope(0.5, (-650.0, 0.0), 100.0),
+                 pulses.Envelope(0.3))
 
     def test_one_entry_per_center_in_order(self):
         index, amplitude, center, width = pulses.components(self.ENVELOPES)
@@ -81,32 +145,25 @@ class TestComponents:
         assert all(column.flags.c_contiguous for column in (index, amplitude, center, width))
 
     def test_values_and_slopes_match_the_envelope_methods(self):
-        # the peaks, the two-part midpoint where the slope's terms cancel,
-        # one width off, the window edges, subnormal tails (27.2 widths out)
-        # and tails where every component underflows to 0 (40 widths out)
-        times = [30.0, -650.0, 0.0, -325.0, 130.0, -750.0]
-        for widths in (8.0, 27.2, 40.0):
-            times += [-650.0 - widths * 100.0, 30.0 + widths * 100.0]
-        times += np.linspace(-1500.0, 900.0, 241).tolist()
-        values, slopes = pulses.values_and_slopes(self.ENVELOPES, np.array(times))
-        assert values.shape == slopes.shape == (3, len(times))
+        values, slopes = pulses.values_and_slopes(self.ENVELOPES, np.array(TIMES))
+        assert values.shape == slopes.shape == (3, len(TIMES))
         # rounding level: numpy's exp and math.exp differ by an ulp on a few
-        # percent of arguments, and a two-part sum is added in another
-        # order; each bound is 4 ulps of the sum of the components' moduli,
-        # plus the smallest normal float for subnormal tails
+        # percent of arguments; each bound is 4 ulps of the sum of the
+        # components' moduli, plus the smallest normal float for subnormal
+        # tails
         bound = 4.0 * np.finfo(float).eps
         tiny = np.finfo(float).tiny
         for k, envelope in enumerate(self.ENVELOPES):
-            parts = [pulses.GaussianPulse(envelope.amplitude, c, envelope.width)
+            parts = [pulses.Envelope(envelope.amplitude, (c,), envelope.width)
                      for c in envelope.centers]
-            for t, value, slope in zip(times, values[k].tolist(), slopes[k].tolist()):
+            for t, value, slope in zip(TIMES, values[k].tolist(), slopes[k].tolist()):
                 assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, (k, t)
                 modulus = sum(abs(part.derivative(t)) for part in parts)
                 assert abs(slope - envelope.derivative(t)) <= bound * modulus + tiny, (k, t)
         # the far tails underflow to exactly the constant envelope's values
         assert values[:2, 10:12].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert values[2].tolist() == [0.3] * len(times)
-        assert slopes[2].tolist() == [0.0] * len(times)
+        assert values[2].tolist() == [0.3] * len(TIMES)
+        assert slopes[2].tolist() == [0.0] * len(TIMES)
 
     def test_other_envelope_types_are_rejected_by_name(self):
         class Ramp:
@@ -170,7 +227,7 @@ class TestZPulseSet:
 
 def test_pulseset_validation():
     with pytest.raises(ValueError):
-        pulses.GaussianPulse(-0.1, 0.0, 10.0)
+        pulses.Envelope(-0.1, (0.0,), 10.0)
 
 
 def _x_lower_set():
@@ -199,5 +256,5 @@ def test_window_covers_support(pulseset, margin, expected):
 
 def test_window_needs_a_gaussian():
     with pytest.raises(ValueError, match="no window"):
-        pulses.PulseSet(pump=pulses.ConstantPulse(0.1), stokes=pulses.OFF,
+        pulses.PulseSet(pump=pulses.Envelope(0.1), stokes=pulses.OFF,
                         driving=pulses.OFF).window()

@@ -419,7 +419,7 @@ class TestIndependentLiouvillian:
         stride = 20.0
         traj, _ = scenarios.run_initialization(polarization, _mixed_qubit(), params.gamma,
                                                40000.0, params, record_stride=stride)
-        field = pulses.ConstantPulse(params.gamma)
+        field = pulses.Envelope(params.gamma)
         pumping = (pulses.PulseSet(pump=field, stokes=pulses.OFF, driving=pulses.OFF)
                    if polarization == "sigma_minus"
                    else pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF))
@@ -443,7 +443,7 @@ class TestIndependentLiouvillian:
         duration, stride = 40000.0, 2.5
         result = scenarios.run_readout(np.diag([0.0, 1.0]).astype(complex), duration, params,
                                        params.gamma)
-        field = pulses.ConstantPulse(params.gamma)
+        field = pulses.Envelope(params.gamma)
         pumping = pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF)
         generator = liouvillian(lambda t: build_h_y(t, pumping, params),
                                 lindblad_channels(params))

@@ -15,8 +15,7 @@ def test_tracer_installs_and_restores(monkeypatch):
     import spans
 
     owners = [holospin.cli, holospin.scenarios, holospin.propagate, holospin.holonomy,
-              holospin.pulses.GaussianPulse, holospin.pulses.TwoPartPulse,
-              holospin.pulses.ConstantPulse]
+              holospin.pulses.Envelope]
     before = [dict(vars(owner)) for owner in owners]
     with spans.installed(spans.Tracer(), holospin):
         assert holospin.scenarios.lindblad_propagate is not before[1]["lindblad_propagate"]
