@@ -29,57 +29,73 @@ from .pulses import PulseSet, values_and_slopes
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
-def mixing_theta(omega_s: float, omega_d: float) -> float:
-    """atan2(omega_s, omega_d) in [0, pi/2].
+def mixing_theta(omega_s, omega_d):
+    """atan2(omega_s, omega_d) in [0, pi/2], of two amplitudes or
+    element-wise of two arrays.
 
     0 once both fields have vanished: then neither |1> nor |a> couples, so
     every theta gives a dark frame (the convention of mixing_phi_y).
     """
-    if omega_s < 0.0 or omega_d < 0.0:
+    if np.any(np.minimum(omega_s, omega_d) < 0.0):
         raise ValueError("field amplitudes must be non-negative")
-    return math.atan2(omega_s, omega_d)
+    return np.arctan2(omega_s, omega_d)
 
 
-def mixing_phi_y(omega_p: float, omega_s: float, omega_d: float) -> float:
-    """atan2(omega_p, hypot(omega_s, omega_d)) in [0, pi/2].
+def mixing_phi_y(omega_p, omega_s, omega_d):
+    """atan2(omega_p, hypot(omega_s, omega_d)) in [0, pi/2], element-wise
+    over arrays.
 
     0 once all fields have vanished: in every y set's tails the pump is not
     the outermost field, so that is the protocol's limit (as in angle_rate_y).
     """
-    if min(omega_p, omega_s, omega_d) < 0.0:
+    if np.any(np.minimum(omega_p, np.minimum(omega_s, omega_d)) < 0.0):
         raise ValueError("field amplitudes must be non-negative")
-    return math.atan2(omega_p, math.hypot(omega_s, omega_d))
+    return np.arctan2(omega_p, np.hypot(omega_s, omega_d))
 
 
-def mixing_phi_z(delta: float, omega_s: float, omega_d: float) -> float:
-    """atan2(delta/2, sqrt(2 (omega_s^2 + omega_d^2))) in [0, pi/2].
+def mixing_phi_z(delta: float, omega_s, omega_d):
+    """atan2(delta/2, sqrt(2 (omega_s^2 + omega_d^2))) in [0, pi/2],
+    element-wise over arrays of amplitudes.
 
     Well defined even for vanished fields (limit pi/2) as long as delta > 0;
     zero splitting with live fields gives 0.
     """
     if delta < 0.0:
         raise ValueError("electron Zeeman splitting must be non-negative")
-    if delta == 0.0 and omega_s == 0.0 and omega_d == 0.0:
+    if delta == 0.0 and np.any(np.equal(omega_s, 0.0) & np.equal(omega_d, 0.0)):
         raise ValueError("mixing angle undefined: no splitting and no fields")
-    return math.atan2(delta / 2.0, math.sqrt(2.0 * (omega_s ** 2 + omega_d ** 2)))
+    return np.arctan2(delta / 2.0, np.sqrt(2.0 * (np.square(omega_s) + np.square(omega_d))))
 
 
-def dark_states_y(theta: float, phi: float) -> np.ndarray:
-    """Dark frame (5x2, columns d1, d2) of the y configuration; no support on
-    the electron levels.
+def _frame(theta, phi, columns) -> np.ndarray:
+    """A dark frame (..., 5, 2) over the broadcast shape of theta and phi,
+    from its nonzero rows: a map from level index to the row's two
+    columns."""
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    frame = np.zeros(shape + (DIM, 2), dtype=complex)
+    for level, (d1, d2) in columns.items():
+        frame[..., level, 0] = d1
+        frame[..., level, 1] = d2
+    return frame
+
+
+def dark_states_y(theta, phi) -> np.ndarray:
+    """Dark frame (5x2, columns d1, d2) of the y configuration, or (..., 5,
+    2) over arrays of angles; no support on the electron levels.
 
         d1 = cos(theta)|1> - sin(theta)|a>
         d2 = cos(phi)|0> - sin(phi) sin(theta)|1> - sin(phi) cos(theta)|a>
     """
-    frame = np.zeros((DIM, 2), dtype=complex)
-    frame[IDX_ZERO, 1] = math.cos(phi)
-    frame[IDX_ONE] = math.cos(theta), -math.sin(phi) * math.sin(theta)
-    frame[IDX_ANC] = -math.sin(theta), -math.sin(phi) * math.cos(theta)
-    return frame
+    return _frame(theta, phi, {
+        IDX_ZERO: (0.0, np.cos(phi)),
+        IDX_ONE: (np.cos(theta), -np.sin(phi) * np.sin(theta)),
+        IDX_ANC: (-np.sin(theta), -np.sin(phi) * np.cos(theta)),
+    })
 
 
-def dark_states_z(theta: float, phi: float, stokes_phase: float) -> np.ndarray:
-    """Dark frame (5x2, columns d1, d2) of the midpoint-tuned z configuration.
+def dark_states_z(theta, phi, stokes_phase: float) -> np.ndarray:
+    """Dark frame (5x2, columns d1, d2) of the midpoint-tuned z
+    configuration, or (..., 5, 2) over arrays of angles.
 
         d1 = cos(theta) e^{i phase}|1> - sin(theta)|a>
         d2 = cos(phi)(|e1> - |e2>)/sqrt2 + sin(phi) cos(theta)|a>
@@ -89,12 +105,12 @@ def dark_states_z(theta: float, phi: float, stokes_phase: float) -> np.ndarray:
     (phi -> pi/2 when the fields vanish).
     """
     ph = np.exp(1j * stokes_phase)
-    frame = np.zeros((DIM, 2), dtype=complex)
-    frame[IDX_E1, 1] = math.cos(phi) / math.sqrt(2.0)
-    frame[IDX_E2, 1] = -math.cos(phi) / math.sqrt(2.0)
-    frame[IDX_ONE] = math.cos(theta) * ph, math.sin(phi) * math.sin(theta) * ph
-    frame[IDX_ANC] = -math.sin(theta), math.sin(phi) * math.cos(theta)
-    return frame
+    return _frame(theta, phi, {
+        IDX_E1: (0.0, np.cos(phi) / math.sqrt(2.0)),
+        IDX_E2: (0.0, -np.cos(phi) / math.sqrt(2.0)),
+        IDX_ONE: (np.cos(theta) * ph, np.sin(phi) * np.sin(theta) * ph),
+        IDX_ANC: (-np.sin(theta), np.sin(phi) * np.cos(theta)),
+    })
 
 
 def connection_y(phi: float) -> np.ndarray:
@@ -120,10 +136,11 @@ def connection_numeric(basis_at, theta: float, h: float) -> np.ndarray:
 
 
 def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Norms ||H d1||, ||H d2|| of the frame's columns; both vanish for a
-    matched configuration."""
+    """Norms ||H d1||, ||H d2|| of the frame's columns, or (..., 2) over
+    stacks of Hamiltonians and frames; both vanish for a matched
+    configuration."""
     h = np.asarray(hamiltonian, dtype=complex)
-    return np.array([np.linalg.norm(h @ pair[:, k]) for k in range(2)])
+    return np.linalg.norm(h @ pair, axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ The same two Hamiltonians also come as drive templates, ``drive_y`` and
 real envelopes f_k and the fixed couplings K_k (the Stokes phase sits in
 its K_k), built and checked once per protocol segment.  Both integrators
 take only a ``Drive``; the builders are the independent element-wise
-construction that the exponential oracle and the invariant checks use.
+construction that the exponential oracle and the invariant checks use, at
+one time or over an array of times.
 
 Dissipation is Markovian, given by the jump operators of the master
 equation (``lindblad_channels``): four equal exciton-recombination
@@ -61,39 +62,41 @@ class ModelParams:
             raise ValueError("midpoint tuning reserved for z-configuration")
 
 
-def build_h_y(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
-    """Three-photon-resonant Hamiltonian of the y configuration at time t.
+def build_h_y(t, pulses: PulseSet, params: ModelParams) -> np.ndarray:
+    """Three-photon-resonant Hamiltonian of the y configuration at time t,
+    or (..., 5, 5) at each time of an array.
 
     Diagonal (0, 0, 0, -detuning, -(detuning + delta)); every ground level
     couples to both electron levels with its own envelope.
     """
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[IDX_E1, IDX_E1] = -params.detuning
-    h[IDX_E2, IDX_E2] = -(params.detuning + params.delta)
+    h = np.zeros(np.shape(t) + (DIM, DIM), dtype=complex)
+    h[..., IDX_E1, IDX_E1] = -params.detuning
+    h[..., IDX_E2, IDX_E2] = -(params.detuning + params.delta)
     om_p = pulses.pump(t)
     om_s = pulses.stokes(t) * np.exp(-1j * pulses.stokes_phase)
     om_d = pulses.driving(t)
     for e in (IDX_E1, IDX_E2):
-        h[e, IDX_ZERO] = -om_p
-        h[e, IDX_ONE] = -om_s
-        h[e, IDX_ANC] = -om_d
-        h[IDX_ZERO, e] = -om_p
-        h[IDX_ONE, e] = -np.conj(om_s)
-        h[IDX_ANC, e] = -om_d
+        h[..., e, IDX_ZERO] = -om_p
+        h[..., e, IDX_ONE] = -om_s
+        h[..., e, IDX_ANC] = -om_d
+        h[..., IDX_ZERO, e] = -om_p
+        h[..., IDX_ONE, e] = -np.conj(om_s)
+        h[..., IDX_ANC, e] = -om_d
     return h
 
 
-def build_h_z(t: float, pulses: PulseSet, params: ModelParams) -> np.ndarray:
-    """Midpoint-tuned Hamiltonian of the z configuration at time t: the y
-    Hamiltonian with the pump off and the one-photon detuning at the
-    midpoint -delta/2, so the diagonal is (0, 0, 0, +delta/2, -delta/2).  |0>
-    is exactly decoupled; the Stokes coupling carries exp(-i * stokes_phase).
+def build_h_z(t, pulses: PulseSet, params: ModelParams) -> np.ndarray:
+    """Midpoint-tuned Hamiltonian of the z configuration at time t, or at
+    each time of an array: the y Hamiltonian with the pump off and the
+    one-photon detuning at the midpoint -delta/2, so the diagonal is (0, 0,
+    0, +delta/2, -delta/2).  |0> is exactly decoupled; the Stokes coupling
+    carries exp(-i * stokes_phase).
     """
     h = build_h_y(t, pulses, params)
-    if h[IDX_E1, IDX_ZERO] != 0.0:
+    if np.any(h[..., IDX_E1, IDX_ZERO] != 0.0):
         raise ValueError("z-configuration requires a vanishing pump envelope")
-    h[IDX_E1, IDX_E1] = +params.delta / 2.0
-    h[IDX_E2, IDX_E2] = -params.delta / 2.0
+    h[..., IDX_E1, IDX_E1] = +params.delta / 2.0
+    h[..., IDX_E2, IDX_E2] = -params.delta / 2.0
     return h
 
 
@@ -102,16 +105,17 @@ class Drive:
     """H(t) = h0 + sum_k f_k(t) K_k: a constant part plus fixed couplings K_k
     under real envelopes f_k, given as ``terms`` of (f_k, K_k) pairs.
 
-    ``Drive(t)`` returns H(t); the integrators stack its terms once per solve.
+    ``Drive(t)`` returns H(t), or (..., 5, 5) at each time of an array; the
+    integrators stack its terms once per solve.
     """
 
     h0: np.ndarray
     terms: tuple
 
-    def __call__(self, t: float) -> np.ndarray:
-        h = self.h0.copy()
+    def __call__(self, t) -> np.ndarray:
+        h = np.array(np.broadcast_to(self.h0, np.shape(t) + self.h0.shape))
         for envelope, coupling in self.terms:
-            h += envelope(t) * coupling
+            h += np.multiply.outer(envelope(t), coupling)
         return h
 
 

@@ -1,6 +1,6 @@
 """Time propagation: the adaptive Schrodinger and Lindblad integrators
 (``schrodinger_propagate``, ``lindblad_propagate``), the exact solve of a
-constant drive (``semigroup_propagate``) and an independent fourth-order
+constant drive (``semigroup_propagate``) and an independent sixth-order
 exponential oracle (``oracle_propagate``).
 
 Both integrators run one hand-written DOP853 loop (``_dop853``) on real
@@ -13,10 +13,11 @@ References: DOP853 and its step control, Hairer, Norsett & Wanner, Solving
 ODEs I, secs. II.4-II.5; real coordinates of a Lindblad generator (the
 coherence vector), Alicki & Lendi, Quantum Dynamical Semigroups and
 Applications, LNP 286; the block exponential of the exact solve, Van Loan,
-IEEE Trans. Autom. Control 23, 395 (1978); the oracle's midpoint
-exponential and Richardson step, Hairer, Lubich & Wanner, Geometric
-Numerical Integration, sec. II.4, and Hochbruck & Ostermann, Acta Numerica
-19, 209 (2010).
+IEEE Trans. Autom. Control 23, 395 (1978); the oracle's fourth-order
+Magnus step, Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sec. 4,
+and Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999), and its
+Richardson step, Hairer, Lubich & Wanner, Geometric Numerical Integration,
+sec. II.4.
 """
 
 from __future__ import annotations
@@ -36,11 +37,16 @@ from .qcore import DIM, dense_expm
 # default absolute tolerance of an adaptive solve (PropagationSpec.abs_tol);
 # states and densities are O(1)
 ABS_TOL = 1e-12
-# oracle steps per batched dense_expm call: in blocks of 1000 a validate run
-# peaks at 85 MB (88 MB with each of its 1800- and 3600-step passes in one
-# call), and the 25x25 Liouvillian passes over a y gate segment at 0.4/0.2 ps
-# peak at 130 MB (436 MB in one call)
-_ORACLE_BLOCK = 1000
+# oracle steps per generator call and batched dense_expm call.  Measured on
+# the benchmark's curves workload: peak RSS 89.6-89.8 MB at 250 (as at 100),
+# 90.1-90.2 MB at 500 and 91.1 MB at 1000, validate equally fast at each;
+# the 25x25 Liouvillian passes over the y gate at 0.8/0.4 ps peak at 120 MB
+# (216 MB at 1000)
+_ORACLE_BLOCK = 250
+# the oracle's Gauss nodes as fractions of a step, 1/2 -+ sqrt3/6, and the
+# weight sqrt3/12 of the commutator in its Magnus exponent
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 # scipy's DOP853 tableau: stage s sits at t + C[s] h, and C[11] = 1, so the
 # last stage and the derivative at the step's end share one generator
@@ -482,17 +488,22 @@ def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray, duration: floa
     return _checked_densities(traj), _densities(integral)
 
 
-def _midpoint_product(generator_of_t, y0: np.ndarray, t_start: float, t_end: float,
-                      n: int) -> np.ndarray:
-    """y0 carried over n equal steps, each by exp(step * G) at the step's
-    midpoint; the G's of up to _ORACLE_BLOCK steps are exponentiated in one
-    batched call (the same Pade per matrix), then applied in order."""
+def _magnus_product(generator_of_t, y0: np.ndarray, t_start: float, t_end: float,
+                    n: int) -> np.ndarray:
+    """y0 carried over n equal steps of size h, each by exp(Omega) with the
+    fourth-order Magnus exponent Omega = h (A1 + A2) / 2 + (sqrt3 / 12) h^2
+    [A2, A1] of the generators A1, A2 at the step's two Gauss nodes.  For up
+    to _ORACLE_BLOCK steps at a time, each node's generators come from one
+    call on the array of its times, the commutators from one batched
+    product and the exponentials from one ``dense_expm`` call; they are
+    then applied in order."""
     step = (t_end - t_start) / n
     y = y0
     for first in range(0, n, _ORACLE_BLOCK):
-        gs = np.array([generator_of_t(t_start + (k + 0.5) * step)
-                       for k in range(first, min(first + _ORACLE_BLOCK, n))])
-        for u in dense_expm(step * gs):
+        steps = np.arange(first, min(first + _ORACLE_BLOCK, n))
+        a1, a2 = (generator_of_t(t_start + (steps + node) * step) for node in _GAUSS_NODES)
+        omega = (0.5 * step) * (a1 + a2) + (_COMMUTATOR * step * step) * (a2 @ a1 - a1 @ a2)
+        for u in dense_expm(omega):
             y = y @ u.T
     return y
 
@@ -500,20 +511,21 @@ def _midpoint_product(generator_of_t, y0: np.ndarray, t_start: float, t_end: flo
 def oracle_propagate(generator_of_t, y0: np.ndarray, dt: float,
                      t_start: float, t_end: float) -> np.ndarray:
     """Integrate y' = G(t) y from t_start to t_end: the Richardson pair
-    (4 u(dt/2) - u(dt)) / 3 of midpoint exponential stepping.  The midpoint
-    rule is symmetric, so its error holds even powers of dt only, and the
-    pair is fourth order.
+    (16 u(dt/2) - u(dt)) / 15 of fourth-order Magnus stepping.  The Magnus
+    step at the Gauss nodes is symmetric, so its error holds even powers of
+    dt only, and the pair is sixth order.
 
-    ``generator_of_t(t)`` returns the d x d generator G(t), and y0 is a
-    vector (d,) or k rows (k, d), the integrators' layout, returned in the
-    same layout.  The coarse step is the largest that divides the window
-    into whole steps and does not exceed dt.
+    ``generator_of_t(times)`` returns the d x d generators G(t) at a 1-D
+    array of times as one (n, d, d) array, and y0 is a vector (d,) or k rows
+    (k, d), the integrators' layout, returned in the same layout.  The coarse
+    step is the largest that divides the window into whole steps and does
+    not exceed dt.
     Independent of the adaptive integrators; used to cross-validate them.
     """
     if not (dt > 0.0 and t_end > t_start):
         raise ValueError("oracle step and window must be positive")
     n = max(1, int(np.ceil((t_end - t_start) / dt)))
     y0 = np.asarray(y0, dtype=complex)
-    coarse = _midpoint_product(generator_of_t, y0, t_start, t_end, n)
-    fine = _midpoint_product(generator_of_t, y0, t_start, t_end, 2 * n)
-    return (4.0 * fine - coarse) / 3.0
+    coarse = _magnus_product(generator_of_t, y0, t_start, t_end, n)
+    fine = _magnus_product(generator_of_t, y0, t_start, t_end, 2 * n)
+    return (16.0 * fine - coarse) / 15.0

@@ -56,13 +56,19 @@ class Envelope:
     def __post_init__(self):
         _check(self)
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """The value at a time t, or at each time of an array: math.exp for
+        a scalar, so scalar values keep their bits, and np.exp for an array,
+        which matches them to rounding."""
+        if isinstance(t, np.ndarray):
+            exp, total = np.exp, np.zeros(t.shape)
+        else:
+            exp, total = math.exp, 0.0
         if not self.centers:
-            return self.amplitude
-        total = 0.0
+            return self.amplitude + total
         for c in self.centers:
             x = (t - c) / self.width
-            total += math.exp(-x * x)
+            total += exp(-x * x)
         return self.amplitude * total
 
     def derivative(self, t: float) -> float:

@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
-from holospin.qcore import DIM, IDX_ANC, IDX_ONE, dense_expm
+from holospin.qcore import DIM, IDX_ANC, IDX_ONE
 
 # the 25 matrix units E_j of the 5x5 densities, vec(E_j) the j-th unit
 # vector in row-major order
 _UNITS = np.eye(DIM * DIM, dtype=complex).reshape(DIM * DIM, DIM, DIM)
+# the units side by side, [E_0 | E_1 | ...] (5, 125), and one above the
+# other (125, 5): H [E_0 | E_1 | ...] and [E_0; E_1; ...] H hold every
+# product H E_j and E_j H in one matrix product each
+_UNITS_ROW = _UNITS.transpose(1, 0, 2).reshape(DIM, DIM ** 3)
+_UNITS_COLUMN = _UNITS.reshape(DIM ** 3, DIM)
 
 
 def path_ordered_exponential(samples) -> np.ndarray:
@@ -24,7 +30,7 @@ def path_ordered_exponential(samples) -> np.ndarray:
     for a, step in samples:
         if step <= 0.0:
             raise ValueError("path steps must be positive")
-        u = dense_expm(step * np.asarray(a, dtype=complex)) @ u
+        u = expm(step * np.asarray(a, dtype=complex)) @ u
     return u
 
 
@@ -45,21 +51,27 @@ def average_fidelity(image, target) -> float:
 
 def liouvillian(h_of_t, jump_ops):
     """t -> the 25x25 generator L(t) of the master equation on the row-major
-    vec(rho), for the Hamiltonian h_of_t(t) and the 5x5 jump operators.
+    vec(rho), for the Hamiltonian h_of_t(t) and the 5x5 jump operators; at
+    an array of times, h_of_t returns (..., 5, 5) and the generators come as
+    (..., 25, 25).
 
     Column j of L(t) is the image of the j-th matrix unit E under the matrix
     form -i[H(t), E] + sum_k (L_k E L_k^+ - {L_k^+ L_k, E}/2), so no
     Kronecker product or drive template enters.  The dissipative images are
-    built once; the commutator takes one batched product over the 25 units.
+    built once; the commutator takes two matrix products per time, over the
+    25 units side by side and stacked.
     """
     dissipation = sum(op @ _UNITS @ op.conj().T
                       - 0.5 * (op.conj().T @ op @ _UNITS + _UNITS @ op.conj().T @ op)
                       for op in jump_ops)
 
     def generator(t):
-        h = h_of_t(t)
-        images = -1j * (h @ _UNITS - _UNITS @ h) + dissipation
-        return images.reshape(DIM * DIM, DIM * DIM).T
+        h = np.asarray(h_of_t(t))
+        shape = h.shape[:-2] + (DIM * DIM, DIM, DIM)
+        h_units = (h @ _UNITS_ROW).reshape(h.shape[:-2] + (DIM, DIM * DIM, DIM)).swapaxes(-3, -2)
+        units_h = (_UNITS_COLUMN @ h).reshape(shape)
+        images = -1j * (h_units - units_h) + dissipation
+        return images.reshape(shape[:-3] + (DIM * DIM, DIM * DIM)).swapaxes(-1, -2)
 
     return generator
 

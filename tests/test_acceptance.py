@@ -183,7 +183,9 @@ def test_criterion_07_gate_table_x_row():
 def test_criterion_08_propagator_cross_oracle():
     # the adaptive solves take the drive templates, the oracle builds H
     # element-wise: two independent constructions of the same H(t).  The
-    # oracle's coarse step is 0.5 ps, as in validate's row.
+    # oracle's coarse step is 1.0 ps, as in validate's row; the deviations
+    # it reads, 2.37e-11 (y loop) and 4.2354e-10 (z), move by at most 4e-13
+    # at 0.1 ps, so they are the adaptive solves' own.
     worst_deviation = 0.0
 
     # y closed loop, both segments
@@ -198,12 +200,12 @@ def test_criterion_08_propagator_cross_oracle():
         psi_a = propagate.schrodinger_propagate(drive, psi_a / np.linalg.norm(psi_a),
                                                 spec).final()
         psi_o = propagate.oracle_propagate(lambda t: -1j * build_h_y(t, pulseset, PARAMS),
-                                           psi_o, 0.5, window[0], window[1])
+                                           psi_o, 1.0, window[0], window[1])
     worst_deviation = max(worst_deviation, float(np.max(np.abs(psi_o - psi_a))))
 
     # z protocol at the reference width, over its window (-1450, 800)
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    deviation, _ = cli.cross_oracle_deviation(drive_z, ps, PARAMS, ps.window(), 0.5)
+    deviation, _ = cli.cross_oracle_deviation(drive_z, ps, PARAMS, ps.window(), 1.0)
     worst_deviation = max(worst_deviation, deviation)
 
     # Lindblad trace and positivity bookkeeping on both protocols

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy
 
-from holospin import cli, holonomy, propagate, scenarios
-from holospin.model import ModelParams
+from holospin import cli, holonomy, propagate, pulses, qcore, scenarios
+from holospin.model import ModelParams, build_h_y, build_h_z
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -415,6 +415,45 @@ class TestRun:
         error = json.loads((tmp_path / "manifest.json").read_text())["error"]
         assert "x_composite" in error and "largest reachable angle" in error
         assert "amp_pump" in error and "tau0_over_tau" in error
+
+
+class TestInvariantChecks:
+    """validate's random-sample rows run as array passes over the draws that
+    one draw per sample would make."""
+
+    def test_nullity_takes_the_alternating_draws(self, params, monkeypatch):
+        # the times of n alternating y, z draws, bit for bit, in one builder
+        # call per configuration, and the generator left where they leave it
+        y_set = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
+        z_set = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.7)
+        seen = []
+        for name, build in (("build_h_y", build_h_y), ("build_h_z", build_h_z)):
+            monkeypatch.setattr(cli, name, lambda t, *rest, build=build: seen.append(t)
+                                or build(t, *rest))
+        rng, alternating = np.random.default_rng(5), np.random.default_rng(5)
+        worst = cli.dark_state_nullity(y_set, z_set, params, rng, 40)
+        draws = [alternating.uniform(*ps.window()) for _ in range(40) for ps in (y_set, z_set)]
+        assert len(seen) == 2
+        assert seen[0].tolist() == draws[0::2] and seen[1].tolist() == draws[1::2]
+        assert rng.random() == alternating.random()
+        assert 0.0 <= worst < 1e-15
+
+    def test_expm_defects_take_the_loop_matrices_as_stacks(self, monkeypatch):
+        # the matrices of n loops of two 5x5 normal draws, exponentiated as
+        # three stacks of n, and the generator left where the loops leave it
+        made = []
+        expm = qcore.dense_expm
+        monkeypatch.setattr(qcore, "dense_expm", lambda m: made.append(m) or expm(m))
+        rng, loops = np.random.default_rng(6), np.random.default_rng(6)
+        unitary, semigroup = cli.expm_defects(rng, 10)
+        matrices = []
+        for _ in range(10):
+            m = loops.normal(size=(5, 5)) + 1j * loops.normal(size=(5, 5))
+            matrices.append(0.5 * (m - m.conj().T))
+        assert [m.shape for m in made] == [(10, 5, 5)] * 3
+        np.testing.assert_array_equal(made[0], 0.7 * np.array(matrices))
+        assert rng.random() == loops.random()
+        assert unitary < 1e-14 and semigroup < 1e-14
 
 
 class TestMain:

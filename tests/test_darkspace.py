@@ -149,6 +149,40 @@ class TestDarknessResidual:
             bound = 1e-10 * (1.0 + float(np.max(np.abs(h))))
             assert r1 < bound and r2 < bound
 
+    @pytest.mark.parametrize("config", ["y", "z"])
+    def test_arrays_of_times_match_single_times(self, config, params, rng):
+        # the builders, angles, frames and residuals over an array of times
+        # against one time at a time: equal to rounding (numpy's exp on an
+        # array against math.exp on a float)
+        if config == "y":
+            ps = pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0)
+            build = model.build_h_y
+
+            def frame(om_p, om_s, om_d):
+                return darkspace.dark_states_y(darkspace.mixing_theta(om_s, om_d),
+                                               darkspace.mixing_phi_y(om_p, om_s, om_d))
+        else:
+            ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.8)
+            build = model.build_h_z
+
+            def frame(om_p, om_s, om_d):
+                return darkspace.dark_states_z(darkspace.mixing_theta(om_s, om_d),
+                                               darkspace.mixing_phi_z(params.delta, om_s, om_d),
+                                               ps.stokes_phase)
+        times = rng.uniform(*ps.window(), size=30)
+        fields = [(ps.pump(t), ps.stokes(t), ps.driving(t)) for t in (times, *times.tolist())]
+        h = build(times, ps, params)
+        pairs = frame(*fields[0])
+        residuals = darkspace.darkness_residual(h, pairs)
+        assert h.shape == (30, DIM, DIM) and pairs.shape == (30, DIM, 2)
+        assert residuals.shape == (30, 2)
+        for k, t in enumerate(times.tolist()):
+            single_h, single_pair = build(t, ps, params), frame(*fields[k + 1])
+            np.testing.assert_allclose(h[k], single_h, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pairs[k], single_pair, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(residuals[k], darkspace.darkness_residual(
+                single_h, single_pair), rtol=0, atol=1e-15)
+
     def test_wrong_tuning_negative_control(self, params):
         # resonance with |e1> instead of the midpoint: d2 is no longer dark
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)

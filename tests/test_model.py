@@ -128,6 +128,28 @@ class TestDriveTemplates:
         for t in rng.uniform(*window, size=200):
             np.testing.assert_array_equal(drive(float(t)), build(float(t), pulseset, params))
 
+    @pytest.mark.parametrize("name,pulseset,template,window", _template_segments(),
+                             ids=lambda v: {model.drive_y: "y", model.drive_z: "z"}.get(v)
+                             if callable(v) else None)
+    def test_arrays_of_times(self, name, pulseset, template, window, params, rng):
+        # over an array of times the template equals the builder bit for
+        # bit, and both equal the single-time Hamiltonians to rounding
+        build = {model.drive_y: model.build_h_y, model.drive_z: model.build_h_z}[template]
+        times = rng.uniform(*window, size=50)
+        stack = build(times, pulseset, params)
+        assert stack.shape == (50, 5, 5)
+        np.testing.assert_array_equal(template(pulseset, params)(times), stack)
+        for t, h in zip(times.tolist(), stack):
+            np.testing.assert_allclose(h, build(t, pulseset, params), rtol=0, atol=1e-15)
+
+    def test_z_pump_check_covers_every_time(self, params):
+        # a 10 ps pump underflows to 0 at 5000 and 6000 ps but not at 0
+        pumped = pulses.PulseSet(pump=pulses.Envelope(0.1, (0.0,), 10.0), stokes=pulses.OFF,
+                                 driving=pulses.OFF)
+        model.build_h_z(np.array([5000.0, 6000.0]), pumped, params)
+        with pytest.raises(ValueError, match="pump"):
+            model.build_h_z(np.array([5000.0, 0.0, 6000.0]), pumped, params)
+
     def test_z_leaves_the_pump_term_out(self, params):
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.3)
         drive = model.drive_z(ps, params)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
+from scipy.linalg import expm
 
 from holospin import model, propagate, pulses, scenarios
 from holospin.model import ModelParams, lindblad_channels
@@ -362,8 +363,8 @@ class TestSemigroup:
     @pytest.mark.parametrize("stride", [0.0, 300.0, 250.0])
     def test_snapshots_are_the_exact_semigroup(self, stride, params):
         # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps;
-        # 250 ps divides it; 0 stores the end points only.  Measured at most
-        # 3.9e-15
+        # 250 ps divides it; 0 stores the end points only.  Against scipy's
+        # expm of the Liouvillian, measured at most 2.9e-15
         ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
                              driving=pulses.OFF)
         jumps = lindblad_channels(params)
@@ -375,13 +376,13 @@ class TestSemigroup:
         assert traj.meta["n_steps"] == len(traj.times) - 1
         generator = liouvillian(lambda t: model.build_h_y(t, ps, params), jumps)(0.0)
         for t, rho in zip(traj.times, traj.states):
-            exact = (dense_expm(t * generator) @ rho0.ravel()).reshape(DIM, DIM)
+            exact = (expm(t * generator) @ rho0.ravel()).reshape(DIM, DIM)
             assert np.max(np.abs(rho - exact)) < 1e-13
 
     def test_integral_is_the_same_at_every_stride(self, params):
         # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps.
         # The integral's entries reach 430 ps.  Measured: the strided
-        # integral within 5.8e-13 of the stride-0 one (bound 8.6x that);
+        # integral within 1.4e-13 of the stride-0 one (bound 35x that);
         # composite Simpson at 0.1 ps on the exact semigroup within 4.8e-11
         # of both (bound 10x that).  Simpson's own error there is about
         # 2e-11 (3.1e-10 at 0.2 ps, fourth order); below 0.1 ps rounding
@@ -395,7 +396,7 @@ class TestSemigroup:
         _, whole = propagate.semigroup_propagate(drive, jumps, rho0, 1000.0, 0.0)
         assert np.max(np.abs(strided - whole)) < 5e-12
         h = 0.1
-        step = dense_expm(h * liouvillian(lambda t: model.build_h_y(t, ps, params), jumps)(0.0))
+        step = expm(h * liouvillian(lambda t: model.build_h_y(t, ps, params), jumps)(0.0))
         rho, values = rho0.ravel(), []
         for _ in range(10001):
             values.append(rho)
@@ -710,9 +711,11 @@ class TestOracle:
         psi = propagate.oracle_propagate(_zero_h, basis_state(2), 0.5, 0.0, 50.0)
         np.testing.assert_allclose(psi, basis_state(2), atol=1e-14)
 
-    def test_fourth_order_convergence(self, params):
-        # the Richardson pair cancels the midpoint rule's dt^2 error term, and
-        # the next one is dt^4: halving dt divides the error by about 16
+    def test_sixth_order_convergence(self, params):
+        # the Magnus step at the Gauss nodes is symmetric, so its error
+        # holds even powers of dt only; the Richardson pair cancels the dt^4
+        # term, and the next one is dt^6: halving dt divides the error by
+        # about 64.  Measured: 65.5 from 2 to 1 ps and 63.9 from 1 to 0.5 ps
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
         g_of_t = lambda t: -1j * model.build_h_y(t, ps, params)
         lo, hi = -450.0, 450.0
@@ -721,7 +724,7 @@ class TestOracle:
         for dt in (1.0, 0.5):
             psi = propagate.oracle_propagate(g_of_t, basis_state(1), dt, lo, hi)
             err.append(np.linalg.norm(psi - ref))
-        assert err[1] == pytest.approx(err[0] / 16.0, rel=0.2)
+        assert err[1] == pytest.approx(err[0] / 64.0, rel=0.2)
 
     def test_rejects_bad_step(self):
         # a step that is not positive, and a window that is empty or runs
@@ -730,22 +733,52 @@ class TestOracle:
             with pytest.raises(ValueError):
                 propagate.oracle_propagate(_zero_h, basis_state(0), dt, t_start, t_end)
 
-    @pytest.mark.parametrize("n", [1, propagate._ORACLE_BLOCK, 2 * propagate._ORACLE_BLOCK + 1])
+    # 1000 coarse (2000 fine) steps fill whole blocks of _ORACLE_BLOCK =
+    # 250, and 2001 (4002) run one (two) steps past them
+    @pytest.mark.parametrize("n", [1, 1000, 2001])
     def test_blocks_equal_one_exponential_per_step(self, n, params):
-        # the batched exponentials of a block, applied in order, are the
-        # per-step midpoint product bit for bit, at and across block edges;
-        # the oracle combines the products over n and 2n steps
+        # the exponents of a block, built from one generator call per Gauss
+        # node and exponentiated in one batched call, applied in order, are
+        # the per-step Magnus product bit for bit, at and across block
+        # edges; the oracle combines the products over n and 2n steps
+        assert 1000 % propagate._ORACLE_BLOCK == 0
         ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
         g_of_t = lambda t: -1j * model.build_h_y(t, ps, params)
         lo, hi = -450.0, 450.0
+        nodes = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
         def product(steps):
             step = (hi - lo) / steps
             psi = basis_state(1)
             for k in range(steps):
-                psi = dense_expm(step * g_of_t(lo + (k + 0.5) * step)) @ psi
+                a1, a2 = (g_of_t(np.array([lo + (k + node) * step]))[0] for node in nodes)
+                omega = ((0.5 * step) * (a1 + a2)
+                         + (math.sqrt(3.0) / 12.0 * step * step) * (a2 @ a1 - a1 @ a2))
+                psi = dense_expm(omega) @ psi
             return psi
         # a step a little over (hi - lo) / n gives exactly n coarse steps
         blocked = propagate.oracle_propagate(g_of_t, basis_state(1), (hi - lo) / (n - 0.5),
                                              lo, hi)
-        np.testing.assert_array_equal(blocked, (4.0 * product(2 * n) - product(n)) / 3.0)
+        np.testing.assert_array_equal(blocked, (16.0 * product(2 * n) - product(n)) / 15.0)
+
+    def test_never_reaches_the_integrators_drive(self, params, monkeypatch):
+        # the oracle builds H element-wise: with the component table, the
+        # envelope arrays and the generator stack of the adaptive solves
+        # made to raise, it runs and gives the same result, bit for bit
+        y_set = pulses.make_y_pulseset(0.5, 0.4, 0.3, 50.0, 100.0)
+        z_set = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.7)
+        cases = [(model.build_h_y, y_set), (model.build_h_z, z_set)]
+
+        def run():
+            return [propagate.oracle_propagate(lambda t: -1j * build(t, ps, params),
+                                               basis_state(1), 5.0, *ps.window())
+                    for build, ps in cases]
+        free = run()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the integrators' drive")
+        for owner, name in [(pulses, "components"), (pulses, "values_and_slopes"),
+                            (propagate, "_generators"), (propagate, "_dop853")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        for got, want in zip(run(), free):
+            np.testing.assert_array_equal(got, want)

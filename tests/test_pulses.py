@@ -130,6 +130,20 @@ class TestEnvelopeFormulas:
         assert (pulses.Envelope(amp, (early, late), width)(t)
                 == _two_centers(amp, early, late, width, t))
 
+    def test_array_values_match_the_scalar_ones(self):
+        # np.exp over an array against math.exp per time: within 4 ulps of
+        # the value plus the smallest normal float for subnormal tails, the
+        # bound of values_and_slopes; a constant envelope fills the array
+        times = np.array(TIMES)
+        bound, tiny = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
+        for envelope in (pulses.Envelope(0.4, (30.0,), 100.0),
+                         pulses.Envelope(0.5, (-650.0, 0.0), 100.0), pulses.Envelope(0.3)):
+            values = envelope(times)
+            assert values.shape == times.shape
+            for t, value in zip(TIMES, values.tolist()):
+                assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, t
+        assert pulses.Envelope(0.3)(times).tolist() == [0.3] * len(TIMES)
+
 
 class TestComponents:
     ENVELOPES = (pulses.Envelope(0.4, (30.0,), 100.0),

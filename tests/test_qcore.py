@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from holospin import qcore
+from holospin import propagate, pulses, qcore, scenarios
+from holospin.model import build_h_y, lindblad_channels
+from oracles import liouvillian
 
 
 def random_states():
@@ -116,3 +119,79 @@ class TestDenseExpm:
         with pytest.raises(ValueError):
             qcore.dense_expm(bad)
 
+
+def _made_by(monkeypatch, run) -> list:
+    """Every matrix or stack that ``run()`` hands to propagate's dense_expm."""
+    made = []
+    monkeypatch.setattr(propagate, "dense_expm",
+                        lambda m: made.append(m) or qcore.dense_expm(m))
+    run()
+    monkeypatch.undo()
+    return made
+
+
+def _worst_against_scipy(stacks) -> float:
+    return max(float(np.max(np.abs(qcore.dense_expm(m) - expm(m)))) for m in stacks)
+
+
+class TestDenseExpmAgainstScipy:
+    """The batched scaling-and-squaring Pade against scipy's expm
+    (Al-Mohy & Higham 2009) on the stacks the package exponentiates."""
+
+    def test_oracle_magnus_exponents(self, params, monkeypatch):
+        # the 5x5 exponents of validate's cross-oracle pass (1-norms up to
+        # 1.28); measured at most 2.8e-16
+        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 50.0, 100.0)
+        stacks = _made_by(monkeypatch, lambda: propagate.oracle_propagate(
+            lambda t: -1j * build_h_y(t, ps, params), qcore.basis_state(1), 1.0,
+            *ps.window(margin=4.0)))
+        assert len(stacks) == 12 and all(m.shape[1:] == (5, 5) for m in stacks)
+        assert _worst_against_scipy(stacks) < 2e-15
+
+    def test_liouvillian_exponents(self, params, rng):
+        # the 25x25 generators of the open oracle over a y gate's pulses,
+        # times steps of 0.4-1.6 ps (1-norms 0.41-2.96, degrees 7 to 13);
+        # measured at most 4.4e-16
+        ps = pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0)
+        generator = liouvillian(lambda t: build_h_y(t, ps, params), lindblad_channels(params))
+        stack = rng.uniform(0.4, 1.6, (200, 1, 1)) * generator(rng.uniform(-200.0, 200.0, 200))
+        assert _worst_against_scipy([stack]) < 2e-15
+
+    def test_van_loan_blocks(self, params, monkeypatch):
+        # the real 50x50 blocks of init's 20 ps stride (1-norm 1) and of the
+        # 40 ns readout interval (1-norm 161, five squarings); measured at
+        # most 4.4e-16 and 2.2e-16
+        blocks = _made_by(monkeypatch, lambda: scenarios.run_initialization(
+            "sigma_minus", np.diag([0.5, 0.5]), params.gamma, 40000.0, params,
+            record_stride=20.0))
+        blocks += _made_by(monkeypatch, lambda: scenarios.run_readout(
+            np.diag([0.0, 1.0]).astype(complex), 40000.0, params, params.gamma))
+        assert [(m.shape, m.dtype) for m in blocks] == [((50, 50), np.float64)] * 2
+        assert _worst_against_scipy(blocks) < 2e-15
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_mixed_norms_in_one_stack(self, dtype, rng):
+        # 1-norms from 1e-9 to 300 in one stack: every degree, and entries
+        # that need three and six squarings; each exponential is the one its
+        # matrix gets alone, bit for bit.  Measured off scipy, relative to
+        # the largest entry: at most 9.3e-16 up to norm 5, and 5.4e-14 at
+        # norm 300, where both methods lose digits to the squarings
+        m = rng.normal(size=(8, 5, 5)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.normal(size=(8, 5, 5))
+        targets = np.array([1e-9, 1e-2, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0])
+        m *= (targets / np.abs(m).sum(axis=-2).max(axis=-1))[:, None, None]
+        out = qcore.dense_expm(m)
+        assert out.dtype == np.dtype(dtype) and out.shape == m.shape
+        reference = expm(m)
+        scale = np.maximum(1.0, np.abs(reference).max(axis=(-2, -1)))
+        errors = np.abs(out - reference).max(axis=(-2, -1)) / scale
+        assert np.all(errors[:6] < 5e-15) and np.all(errors < 5e-13)
+        for single, matrix in zip(out, m):
+            np.testing.assert_array_equal(single, qcore.dense_expm(matrix))
+
+    def test_non_finite_entry_of_a_stack_raises(self):
+        stack = np.zeros((3, 5, 5), dtype=complex)
+        stack[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.dense_expm(stack)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from holospin import darkspace, holonomy, propagate, pulses, scenarios
 from holospin.model import build_h_y, build_h_z, drive_y, drive_z, lindblad_channels
 from holospin.propagate import PropagationSpec, Trajectory
-from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state, dense_expm
+from holospin.qcore import DIM, IDX_ANC, IDX_ONE, IDX_ZERO, basis_state
 from oracles import average_fidelity, liouvillian, predicted_final_state_z
 
 
@@ -390,10 +391,13 @@ class TestIndependentLiouvillian:
 
     @pytest.mark.parametrize("variant", ["y_closed_loop", "z_fractional", "x_composite"])
     def test_open_reference_gate_matches_the_oracle(self, variant):
-        # fourth-order oracle at 0.4/0.2 ps.  Measured against the gate's own
-        # solve (abs_tol GATE_ABS_TOL, real coordinates): 5.73e-10 (y),
-        # 7.02e-10 (z), 8.75e-10 (x, four segments); the bound is
-        # GATE_ABS_TOL's 2e-9 error budget, about 2.3x the worst measured
+        # sixth-order oracle at 0.8/0.4 ps, a step chosen by the oracle's own
+        # error: against itself at 0.2/0.1 ps it is 6.1e-12 (y), 3.7e-13 (z)
+        # and 1.0e-11 (x, four segments) off, at least 40x below its
+        # distance from the gate's own solve (abs_tol GATE_ABS_TOL, real
+        # coordinates): 5.78e-10 (y), 7.02e-10 (z), 4.27e-10 (x).  At 1.6 ps
+        # its own error would be 3.8e-10, 2.1e-10 and 6.6e-10.  The bound is
+        # GATE_ABS_TOL's 2e-9 error budget, 2.8x the worst measured
         run = scenarios.default_gate_run(variant)
         plan = scenarios._plan(variant, run)
         finals, _ = scenarios._propagate_segments(plan.segments, run, True)
@@ -403,7 +407,7 @@ class TestIndependentLiouvillian:
         for pulse_set, template in plan.segments:
             build = {drive_y: build_h_y, drive_z: build_h_z}[template]
             generator = liouvillian(lambda t: build(t, pulse_set, run.model), jumps)
-            rows = propagate.oracle_propagate(generator, rows, 0.4, *pulse_set.window())
+            rows = propagate.oracle_propagate(generator, rows, 0.8, *pulse_set.window())
         oracle = rows.reshape(4, DIM, DIM)
         assert np.max(np.abs(oracle - np.array(finals))) < 2e-9
 
@@ -411,11 +415,12 @@ class TestIndependentLiouvillian:
     def test_initialization_is_the_exact_semigroup(self, polarization, params):
         # the pumping drive is constant, so every 20 ps snapshot interval is
         # one exp(20 ps L), exactly; sigma_plus is readout's run.  Both sides
-        # are exact, built apart (real-coordinate superoperators against the
-        # matrix units): over all 2,001 snapshots of the 40 ns run, measured
-        # 2.9e-15 (sigma_minus) and 9.4e-15 (sigma_plus), so the bound, a
-        # factor 100 above, is rounding; the adaptive solve that ran here
-        # before read 2.8e-10 against 1e-9
+        # are exact, built apart (real-coordinate superoperators and
+        # dense_expm against the matrix units and scipy's expm): over all
+        # 2,001 snapshots of the 40 ns run, measured 2.9e-15 (sigma_minus)
+        # and 1.2e-14 (sigma_plus), so the bound, a factor 80 above, is
+        # rounding; the adaptive solve that ran here before read 2.8e-10
+        # against 1e-9
         stride = 20.0
         traj, _ = scenarios.run_initialization(polarization, _mixed_qubit(), params.gamma,
                                                40000.0, params, record_stride=stride)
@@ -425,7 +430,7 @@ class TestIndependentLiouvillian:
                    else pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF))
         generator = liouvillian(lambda t: build_h_y(t, pumping, params),
                                 lindblad_channels(params))
-        step = dense_expm(stride * generator(0.0))
+        step = expm(stride * generator(0.0))
         rho = np.diag([0.5, 0.5, 0.0, 0.0, 0.0]).astype(complex).ravel()
         exact = [rho]
         for _ in traj.times[1:]:
@@ -447,7 +452,7 @@ class TestIndependentLiouvillian:
         pumping = pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF)
         generator = liouvillian(lambda t: build_h_y(t, pumping, params),
                                 lindblad_channels(params))
-        step = dense_expm(stride * generator(0.0))
+        step = expm(stride * generator(0.0))
         rho = np.diag([0.0, 1.0, 0.0, 0.0, 0.0]).astype(complex).ravel()
         excited = []
         for _ in range(int(duration / stride) + 1):
