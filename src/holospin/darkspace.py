@@ -14,8 +14,8 @@ finite-difference form here.
 
 Along a pulse set, the y holonomy integrand sin(phi) theta' is a scalar
 closure (the z phase is integrated in theta, in ``holonomy``), and the
-adiabaticity ratio is array expressions of one ``pulses.values_and_slopes``
-evaluation.
+adiabaticity ratio is array expressions of the envelopes' values and slopes
+at an array of times.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .model import ModelParams
-from .pulses import PulseSet, values_and_slopes
+from .pulses import PulseSet
 from .qcore import DIM, IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO
 
 
@@ -214,8 +214,10 @@ def adiabaticity_ratio(pulses: PulseSet, params: ModelParams, times,
     """
     if config not in ("y", "z"):
         raise ValueError("config must be 'y' or 'z'")
-    (om_p, om_s, om_d), (dp, ds, dd) = values_and_slopes(
-        (pulses.pump, pulses.stokes, pulses.driving), times)
+    times = np.asarray(times, dtype=float)
+    envelopes = (pulses.pump, pulses.stokes, pulses.driving)
+    om_p, om_s, om_d = (envelope(times) for envelope in envelopes)
+    dp, ds, dd = (envelope.derivative(times) for envelope in envelopes)
     half = params.delta / 2.0
     g2 = om_s * om_s + om_d * om_d
     g = np.sqrt(g2)

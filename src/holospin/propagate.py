@@ -367,8 +367,11 @@ def schrodinger_propagate(drive: Drive, psi0: np.ndarray, spec: PropagationSpec)
 
     Each state runs as the row sqrt2 (Re psi_i, Im psi_i), whose RMS over
     its 10 coordinates is the RMS of its 5 entries.  Snapshots are stored
-    raw; the worst norm drift is recorded in meta and bounded in terms of
-    the step count, never silently renormalized.
+    raw, never renormalized.  meta["norm_drift"] is the largest
+    | ||psi|| - 1 | over the stack's final states, not over every snapshot;
+    no run-time check bounds it (the tests hold it under
+    10 rel_tol sqrt(n_steps)).  Every input, an earlier segment's output
+    included, must be normalized to 1e-9.
     """
     psi0 = np.ascontiguousarray(psi0, dtype=complex)
     _check_shape(psi0, (DIM,), "the initial state")

@@ -60,10 +60,7 @@ class Envelope:
         """The value at a time t, or at each time of an array: math.exp for
         a scalar, so scalar values keep their bits, and np.exp for an array,
         which matches them to rounding."""
-        if isinstance(t, np.ndarray):
-            exp, total = np.exp, np.zeros(t.shape)
-        else:
-            exp, total = math.exp, 0.0
+        exp, total = _exp_and_zero(t)
         if not self.centers:
             return self.amplitude + total
         for c in self.centers:
@@ -71,12 +68,22 @@ class Envelope:
             total += exp(-x * x)
         return self.amplitude * total
 
-    def derivative(self, t: float) -> float:
-        total = 0.0
+    def derivative(self, t):
+        """The time derivative at a time t, or at each time of an array, with
+        the exp of __call__."""
+        exp, total = _exp_and_zero(t)
         for c in self.centers:
             x = (t - c) / self.width
-            total += -2.0 * x / self.width * self.amplitude * math.exp(-x * x)
+            total += -2.0 * x / self.width * self.amplitude * exp(-x * x)
         return total
+
+
+def _exp_and_zero(t) -> tuple:
+    """np.exp and a zero array of t's shape for an array t, else math.exp
+    and 0.0."""
+    if isinstance(t, np.ndarray):
+        return np.exp, np.zeros(t.shape)
+    return math.exp, 0.0
 
 
 # The benchmark tracer patches the envelope methods under these names; they
@@ -99,24 +106,6 @@ def components(envelopes) -> tuple:
              for k, envelope in enumerate(envelopes) for center in envelope.centers]
     index, amplitude, center, width = np.array(table, dtype=float).reshape(-1, 4).T.copy()
     return index.astype(np.intp), amplitude, center, width
-
-
-def values_and_slopes(envelopes, times) -> tuple[np.ndarray, np.ndarray]:
-    """Each envelope's values and time derivatives at an array of times, as
-    two (len(envelopes), len(times)) arrays from one exp over every Gaussian
-    component, each component's value and slope in the operation order of
-    a one-center Envelope; a constant envelope adds its amplitude and no
-    slope."""
-    times = np.asarray(times, dtype=float)
-    index, amplitude, center, width = components(envelopes)
-    x = (times - center[:, None]) / width[:, None]
-    e = np.exp(-x * x)
-    constants = [[0.0 if envelope.centers else envelope.amplitude] for envelope in envelopes]
-    values = np.repeat(np.array(constants, dtype=float), len(times), axis=1)
-    slopes = np.zeros_like(values)
-    np.add.at(values, index, amplitude[:, None] * e)
-    np.add.at(slopes, index, -2.0 * x / width[:, None] * amplitude[:, None] * e)
-    return values, slopes
 
 
 @dataclass(frozen=True)

@@ -64,59 +64,42 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: per
-# degree m of the diagonal Pade approximant of exp, the largest 1-norm at
-# which it is accurate to double precision, and its coefficients b_0..b_m
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
-    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                               7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                               10559470521600.0, 670442572800.0, 33522128640.0,
-                               1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-}
-_THRESHOLDS = [theta for theta, _ in _PADE.values()]
-_THETA_13 = _THRESHOLDS[-1]
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: the
+# largest 1-norm at which the degree-13 diagonal Pade approximant of exp is
+# accurate to double precision, and its coefficients b_0..b_13
+_THETA_13 = 5.371920351148152e0
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
-def _pade(a: np.ndarray, b: tuple) -> np.ndarray:
-    """The Pade approximant (V - U)^-1 (V + U) of exp on a stack a, with U
-    and V the odd and even parts of sum_j b_j a^j; degree 13 by Higham's
-    grouping of its powers (six products), lower degrees by powers of a^2.
-    It is taken as I + 2 (V - U)^-1 U, which keeps the part of a result near
-    I that differs from I to relative accuracy: on init's 20 ps Van Loan
-    block, whose left block steps 2,000 snapshots, 1e-17 off a 40-digit
-    reference where the plain quotient is 4.4e-16 off."""
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant (V - U)^-1 (V + U) of exp on a stack a,
+    with U and V the odd and even parts of sum_j b_j a^j in Higham's
+    grouping of its powers (six products).  It is taken as
+    I + 2 (V - U)^-1 U, which keeps the part of a result near I that differs
+    from I to relative accuracy: on init's 20 ps Van Loan block, whose left
+    block steps 2,000 snapshots, 1e-17 off a 40-digit reference where the
+    plain quotient is 4.4e-16 off."""
+    b = _B
     ident = np.eye(a.shape[-1])
     a2 = a @ a
-    if len(b) == 14:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    else:
-        powers = [ident, a2]
-        while len(powers) < len(b) // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * j + 1] * p for j, p in enumerate(powers))
-        v = sum(b[2 * j] * p for j, p in enumerate(powers))
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     return ident + 2.0 * np.linalg.solve(v - u, u)
 
 
 def dense_expm(matrix: np.ndarray) -> np.ndarray:
     """exp(matrix), or of each matrix of a stack (..., d, d), by scaling and
-    squaring with Higham's (2005) Pade degrees, in one batched pass; used as
-    the propagation oracle throughout the package.
+    squaring with Higham's (2005) degree-13 Pade approximant, in one batched
+    pass; used as the propagation oracle throughout the package.
 
-    Each matrix gets the lowest degree whose bound its 1-norm meets, or
-    degree 13 after halving it s times until it does, and its approximant is
-    squared s times; matrices of one degree share their products.  So each
+    Each matrix is halved s times, the fewest that bring its 1-norm to at
+    most theta_13, and its approximant is squared s times.  So each
     exponential is the one its matrix gets alone, bit for bit, whatever else
     the stack holds.  A caller that wants exp(t A) forms the product t * A
     itself; the result keeps the input's number type, real or complex.
@@ -128,18 +111,7 @@ def dense_expm(matrix: np.ndarray) -> np.ndarray:
     flat = a.reshape((-1,) + a.shape[-2:])
     norms = np.abs(flat).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
-    # each matrix's place in _PADE: the first degree whose bound its 1-norm
-    # meets, else degree 13, whose bound it meets once scaled
-    degrees = np.minimum(np.searchsorted(_THRESHOLDS, norms), len(_PADE) - 1)
-    scaled = flat / np.exp2(squarings)[:, None, None]
-    out = np.empty_like(flat)
-    for index, (_, b) in enumerate(_PADE.values()):
-        pick = degrees == index
-        # a stack of one degree, the common case, is not copied
-        if pick.all():
-            out = _pade(scaled, b)
-        elif pick.any():
-            out[pick] = _pade(scaled[pick], b)
+    out = _pade13(flat / np.exp2(squarings)[:, None, None])
     for j in range(int(squarings.max(initial=0))):
         more = squarings > j
         out[more] = out[more] @ out[more]

@@ -177,8 +177,8 @@ class TestPhaseRuleZ:
         half = params.delta / 2.0
         for ps, phase, error in zip(sets, phases, errors):
             ts = np.linspace(*ps.window(), 20_001)
-            (_, om_s, om_d), (_, ds, dd) = pulses.values_and_slopes(
-                (ps.pump, ps.stokes, ps.driving), ts)
+            om_s, om_d = ps.stokes(ts), ps.driving(ts)
+            ds, dd = ps.stokes.derivative(ts), ps.driving.derivative(ts)
             g2 = om_s * om_s + om_d * om_d
             rate = np.divide(ds * om_d - om_s * dd, g2, out=np.zeros_like(g2), where=g2 > 0.0)
             trapezoid = np.trapezoid(half / np.sqrt(half * half + 2.0 * g2) * rate, ts)

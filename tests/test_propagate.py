@@ -777,8 +777,8 @@ class TestOracle:
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached the integrators' drive")
-        for owner, name in [(pulses, "components"), (pulses, "values_and_slopes"),
-                            (propagate, "_generators"), (propagate, "_dop853")]:
+        for owner, name in [(pulses, "components"), (propagate, "_generators"),
+                            (propagate, "_dop853")]:
             monkeypatch.setattr(owner, name, forbidden)
         for got, want in zip(run(), free):
             np.testing.assert_array_equal(got, want)

@@ -132,8 +132,8 @@ class TestEnvelopeFormulas:
 
     def test_array_values_match_the_scalar_ones(self):
         # np.exp over an array against math.exp per time: within 4 ulps of
-        # the value plus the smallest normal float for subnormal tails, the
-        # bound of values_and_slopes; a constant envelope fills the array
+        # the value plus the smallest normal float for subnormal tails; a
+        # constant envelope fills the array
         times = np.array(TIMES)
         bound, tiny = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
         for envelope in (pulses.Envelope(0.4, (30.0,), 100.0),
@@ -143,6 +143,25 @@ class TestEnvelopeFormulas:
             for t, value in zip(TIMES, values.tolist()):
                 assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, t
         assert pulses.Envelope(0.3)(times).tolist() == [0.3] * len(TIMES)
+
+    def test_array_slopes_match_the_scalar_ones(self):
+        # rounding level: numpy's exp and math.exp differ by an ulp on a few
+        # percent of arguments; the bound is 4 ulps of the sum of the
+        # components' moduli, plus the smallest normal float for subnormal
+        # tails, and the far tails and a constant envelope give exact zeros
+        times = np.array(TIMES)
+        bound, tiny = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
+        for envelope in (pulses.Envelope(0.4, (30.0,), 100.0),
+                         pulses.Envelope(0.5, (-650.0, 0.0), 100.0)):
+            slopes = envelope.derivative(times)
+            assert slopes.shape == times.shape
+            parts = [pulses.Envelope(envelope.amplitude, (c,), envelope.width)
+                     for c in envelope.centers]
+            for t, slope in zip(TIMES, slopes.tolist()):
+                modulus = sum(abs(part.derivative(t)) for part in parts)
+                assert abs(slope - envelope.derivative(t)) <= bound * modulus + tiny, t
+            assert slopes[10:12].tolist() == [0.0, 0.0]
+        assert pulses.Envelope(0.3).derivative(times).tolist() == [0.0] * len(TIMES)
 
 
 class TestComponents:
@@ -158,35 +177,12 @@ class TestComponents:
         assert width.tolist() == [100.0, 100.0, 100.0]
         assert all(column.flags.c_contiguous for column in (index, amplitude, center, width))
 
-    def test_values_and_slopes_match_the_envelope_methods(self):
-        values, slopes = pulses.values_and_slopes(self.ENVELOPES, np.array(TIMES))
-        assert values.shape == slopes.shape == (3, len(TIMES))
-        # rounding level: numpy's exp and math.exp differ by an ulp on a few
-        # percent of arguments; each bound is 4 ulps of the sum of the
-        # components' moduli, plus the smallest normal float for subnormal
-        # tails
-        bound = 4.0 * np.finfo(float).eps
-        tiny = np.finfo(float).tiny
-        for k, envelope in enumerate(self.ENVELOPES):
-            parts = [pulses.Envelope(envelope.amplitude, (c,), envelope.width)
-                     for c in envelope.centers]
-            for t, value, slope in zip(TIMES, values[k].tolist(), slopes[k].tolist()):
-                assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, (k, t)
-                modulus = sum(abs(part.derivative(t)) for part in parts)
-                assert abs(slope - envelope.derivative(t)) <= bound * modulus + tiny, (k, t)
-        # the far tails underflow to exactly the constant envelope's values
-        assert values[:2, 10:12].tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert values[2].tolist() == [0.3] * len(TIMES)
-        assert slopes[2].tolist() == [0.0] * len(TIMES)
-
     def test_other_envelope_types_are_rejected_by_name(self):
         class Ramp:
             amplitude, centers, width = 1.0, (0.0,), 10.0
 
         with pytest.raises(ValueError, match="not Ramp"):
             pulses.components((pulses.OFF, Ramp()))
-        with pytest.raises(ValueError, match="not Ramp"):
-            pulses.values_and_slopes((Ramp(),), np.zeros(3))
 
 
 class TestYPulseSet:

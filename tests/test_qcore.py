@@ -150,7 +150,7 @@ class TestDenseExpmAgainstScipy:
 
     def test_liouvillian_exponents(self, params, rng):
         # the 25x25 generators of the open oracle over a y gate's pulses,
-        # times steps of 0.4-1.6 ps (1-norms 0.41-2.96, degrees 7 to 13);
+        # times steps of 0.4-1.6 ps (1-norms 0.41-2.96, no squaring);
         # measured at most 4.4e-16
         ps = pulses.make_y_pulseset(0.5, 0.4, 0.3, 150.0, 100.0)
         generator = liouvillian(lambda t: build_h_y(t, ps, params), lindblad_channels(params))
@@ -171,11 +171,12 @@ class TestDenseExpmAgainstScipy:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_mixed_norms_in_one_stack(self, dtype, rng):
-        # 1-norms from 1e-9 to 300 in one stack: every degree, and entries
-        # that need three and six squarings; each exponential is the one its
-        # matrix gets alone, bit for bit.  Measured off scipy, relative to
-        # the largest entry: at most 9.3e-16 up to norm 5, and 5.4e-14 at
-        # norm 300, where both methods lose digits to the squarings
+        # 1-norms from 1e-9 to 300 in one stack: entries that need no
+        # squaring, and entries that need three and six; each exponential is
+        # the one its matrix gets alone, bit for bit.  Measured off scipy,
+        # relative to the largest entry: at most 9.3e-16 up to norm 5, and
+        # 5.4e-14 at norm 300, where both methods lose digits to the
+        # squarings
         m = rng.normal(size=(8, 5, 5)).astype(dtype)
         if dtype is complex:
             m += 1j * rng.normal(size=(8, 5, 5))
@@ -187,6 +188,30 @@ class TestDenseExpmAgainstScipy:
         scale = np.maximum(1.0, np.abs(reference).max(axis=(-2, -1)))
         errors = np.abs(out - reference).max(axis=(-2, -1)) / scale
         assert np.all(errors[:6] < 5e-15) and np.all(errors < 5e-13)
+        for single, matrix in zip(out, m):
+            np.testing.assert_array_equal(single, qcore.dense_expm(matrix))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_at_and_just_above_theta_13(self, dtype, rng):
+        # the one branch point: a 1-norm of exactly theta_13 takes no
+        # squaring, the next float up and 2 theta_13 one each.  Column 2
+        # carries the 1-norm exactly, as two entries that sum without
+        # rounding; the other columns stay below theta_13 / 2.  Measured
+        # off scipy, relative to the largest entry: at most 1.5e-15
+        theta = qcore._THETA_13
+        m = rng.normal(size=(3, 5, 5)).astype(dtype)
+        if dtype is complex:
+            m += 1j * rng.normal(size=(3, 5, 5))
+        m *= 0.4 * theta / np.abs(m).sum(axis=-2).max(axis=-1)[:, None, None]
+        second = 1j if dtype is complex else -1.0
+        for k, target in enumerate([theta, np.nextafter(theta, np.inf), 2.0 * theta]):
+            m[k, :, 2] = [target / 2.0, 0.0, second * (target - target / 2.0), 0.0, 0.0]
+        assert np.abs(m).sum(axis=-2).max(axis=-1).tolist() == [
+            theta, np.nextafter(theta, np.inf), 2.0 * theta]
+        out = qcore.dense_expm(m)
+        reference = expm(m)
+        scale = np.maximum(1.0, np.abs(reference).max(axis=(-2, -1)))
+        assert np.all(np.abs(out - reference).max(axis=(-2, -1)) / scale < 5e-13)
         for single, matrix in zip(out, m):
             np.testing.assert_array_equal(single, qcore.dense_expm(matrix))
 
