@@ -367,18 +367,13 @@ def dark_state_nullity(y_set, z_set, params: ModelParams, rng, n: int) -> float:
 def connection_deviation(rng, n: int) -> float:
     """Worst deviation of the Richardson-extrapolated finite-difference
     connection of the y dark pair from the analytic one, at n random
-    (theta, phi)."""
-    worst = 0.0
-    for _ in range(n):
-        theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-        phi = rng.uniform(0.05, math.pi / 2 - 0.05)
-        exact = darkspace.connection_y(phi)
-        basis = lambda th: darkspace.dark_states_y(th, phi)
-        coarse = darkspace.connection_numeric(basis, theta, 1e-3)
-        fine = darkspace.connection_numeric(basis, theta, 5e-4)
-        extrap = (4.0 * fine - coarse) / 3.0
-        worst = max(worst, float(np.max(np.abs(extrap - exact))))
-    return worst
+    (theta, phi), drawn as one (n, 2) array and taken in one pass."""
+    theta, phi = rng.uniform(0.05, math.pi / 2 - 0.05, (n, 2)).T
+    basis = lambda th: darkspace.dark_states_y(th, phi)
+    coarse = darkspace.connection_numeric(basis, theta, 1e-3)
+    fine = darkspace.connection_numeric(basis, theta, 5e-4)
+    extrap = (4.0 * fine - coarse) / 3.0
+    return float(np.max(np.abs(extrap - darkspace.connection_y(phi)), initial=0.0))
 
 
 def expm_defects(rng, n: int) -> tuple[float, float]:
@@ -413,12 +408,20 @@ def scale_shift(angle_of, pulses, params: ModelParams, scales) -> float:
                for k in map(float, scales))
 
 
-def cross_oracle_deviation(template, pulses, params: ModelParams, window, dt: float) -> tuple:
+def cross_oracle_deviation(template, pulses, params: ModelParams, window) -> tuple:
     """Largest amplitude difference max |oracle - adaptive| of |1> propagated
     over the window, and the adaptive solve's ``Trajectory.meta``: the
     adaptive solve (rel_tol 1e-10) takes the drive template, the exponential
-    oracle (coarse step dt) builds H element-wise, so the two share no
-    construction of H(t)."""
+    oracle builds H element-wise, so the two share no construction of H(t).
+    The oracle's coarse step min(tau_min / 100, 0.5 / omega), for the
+    narrowest width and the largest of the peaks, |detuning| and
+    |detuning + delta|, resolves the envelopes and H's fastest frequency; it
+    is 1.0 ps at the reference point, where the oracle's own error (5.4e-11)
+    sits below the adaptive solve's (6.0e-11)."""
+    envelopes = (pulses.pump, pulses.stokes, pulses.driving)
+    omega = max(*(envelope.amplitude for envelope in envelopes), abs(params.detuning),
+                abs(params.detuning + params.delta))
+    dt = min(min(envelope.width for envelope in envelopes) / 100.0, 0.5 / omega)
     build_h = {drive_y: build_h_y, drive_z: build_h_z}[template]
     psi0 = qcore.basis_state(IDX_ONE)
     spec = PropagationSpec(window[0], window[1], rel_tol=1e-10)
@@ -446,10 +449,7 @@ def _run_validate(config: RunConfig, out_dir: Path):
     shift_z = scale_shift(lambda pulses, model: holonomy.geometric_phase_z(pulses, model).angle,
                           z_set, params, rng.uniform(0.2, 5.0, 10))
     short = make_y_pulseset(v["amp_pump"], v["amp_stokes"], v["amp_driving"], 0.5 * tau, tau)
-    # coarse oracle step tau/100, 1.0 ps at the reference width, where the
-    # oracle's own error (5.4e-11) sits below the adaptive solve's (6.0e-11)
-    deviation, solver = cross_oracle_deviation(drive_y, short, params,
-                                               short.window(margin=4.0), tau / 100.0)
+    deviation, solver = cross_oracle_deviation(drive_y, short, params, short.window(margin=4.0))
     rows = [
         ("dark_state_nullity", nullity, 1e-10, f"worst scaled residual {nullity:.3e}"),
         ("connection_oracle", connection, 1e-8,

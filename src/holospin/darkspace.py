@@ -113,26 +113,32 @@ def dark_states_z(theta, phi, stokes_phase: float) -> np.ndarray:
     })
 
 
-def connection_y(phi: float) -> np.ndarray:
-    """Analytic gauge connection (per unit theta) in the ordered (d1, d2) basis.
+def connection_y(phi) -> np.ndarray:
+    """Analytic gauge connection (per unit theta) in the ordered (d1, d2)
+    basis, or (..., 2, 2) over an array of angles.
 
     Real antisymmetric: A[0,1] = -sin(phi), A[1,0] = +sin(phi); equal to
     -i sin(phi) sigma_y.
     """
-    s = math.sin(phi)
-    return np.array([[0.0, -s], [s, 0.0]], dtype=complex)
+    s = np.sin(phi)
+    a = np.zeros(np.shape(phi) + (2, 2), dtype=complex)
+    a[..., 0, 1], a[..., 1, 0] = -s, s
+    return a
 
 
-def connection_numeric(basis_at, theta: float, h: float) -> np.ndarray:
-    """Central-difference connection D(theta)^dag (D(theta+h) - D(theta-h)) / 2h.
+def connection_numeric(basis_at, theta, h: float) -> np.ndarray:
+    """Central-difference connection D(theta)^dag (D(theta+h) - D(theta-h)) / 2h,
+    or (..., 2, 2) over an array of angles.
 
-    ``basis_at`` maps theta -> 5x2 dark frame.  Only the anti-Hermitian part
-    is returned (the Hermitian part is pure discretization noise).
+    ``basis_at`` maps theta -> 5x2 dark frame, or an array of them to
+    (..., 5, 2).  Only the anti-Hermitian part is returned (the Hermitian
+    part is pure discretization noise).
     """
     if h <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    a = basis_at(theta).conj().T @ ((basis_at(theta + h) - basis_at(theta - h)) / (2.0 * h))
-    return 0.5 * (a - a.conj().T)
+    a = (basis_at(theta).conj().swapaxes(-1, -2)
+         @ ((basis_at(theta + h) - basis_at(theta - h)) / (2.0 * h)))
+    return 0.5 * (a - a.conj().swapaxes(-1, -2))
 
 
 def darkness_residual(hamiltonian: np.ndarray, pair: np.ndarray) -> np.ndarray:

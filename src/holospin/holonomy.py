@@ -114,8 +114,8 @@ def _z_layout(pulses: PulseSet) -> tuple:
     components: the peaks of the one-center Stokes envelope and of the
     two-center driving envelope, and the delay and the window's ends in
     widths, the ends measured from the late center."""
-    index, amplitude, center, width = components((pulses.pump, pulses.stokes, pulses.driving))
-    if (pulses.pump.amplitude != 0.0 or index.tolist() != [1, 2, 2]
+    index, amplitude, center, width = components((pulses.stokes, pulses.driving))
+    if (pulses.pump.amplitude != 0.0 or index.tolist() != [0, 1, 1]
             or not width[0] == width[1] == width[2] or center[0] != center[2]
             or not center[1] <= center[2]):
         raise ValueError("the z phase needs a make_z_pulseset layout: the pump off, a "

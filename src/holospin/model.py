@@ -14,10 +14,11 @@ Two driven configurations of the five-level system are built here:
 The same two Hamiltonians also come as drive templates, ``drive_y`` and
 ``drive_z``: a ``Drive`` holds H(t) = h0 + sum_k f_k(t) K_k with the three
 real envelopes f_k and the fixed couplings K_k (the Stokes phase sits in
-its K_k), built and checked once per protocol segment.  Both integrators
-take only a ``Drive``; the builders are the independent element-wise
-construction that the exponential oracle and the invariant checks use, at
-one time or over an array of times.
+its K_k), built and checked once per protocol segment; a constant field,
+as in optical pumping, is a ``Drive`` without terms whose h0 is the whole
+Hamiltonian.  Every integrator takes only a ``Drive``; the builders are the
+independent element-wise construction that the exponential oracle and the
+invariant checks use, at one time or over an array of times.
 
 Dissipation is Markovian, given by the jump operators of the master
 equation (``lindblad_channels``): four equal exciton-recombination
@@ -103,7 +104,8 @@ def build_h_z(t, pulses: PulseSet, params: ModelParams) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Drive:
     """H(t) = h0 + sum_k f_k(t) K_k: a constant part plus fixed couplings K_k
-    under real envelopes f_k, given as ``terms`` of (f_k, K_k) pairs.
+    under real envelopes f_k, given as ``terms`` of (f_k, K_k) pairs.  A
+    constant drive has no terms, and its h0 is the whole Hamiltonian.
 
     ``Drive(t)`` returns H(t), or (..., 5, 5) at each time of an array; the
     integrators stack its terms once per solve.

@@ -1,7 +1,7 @@
 """Time propagation: the adaptive Schrodinger and Lindblad integrators
 (``schrodinger_propagate``, ``lindblad_propagate``), the exact solve of a
-constant drive (``semigroup_propagate``) and an independent sixth-order
-exponential oracle (``oracle_propagate``).
+constant drive, a ``Drive`` without terms (``semigroup_propagate``), and an
+independent sixth-order exponential oracle (``oracle_propagate``).
 
 Both integrators run one hand-written DOP853 loop (``_dop853``) on real
 rows: a state as real pairs (``_pair_form``), a density as its coordinates
@@ -197,19 +197,14 @@ def _generators(drive: Drive, lift, constant):
     one 5x5 Hamiltonian term to its w x w part of G and the constant is
     added to the h0 term.
 
-    The drive is stacked once as S: the h0 part with each constant
-    envelope's term folded in, then one row per Gaussian component of
-    ``pulses.components``, its amplitude times its coupling's part.  G(t) =
-    [1, e_1(t), ...] @ S for the components e_j = exp(-((t - c) / width)^2),
-    one exp over every component and time."""
-    envelopes = [envelope for envelope, _ in drive.terms]
-    index, amplitudes, centers, widths = pulses.components(envelopes)
+    The drive is stacked once as S: the h0 part, then one row per Gaussian
+    component of ``pulses.components``, its amplitude times its coupling's
+    part.  G(t) = [1, e_1(t), ...] @ S for the components
+    e_j = exp(-((t - c) / width)^2), one exp over every component and time."""
+    index, amplitudes, centers, widths = pulses.components([f for f, _ in drive.terms])
     lifted = [lift(coupling) for _, coupling in drive.terms]
-    parts = [lift(drive.h0) + constant]
-    for envelope, part in zip(envelopes, lifted):
-        if not envelope.centers:
-            parts[0] = parts[0] + envelope.amplitude * part
-    parts += [amplitude * lifted[k] for k, amplitude in zip(index, amplitudes)]
+    parts = [lift(drive.h0) + constant] + [amplitude * lifted[k]
+                                           for k, amplitude in zip(index, amplitudes)]
     width = parts[0].shape[0]
     stack = np.stack(parts).reshape(len(parts), -1)
 
@@ -354,8 +349,7 @@ def _solve(drive: Drive, lift, constant, y0: np.ndarray, spec: PropagationSpec,
     """The adaptive solve of y0 under the drive's generators.  The step is
     capped at half the narrowest envelope width: an error estimate taken
     where every field has died out cannot see a pulse that lies wholly
-    inside one step.  A constant envelope's width is infinite, so a drive of
-    constant envelopes runs uncapped."""
+    inside one step.  A drive without terms runs uncapped."""
     generators = _generators(drive, lift, constant)
     max_step = 0.5 * min((f.width for f, _ in drive.terms), default=np.inf)
     return _dop853(generators, y0, spec, max_step, kind, pair_means)
@@ -445,10 +439,10 @@ def lindblad_propagate(drive: Drive, jump_ops, rho0: np.ndarray,
 
 def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray, duration: float,
                         record_stride: float) -> tuple[Trajectory, np.ndarray]:
-    """The master equation of ``lindblad_propagate`` under a drive whose
-    envelopes are all constant, solved exactly from 0 to duration at
-    ``PropagationSpec``'s sample times, and the time integral of rho over
-    the window.
+    """The master equation of ``lindblad_propagate`` under a constant drive,
+    a ``Drive`` without terms whose h0 is the whole Hamiltonian, solved
+    exactly from 0 to duration at ``PropagationSpec``'s sample times, and
+    the time integral of rho over the window.
 
     For a snapshot interval s and the real generator G of the coordinate
     rows, exp([[sG, I], [0, 0]]) holds exp(sG) in its left block and
@@ -462,10 +456,11 @@ def semigroup_propagate(drive: Drive, jump_ops, rho0: np.ndarray, duration: floa
     reference, against 2e-19."""
     times = PropagationSpec(0.0, duration, record_stride=record_stride).sample_times()
     rows = _coordinates(rho0)
-    if any(f.centers for f, _ in drive.terms):
-        raise ValueError("an exact solve needs a drive whose envelopes are all constant")
+    if drive.terms:
+        raise ValueError("an exact solve needs a constant drive: no terms, its h0 the "
+                         "whole Hamiltonian")
     lift, dissipator = _open_parts(drive, jump_ops)
-    g = lift(drive(0.0)) + dissipator
+    g = lift(drive.h0) + dissipator
     n = len(g)
 
     def interval(s):

@@ -4,9 +4,10 @@ Units: time in picoseconds, envelope values are half Rabi frequencies in
 rad/ps (the envelopes are exactly the coupling strengths entering the
 Hamiltonians, with no extra factor of two anywhere).  Every envelope is
 one ``Envelope``: its amplitude times a sum of Gaussians
-exp(-((t - c) / width)^2), one per entry of its ``centers``; a constant
-envelope has none and an infinite width.  Amplitudes, centers and widths
-must be finite, amplitudes non-negative and widths positive.
+exp(-((t - c) / width)^2), one per entry of its non-empty ``centers``.
+Amplitudes, centers and widths must be finite, amplitudes non-negative and
+widths positive.  A constant field is no envelope: it is a ``model.Drive``
+without terms, whose h0 is the whole Hamiltonian.
 
 Two protocol families are provided:
 
@@ -29,29 +30,26 @@ import numpy as np
 
 def _check(envelope) -> None:
     """Raise unless the amplitude is non-negative and finite, the centers a
-    tuple of finite floats, and the width positive and finite with centers
-    and infinite without (a constant envelope).  Each comparison is false
-    for NaN."""
+    non-empty tuple of finite floats, and the width positive and finite.
+    Each comparison is false for NaN."""
     if not 0.0 <= envelope.amplitude < math.inf:
         raise ValueError("envelope amplitude must be non-negative and finite")
-    if not (isinstance(envelope.centers, tuple)
+    if not (isinstance(envelope.centers, tuple) and envelope.centers
             and all(isinstance(c, (int, float)) and math.isfinite(c) for c in envelope.centers)):
-        raise ValueError("envelope centers must be a tuple of finite floats")
-    if envelope.centers and not 0.0 < envelope.width < math.inf:
+        raise ValueError("envelope centers must be a non-empty tuple of finite floats")
+    if not 0.0 < envelope.width < math.inf:
         raise ValueError("envelope width must be positive and finite")
-    if not envelope.centers and envelope.width != math.inf:
-        raise ValueError("a constant envelope (no centers) has an infinite width")
 
 
 @dataclass(frozen=True)
 class Envelope:
-    """amplitude * sum over centers c of exp(-((t - c) / width)^2); with no
-    centers, the constant amplitude.  A pump, Stokes or driving pulse has
-    one center, the fractional-STIRAP drive two, a constant field none."""
+    """amplitude * sum over centers c of exp(-((t - c) / width)^2).  A pump,
+    Stokes or driving pulse has one center, the fractional-STIRAP drive
+    two."""
 
     amplitude: float
-    centers: tuple = ()
-    width: float = math.inf
+    centers: tuple
+    width: float
 
     def __post_init__(self):
         _check(self)
@@ -61,8 +59,6 @@ class Envelope:
         a scalar, so scalar values keep their bits, and np.exp for an array,
         which matches them to rounding."""
         exp, total = _exp_and_zero(t)
-        if not self.centers:
-            return self.amplitude + total
         for c in self.centers:
             x = (t - c) / self.width
             total += exp(-x * x)
@@ -90,14 +86,12 @@ def _exp_and_zero(t) -> tuple:
 # go once it patches Envelope (ROADMAP item 3).
 GaussianPulse = TwoPartPulse = ConstantPulse = Envelope
 
-OFF = Envelope(0.0)
-
 
 def components(envelopes) -> tuple:
     """The Gaussian components of the envelopes, in order: contiguous arrays
     of each component's envelope index, amplitude, center and width, one
-    entry per center (a constant envelope has none).  Anything but an
-    Envelope raises, by its type's name."""
+    entry per center.  Anything but an Envelope raises, by its type's
+    name."""
     for envelope in envelopes:
         if not isinstance(envelope, Envelope):
             raise ValueError(f"a pulse set's components need Envelopes, "
@@ -123,8 +117,6 @@ class PulseSet:
         of peak."""
         edges = [c + side * margin * env.width for env in (self.pump, self.stokes, self.driving)
                  for c in env.centers for side in (-1.0, 1.0)]
-        if not edges:
-            raise ValueError("a pulse set without a Gaussian envelope has no window")
         return (min(edges), max(edges))
 
 
@@ -151,10 +143,11 @@ def make_z_pulseset(amp_s: float, amp_d: float, tau0: float, tau: float,
     Stokes is one Gaussian at 0; the driving field is one envelope with two
     centers, -tau0 and 0, so Stokes/driving -> amp_s/amp_d as t -> +inf.
     phi is the relative phase of the Stokes field against the driving
-    field.
+    field.  The pump is off: a zero-amplitude pulse at the Stokes center,
+    so it widens no window.
     """
     return PulseSet(
-        pump=OFF,
+        pump=Envelope(0.0, (0.0,), tau),
         stokes=Envelope(amp_s, (0.0,), tau),
         driving=Envelope(amp_d, (-tau0, 0.0), tau),
         stokes_phase=phi,

@@ -37,11 +37,11 @@ from scipy.optimize import brentq
 from . import holonomy
 # build_h_y and build_h_z are not called here, but they stay importable by
 # name: perfbench/spans.py patches them in this module
-from .model import (ModelParams, build_h_y, build_h_z, drive_y, drive_z,  # noqa: F401
-                    lindblad_channels)
+from .model import (Drive, ModelParams, build_h_y, build_h_z, drive_y,  # noqa: F401
+                    drive_z, lindblad_channels)
 from .propagate import (PropagationSpec, Trajectory, lindblad_propagate, schrodinger_propagate,
                         semigroup_propagate)
-from .pulses import OFF, Envelope, PulseSet, make_y_pulseset, make_z_pulseset
+from .pulses import PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
                     lift_density, lift_qubit, project_qubit)
 
@@ -110,18 +110,16 @@ def sweep_angle(variant: str, run: GateRun, ratios) -> tuple[np.ndarray, np.ndar
 # Initialization (continuous optical pumping)
 # ---------------------------------------------------------------------------
 
-def _pumping(polarization: str, rabi: float, params: ModelParams):
-    """The constant single-field drive of optical pumping: sigma_minus drives
-    |0>, sigma_plus drives |1>."""
+def _pumping(polarization: str, rabi: float, params: ModelParams) -> Drive:
+    """The constant single-field drive of optical pumping, a drive without
+    terms: sigma_minus drives |0> (the pump), sigma_plus drives |1> (the
+    Stokes field).  Its Hamiltonian is the y drive of one pulse set at t = 0,
+    where each pulse equals its amplitude."""
     # Envelope rejects a negative rabi
     if polarization not in ("sigma_minus", "sigma_plus"):
         raise ValueError("polarization must be sigma_minus or sigma_plus")
-    field = Envelope(rabi)
-    if polarization == "sigma_minus":
-        pulses = PulseSet(pump=field, stokes=OFF, driving=OFF)
-    else:
-        pulses = PulseSet(pump=OFF, stokes=field, driving=OFF)
-    return drive_y(pulses, params)
+    pump, stokes = (rabi, 0.0) if polarization == "sigma_minus" else (0.0, rabi)
+    return Drive(drive_y(make_y_pulseset(pump, stokes, 0.0, 0.0, 1.0), params)(0.0), ())
 
 
 def run_initialization(polarization: str, qubit_block: np.ndarray, rabi: float,

@@ -205,7 +205,7 @@ def test_criterion_08_propagator_cross_oracle():
 
     # z protocol at the reference width, over its window (-1450, 800)
     ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.4)
-    deviation, _ = cli.cross_oracle_deviation(drive_z, ps, PARAMS, ps.window(), 1.0)
+    deviation, _ = cli.cross_oracle_deviation(drive_z, ps, PARAMS, ps.window())
     worst_deviation = max(worst_deviation, deviation)
 
     # Lindblad trace and positivity bookkeeping on both protocols

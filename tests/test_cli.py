@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from holospin import cli, holonomy, propagate, pulses, qcore, scenarios
+from holospin import cli, darkspace, holonomy, propagate, pulses, qcore, scenarios
 from holospin.model import ModelParams, build_h_y, build_h_z
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -383,6 +383,18 @@ class TestRun:
             [solve] = json.loads((out / "manifest.json").read_text())["solver"]
             assert solve["n_rhs_evals"] > 0 and solve["norm_drift"] < 1e-8
 
+    @pytest.mark.parametrize("text", ["tau_ps = 1000\n", "tau_ps = 3000\n",
+                                      "amp_pump = 5\namp_stokes = 5\namp_driving = 5\n",
+                                      "detuning_rad_per_ps = 5\n", "delta_rad_per_ps = 5\n"],
+                             ids=["tau_1000", "tau_3000", "peaks_5", "detuning_5", "delta_5"])
+    def test_validate_passes_away_from_the_reference(self, text, tmp_path):
+        # the cross-oracle row's step follows the widths and the fastest
+        # frequency; at a fixed tau/100 the oracle's own error failed these
+        # points, by 2.5e-3, 1.7e-2, 2.5e-3, 4.5e-6 and 2.1e-6
+        assert cli.run(cli.parse_config(text, "validate"), tmp_path) == 0
+        row = (tmp_path / "validate.csv").read_text().splitlines()[-1]
+        assert row.startswith("propagator_cross_oracle,pass,")
+
     def test_manifest_written_on_failure(self, tmp_path):
         # a delay ratio far outside the family's range, injected past the
         # parser's own range check, makes the sweep itself raise
@@ -437,6 +449,27 @@ class TestInvariantChecks:
         assert seen[0].tolist() == draws[0::2] and seen[1].tolist() == draws[1::2]
         assert rng.random() == alternating.random()
         assert 0.0 <= worst < 1e-15
+
+    def test_connection_takes_the_alternating_draws(self, monkeypatch):
+        # the (theta, phi) of n alternating draws in one call of each
+        # connection, bit for bit the worst of the per-draw scalar calls, and
+        # the generator left where the draws leave it
+        rng, draws = np.random.default_rng(7), np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(12):
+            theta = draws.uniform(0.05, math.pi / 2 - 0.05)
+            phi = draws.uniform(0.05, math.pi / 2 - 0.05)
+            basis = lambda th, phi=phi: darkspace.dark_states_y(th, phi)
+            extrap = (4.0 * darkspace.connection_numeric(basis, theta, 5e-4)
+                      - darkspace.connection_numeric(basis, theta, 1e-3)) / 3.0
+            worst = max(worst, float(np.max(np.abs(extrap - darkspace.connection_y(phi)))))
+        calls = []
+        for name in ("connection_y", "connection_numeric"):
+            monkeypatch.setattr(darkspace, name, lambda *args, f=getattr(darkspace, name):
+                                calls.append(f.__name__) or f(*args))
+        assert cli.connection_deviation(rng, 12) == worst
+        assert sorted(calls) == ["connection_numeric", "connection_numeric", "connection_y"]
+        assert rng.random() == draws.random()
 
     def test_expm_defects_take_the_loop_matrices_as_stacks(self, monkeypatch):
         # the matrices of n loops of two 5x5 normal draws, exponentiated as

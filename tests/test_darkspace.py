@@ -117,6 +117,21 @@ class TestConnection:
             lambda th: darkspace.dark_states_z(th, phi, phase), theta, 1e-5)
         np.testing.assert_allclose(num, -darkspace.connection_y(phi), rtol=0, atol=1e-6)
 
+    def test_array_calls_are_the_scalar_calls(self, rng):
+        # element-wise: an array of angles gives, bit for bit, the stack of
+        # the per-angle results
+        theta, phi = rng.uniform(0.05, math.pi / 2 - 0.05, (2, 40))
+        exact = darkspace.connection_y(phi)
+        assert exact.shape == (40, 2, 2)
+        np.testing.assert_array_equal(
+            exact, np.array([darkspace.connection_y(p) for p in phi.tolist()]))
+        num = darkspace.connection_numeric(lambda th: darkspace.dark_states_y(th, phi),
+                                           theta, 1e-3)
+        assert num.shape == (40, 2, 2)
+        np.testing.assert_array_equal(num, np.array([
+            darkspace.connection_numeric(lambda th: darkspace.dark_states_y(th, p), t, 1e-3)
+            for t, p in zip(theta.tolist(), phi.tolist())]))
+
     def test_bad_step(self):
         with pytest.raises(ValueError):
             darkspace.connection_numeric(
@@ -286,13 +301,11 @@ class TestAngleRates:
         z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
         with pytest.raises(ValueError, match="make_z_pulseset layout"):
             holonomy.geometric_phase_z(y, params)
-        # z's pump is off: no center
-        with pytest.raises(ValueError, match="one-center envelopes here, not 0 centers"):
+        # z's drive has two centers, and so has a pump that borrows it
+        with pytest.raises(ValueError, match="one-center envelopes here, not 2 centers"):
             darkspace.angle_rate_y(z)
         with pytest.raises(ValueError, match="not 2 centers"):
-            darkspace.angle_rate_y(pulses.PulseSet(y.pump, y.stokes, z.driving))
-        with pytest.raises(ValueError, match="not 0 centers"):
-            darkspace.angle_rate_y(pulses.PulseSet(pulses.OFF, y.stokes, y.driving))
+            darkspace.angle_rate_y(pulses.PulseSet(z.driving, y.stokes, y.driving))
 
 
 class TestAdiabaticityRatio:

@@ -195,7 +195,7 @@ class TestPhaseRuleZ:
     def test_rejects_other_layouts(self, params):
         z = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
         for bad in (pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0),
-                    replace(z, pump=pulses.Envelope(0.1)),
+                    replace(z, pump=pulses.Envelope(0.1, (0.0,), 100.0)),
                     replace(z, stokes=pulses.Envelope(0.5, (10.0,), 100.0)),
                     replace(z, stokes=pulses.Envelope(0.5, (0.0,), 90.0)),
                     pulses.make_z_pulseset(0.5, 0.5, -650.0, 100.0, 0.0)):

@@ -39,7 +39,8 @@ class TestModelParams:
 
 
 def _silent_pulseset():
-    return pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF, driving=pulses.OFF)
+    # three zero-amplitude pulses: no field at any time
+    return pulses.make_y_pulseset(0.0, 0.0, 0.0, 0.0, 100.0)
 
 
 class TestHamiltonianY:
@@ -92,8 +93,7 @@ class TestHamiltonianZ:
         assert np.max(np.abs(h - h.conj().T)) < 1e-18
 
     def test_pump_rejected(self, params):
-        bad = pulses.PulseSet(pump=pulses.Envelope(0.1), stokes=pulses.OFF,
-                              driving=pulses.OFF)
+        bad = pulses.make_y_pulseset(0.1, 0.0, 0.0, 0.0, 100.0)
         with pytest.raises(ValueError, match="pump"):
             model.build_h_z(0.0, bad, params)
 
@@ -106,15 +106,15 @@ class TestHamiltonianZ:
 
 def _template_segments():
     # the gate segments of every variant (z and the x composite's second loop
-    # carry a Stokes phase of +-pi/2) and init's constant drive
+    # carry a Stokes phase of +-pi/2) and the pulse set that init's constant
+    # drive reads at t = 0
     out = []
     for variant in scenarios.VARIANTS:
         segments = scenarios._plan(variant, scenarios.default_gate_run(variant)).segments
         out += [(variant, pulseset, template, pulseset.window())
                 for pulseset, template in segments]
-    init = pulses.PulseSet(pump=pulses.Envelope(0.05), stokes=pulses.OFF,
-                           driving=pulses.OFF)
-    return out + [("init", init, model.drive_y, (0.0, 1000.0))]
+    init = pulses.make_y_pulseset(0.05, 0.0, 0.0, 0.0, 1.0)
+    return out + [("init", init, model.drive_y, init.window())]
 
 
 class TestDriveTemplates:
@@ -144,8 +144,7 @@ class TestDriveTemplates:
 
     def test_z_pump_check_covers_every_time(self, params):
         # a 10 ps pump underflows to 0 at 5000 and 6000 ps but not at 0
-        pumped = pulses.PulseSet(pump=pulses.Envelope(0.1, (0.0,), 10.0), stokes=pulses.OFF,
-                                 driving=pulses.OFF)
+        pumped = pulses.make_y_pulseset(0.1, 0.0, 0.0, 0.0, 10.0)
         model.build_h_z(np.array([5000.0, 6000.0]), pumped, params)
         with pytest.raises(ValueError, match="pump"):
             model.build_h_z(np.array([5000.0, 0.0, 6000.0]), pumped, params)
@@ -158,8 +157,7 @@ class TestDriveTemplates:
         assert envelopes[0] is ps.stokes and envelopes[1] is ps.driving
 
     def test_z_rejects_pump(self, params):
-        bad = pulses.PulseSet(pump=pulses.Envelope(0.1, (0.0,), 100.0), stokes=pulses.OFF,
-                              driving=pulses.OFF)
+        bad = pulses.make_y_pulseset(0.1, 0.0, 0.0, 0.0, 100.0)
         with pytest.raises(ValueError, match="pump"):
             model.drive_z(bad, params)
 

@@ -131,9 +131,8 @@ class TestSchrodinger:
             propagate.schrodinger_propagate(_zero_h, psi0, PropagationSpec(0.0, 1.0))
 
     def test_diagonal_hamiltonian_freezes_populations(self, params):
-        # silent envelopes leave both Hamiltonians diagonal: phases only
-        silent = pulses.PulseSet(pump=pulses.OFF, stokes=pulses.OFF,
-                                 driving=pulses.OFF)
+        # zero-amplitude pulses leave both Hamiltonians diagonal: phases only
+        silent = pulses.make_y_pulseset(0.0, 0.0, 0.0, 0.0, 100.0)
         psi0 = np.array([0.5, 0.5, 0.5, 0.5, 0.5], dtype=complex)
         psi0 /= np.linalg.norm(psi0)
         for template in (model.drive_y, model.drive_z):
@@ -233,16 +232,17 @@ class TestLindblad:
                 propagate.semigroup_propagate(_zero_h, [], rho0, 1.0, 0.0)
 
     def test_coupling_must_be_hermitian(self):
-        # checked on the couplings themselves, even under a zero envelope
+        # checked on the couplings themselves, even under a zero envelope,
+        # and on h0, which is the whole Hamiltonian of the exact solve
         one_way = np.zeros((DIM, DIM), dtype=complex)
         one_way[0, 3] = 0.1
         drive = model.Drive(np.zeros((DIM, DIM), dtype=complex),
-                            ((pulses.Envelope(0.0), one_way),))
+                            ((pulses.Envelope(0.0, (0.0,), 1.0), one_way),))
         rho0 = density_from_state(basis_state(0))
         with pytest.raises(ValueError, match="Hermitian couplings"):
             propagate.lindblad_propagate(drive, [], rho0, PropagationSpec(0.0, 1.0))
-        with pytest.raises(ValueError, match="Hermitian couplings"):
-            propagate.semigroup_propagate(drive, [], rho0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="Hermitian h0"):
+            propagate.semigroup_propagate(model.Drive(one_way, ()), [], rho0, 1.0, 0.0)
 
     def test_positivity_violation_raises(self):
         rho0 = np.diag([1.2, -0.2, 0, 0, 0]).astype(complex)
@@ -356,6 +356,13 @@ class TestStacks:
         assert stack["min_eigenvalue"] == single["min_eigenvalue"]
 
 
+def _pumped(params):
+    """A 0.02 rad/ps pump read at its peak, t = 0: its pulse set, and the
+    constant drive, without terms, that the exact solve takes."""
+    ps = pulses.make_y_pulseset(0.02, 0.0, 0.0, 0.0, 100.0)
+    return ps, model.Drive(model.drive_y(ps, params)(0.0), ())
+
+
 class TestSemigroup:
     """The exact solve of a constant drive, against one exponential of the
     Liouvillian built from the matrix units (``oracles.liouvillian``)."""
@@ -365,11 +372,9 @@ class TestSemigroup:
         # 1000 ps in strides of 300 ps ends on a partial stride of 100 ps;
         # 250 ps divides it; 0 stores the end points only.  Against scipy's
         # expm of the Liouvillian, measured at most 2.9e-15
-        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
-                             driving=pulses.OFF)
+        ps, drive = _pumped(params)
         jumps = lindblad_channels(params)
         rho0 = density_from_state(basis_state(0))
-        drive = model.drive_y(ps, params)
         traj, _ = propagate.semigroup_propagate(drive, jumps, rho0, 1000.0, stride)
         np.testing.assert_array_equal(
             traj.times, PropagationSpec(0.0, 1000.0, record_stride=stride).sample_times())
@@ -387,11 +392,9 @@ class TestSemigroup:
         # of both (bound 10x that).  Simpson's own error there is about
         # 2e-11 (3.1e-10 at 0.2 ps, fourth order); below 0.1 ps rounding
         # over the steps grows the difference again
-        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
-                             driving=pulses.OFF)
+        ps, drive = _pumped(params)
         jumps = lindblad_channels(params)
         rho0 = density_from_state(basis_state(0))
-        drive = model.drive_y(ps, params)
         _, strided = propagate.semigroup_propagate(drive, jumps, rho0, 1000.0, 300.0)
         _, whole = propagate.semigroup_propagate(drive, jumps, rho0, 1000.0, 0.0)
         assert np.max(np.abs(strided - whole)) < 5e-12
@@ -408,10 +411,12 @@ class TestSemigroup:
             assert np.max(np.abs(integral - simpson.reshape(DIM, DIM))) < 5e-10
 
     def test_rejects_a_time_dependent_drive(self, params):
-        ps = pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0)
-        with pytest.raises(ValueError, match="constant"):
-            propagate.semigroup_propagate(model.drive_y(ps, params), [],
-                                          density_from_state(basis_state(0)), 10.0, 0.0)
+        # any drive with terms, even terms under zero-amplitude pulses
+        rho0 = density_from_state(basis_state(0))
+        for ps in (pulses.make_y_pulseset(0.5, 0.5, 0.5, 150.0, 100.0),
+                   pulses.make_y_pulseset(0.0, 0.0, 0.0, 0.0, 100.0)):
+            with pytest.raises(ValueError, match="constant drive: no terms"):
+                propagate.semigroup_propagate(model.drive_y(ps, params), [], rho0, 10.0, 0.0)
 
     @pytest.mark.parametrize("duration, stride, calls", [
         (100.0, 300.0, 1), (100.0, 0.0, 1), (1000.0, 250.0, 1), (1000.0, 300.0, 2)])
@@ -422,10 +427,8 @@ class TestSemigroup:
         made = []
         monkeypatch.setattr(propagate, "dense_expm",
                             lambda m: made.append(m) or dense_expm(m))
-        ps = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
-                             driving=pulses.OFF)
-        traj, _ = propagate.semigroup_propagate(model.drive_y(ps, params),
-                                                lindblad_channels(params),
+        _, drive = _pumped(params)
+        traj, _ = propagate.semigroup_propagate(drive, lindblad_channels(params),
                                                 density_from_state(basis_state(0)), duration,
                                                 stride)
         assert traj.times[-1] == duration
@@ -434,8 +437,8 @@ class TestSemigroup:
 
 def _lone_pulse_set():
     """A 10 ps pump pulse at 5000 ps, every other field off."""
-    pump = pulses.Envelope(0.05, (5000.0,), 10.0)
-    return pulses.PulseSet(pump=pump, stokes=pulses.OFF, driving=pulses.OFF)
+    off = pulses.Envelope(0.0, (5000.0,), 10.0)
+    return pulses.PulseSet(pump=pulses.Envelope(0.05, (5000.0,), 10.0), stokes=off, driving=off)
 
 
 def _reference_case(case, params):
@@ -546,7 +549,7 @@ class TestComponentGenerators:
                      for ground, amp in ((0, 1.0), (1, np.exp(-0.7j)), (2, 1.0))]
         envelopes = [pulses.Envelope(0.4, (30.0,), 100.0),
                      pulses.Envelope(0.5, (-650.0, 0.0), 100.0),
-                     pulses.Envelope(0.3)]
+                     pulses.Envelope(0.3, (100.0,), 400.0)]
         h0 = np.diag([0.0, 0.0, 0.0, 0.2, -0.3]).astype(complex)
         drive = model.Drive(h0, tuple(zip(envelopes, couplings)))
         lift = lambda h: propagate._pair_form((-1j * h).T)
@@ -566,7 +569,7 @@ class TestComponentGenerators:
                      for ground, amp in ((0, 1.0), (1, np.exp(0.4j)), (2, 1.0))]
         envelopes = [pulses.Envelope(0.6, (-80.0,), 120.0),
                      pulses.Envelope(0.3, (-500.0, 50.0), 90.0),
-                     pulses.Envelope(0.2)]
+                     pulses.Envelope(0.2, (300.0,), 500.0)]
         drive = model.Drive(np.diag([0.0, 0.0, 0.0, 0.1, -0.4]).astype(complex),
                             tuple(zip(envelopes, couplings)))
         if open_system:
@@ -584,7 +587,7 @@ class TestComponentGenerators:
 
     def test_unknown_envelope_type_is_rejected_by_name(self):
         class Jump:
-            amplitude, centers, width = 1.0, (), math.inf
+            amplitude, centers, width = 1.0, (0.0,), 10.0
 
             def __call__(self, t):
                 return 1.0
@@ -669,9 +672,8 @@ class TestDriveTemplates:
         # the exact solve's one exponential, of its block generator
         made = []
         monkeypatch.setattr(propagate, "dense_expm", lambda m: made.append(m) or dense_expm(m))
-        constant = pulses.PulseSet(pump=pulses.Envelope(0.02), stokes=pulses.OFF,
-                                   driving=pulses.OFF)
-        propagate.semigroup_propagate(model.drive_y(constant, params), lindblad_channels(params),
+        _, constant = _pumped(params)
+        propagate.semigroup_propagate(constant, lindblad_channels(params),
                                       density_from_state(basis_state(0)), 10.0, 0.0)
         assert [m.dtype for m in made] == [np.float64]
 

@@ -54,17 +54,15 @@ def test_derivative_matches_central_difference(pulse):
 def _with_each_number(fields, value):
     """The fields with each number in turn, each center among them, set to
     value."""
-    amplitude, *rest = fields
-    yield (value, *rest)
-    if rest:
-        centers, width = rest
-        for i in range(len(centers)):
-            yield amplitude, centers[:i] + (value,) + centers[i + 1:], width
-        yield amplitude, centers, value
+    amplitude, centers, width = fields
+    yield value, centers, width
+    for i in range(len(centers)):
+        yield amplitude, centers[:i] + (value,) + centers[i + 1:], width
+    yield amplitude, centers, value
 
 
-@pytest.mark.parametrize("fields", [(0.5, (30.0,), 100.0), (0.5, (-650.0, 0.0), 100.0), (0.3,)],
-                         ids=["one_center", "two_centers", "constant"])
+@pytest.mark.parametrize("fields", [(0.5, (30.0,), 100.0), (0.5, (-650.0, 0.0), 100.0)],
+                         ids=["one_center", "two_centers"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_every_field_must_be_finite(fields, value):
     # each number in turn: a NaN passes every comparison-based check, and a
@@ -80,14 +78,16 @@ class TestEnvelopeChecks:
         with pytest.raises(ValueError, match="tuple of finite floats"):
             pulses.Envelope(0.5, centers, 100.0)
 
-    def test_a_constant_envelope_has_an_infinite_width(self):
-        # so every envelope with a finite width has a center to bound its
-        # window, and a solve under constant drives stays uncapped
-        with pytest.raises(ValueError, match="infinite width"):
+    def test_every_envelope_has_centers_and_a_finite_width(self):
+        # a constant field is a drive without terms, not an envelope, so
+        # every envelope has a center to bound its window and a finite width
+        # to cap an adaptive step; the error names the field
+        with pytest.raises(ValueError, match="envelope centers must be a non-empty tuple"):
             pulses.Envelope(0.5, (), 100.0)
-        flat = pulses.Envelope(0.5)
-        assert (flat.centers, flat.width, flat(-1e9), flat.derivative(3.0)) == ((), math.inf,
-                                                                                0.5, 0.0)
+        with pytest.raises(ValueError, match="envelope width must be positive and finite"):
+            pulses.Envelope(0.5, (0.0,), math.inf)
+        with pytest.raises(TypeError, match="centers"):
+            pulses.Envelope(0.5)
 
 
 def _one_center(a, c, w, t):
@@ -132,23 +132,21 @@ class TestEnvelopeFormulas:
 
     def test_array_values_match_the_scalar_ones(self):
         # np.exp over an array against math.exp per time: within 4 ulps of
-        # the value plus the smallest normal float for subnormal tails; a
-        # constant envelope fills the array
+        # the value plus the smallest normal float for subnormal tails
         times = np.array(TIMES)
         bound, tiny = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
         for envelope in (pulses.Envelope(0.4, (30.0,), 100.0),
-                         pulses.Envelope(0.5, (-650.0, 0.0), 100.0), pulses.Envelope(0.3)):
+                         pulses.Envelope(0.5, (-650.0, 0.0), 100.0)):
             values = envelope(times)
             assert values.shape == times.shape
             for t, value in zip(TIMES, values.tolist()):
                 assert abs(value - envelope(t)) <= bound * envelope(t) + tiny, t
-        assert pulses.Envelope(0.3)(times).tolist() == [0.3] * len(TIMES)
 
     def test_array_slopes_match_the_scalar_ones(self):
         # rounding level: numpy's exp and math.exp differ by an ulp on a few
         # percent of arguments; the bound is 4 ulps of the sum of the
         # components' moduli, plus the smallest normal float for subnormal
-        # tails, and the far tails and a constant envelope give exact zeros
+        # tails, and the far tails give exact zeros
         times = np.array(TIMES)
         bound, tiny = 4.0 * np.finfo(float).eps, np.finfo(float).tiny
         for envelope in (pulses.Envelope(0.4, (30.0,), 100.0),
@@ -161,20 +159,19 @@ class TestEnvelopeFormulas:
                 modulus = sum(abs(part.derivative(t)) for part in parts)
                 assert abs(slope - envelope.derivative(t)) <= bound * modulus + tiny, t
             assert slopes[10:12].tolist() == [0.0, 0.0]
-        assert pulses.Envelope(0.3).derivative(times).tolist() == [0.0] * len(TIMES)
 
 
 class TestComponents:
     ENVELOPES = (pulses.Envelope(0.4, (30.0,), 100.0),
                  pulses.Envelope(0.5, (-650.0, 0.0), 100.0),
-                 pulses.Envelope(0.3))
+                 pulses.Envelope(0.0, (5.0,), 40.0))
 
     def test_one_entry_per_center_in_order(self):
         index, amplitude, center, width = pulses.components(self.ENVELOPES)
-        assert index.tolist() == [0, 1, 1]
-        assert amplitude.tolist() == [0.4, 0.5, 0.5]
-        assert center.tolist() == [30.0, -650.0, 0.0]
-        assert width.tolist() == [100.0, 100.0, 100.0]
+        assert index.tolist() == [0, 1, 1, 2]
+        assert amplitude.tolist() == [0.4, 0.5, 0.5, 0.0]
+        assert center.tolist() == [30.0, -650.0, 0.0, 5.0]
+        assert width.tolist() == [100.0, 100.0, 100.0, 40.0]
         assert all(column.flags.c_contiguous for column in (index, amplitude, center, width))
 
     def test_other_envelope_types_are_rejected_by_name(self):
@@ -182,7 +179,7 @@ class TestComponents:
             amplitude, centers, width = 1.0, (0.0,), 10.0
 
         with pytest.raises(ValueError, match="not Ramp"):
-            pulses.components((pulses.OFF, Ramp()))
+            pulses.components((self.ENVELOPES[0], Ramp()))
 
 
 class TestYPulseSet:
@@ -226,6 +223,11 @@ class TestZPulseSet:
         ratio = ps.stokes(1000.0) / ps.driving(1000.0)
         assert ratio == pytest.approx(0.5 / 0.3, rel=1e-6)
 
+    def test_pump_is_a_zero_pulse_at_the_stokes_center(self):
+        # like the y return pass's pump: off, and inside the Stokes window
+        ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.0)
+        assert ps.pump == pulses.Envelope(0.0, ps.stokes.centers, ps.stokes.width)
+
     def test_phase_recorded(self):
         ps = pulses.make_z_pulseset(0.5, 0.5, 650.0, 100.0, 0.77)
         assert ps.stokes_phase == pytest.approx(0.77)
@@ -265,6 +267,9 @@ def test_window_covers_support(pulseset, margin, expected):
 
 
 def test_window_needs_a_gaussian():
-    with pytest.raises(ValueError, match="no window"):
-        pulses.PulseSet(pump=pulses.Envelope(0.1), stokes=pulses.OFF,
-                        driving=pulses.OFF).window()
+    # every envelope has one, so every pulse set has a window: a set of zero
+    # pulses takes the window of its centers, and an envelope without a
+    # center cannot be built
+    assert pulses.make_y_pulseset(0.0, 0.0, 0.0, 50.0, 100.0).window() == (-850.0, 850.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        pulses.Envelope(0.1, (), 100.0)

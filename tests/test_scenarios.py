@@ -52,6 +52,21 @@ class TestInitialization:
         assert traj.final()[IDX_ZERO, IDX_ZERO].real > traj.final()[IDX_ONE, IDX_ONE].real
         assert fid[-1] > 0.5
 
+    @pytest.mark.parametrize("polarization,pump,stokes", [("sigma_minus", 0.37, 0.0),
+                                                          ("sigma_plus", 0.0, 0.37)])
+    def test_pumping_is_the_y_hamiltonian_at_the_field_peak(self, polarization, pump, stokes,
+                                                            params):
+        # a constant drive is a drive without terms; its h0 is bit for bit
+        # the element-wise y Hamiltonian of a pulse read at its center
+        drive = scenarios._pumping(polarization, 0.37, params)
+        assert drive.terms == ()
+        peak = pulses.PulseSet(pump=pulses.Envelope(pump, (250.0,), 40.0),
+                               stokes=pulses.Envelope(stokes, (250.0,), 40.0),
+                               driving=pulses.Envelope(0.0, (250.0,), 40.0))
+        np.testing.assert_array_equal(drive.h0, build_h_y(250.0, peak, params))
+        ground = IDX_ZERO if polarization == "sigma_minus" else IDX_ONE
+        assert np.count_nonzero(drive.h0[:, ground]) == 2
+
     def test_rejects_bad_arguments(self, params):
         with pytest.raises(ValueError):
             _initialize("circular", _mixed_qubit(), 1e-3, 100.0, params)
@@ -436,10 +451,10 @@ class TestIndependentLiouvillian:
         stride = 20.0
         traj, _ = scenarios.run_initialization(polarization, _mixed_qubit(), params.gamma,
                                                40000.0, params, record_stride=stride)
-        field = pulses.Envelope(params.gamma)
-        pumping = (pulses.PulseSet(pump=field, stokes=pulses.OFF, driving=pulses.OFF)
-                   if polarization == "sigma_minus"
-                   else pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF))
+        # the pumping field: a pulse set read at its peak, t = 0
+        pump, stokes = ((params.gamma, 0.0) if polarization == "sigma_minus"
+                        else (0.0, params.gamma))
+        pumping = pulses.make_y_pulseset(pump, stokes, 0.0, 0.0, 100.0)
         generator = liouvillian(lambda t: build_h_y(t, pumping, params),
                                 lindblad_channels(params))
         step = expm(stride * generator(0.0))
@@ -460,8 +475,8 @@ class TestIndependentLiouvillian:
         duration, stride = 40000.0, 2.5
         result = scenarios.run_readout(np.diag([0.0, 1.0]).astype(complex), duration, params,
                                        params.gamma)
-        field = pulses.Envelope(params.gamma)
-        pumping = pulses.PulseSet(pump=pulses.OFF, stokes=field, driving=pulses.OFF)
+        # the sigma_plus field: a pulse set read at its peak, t = 0
+        pumping = pulses.make_y_pulseset(0.0, params.gamma, 0.0, 0.0, 100.0)
         generator = liouvillian(lambda t: build_h_y(t, pumping, params),
                                 lindblad_channels(params))
         step = expm(stride * generator(0.0))
