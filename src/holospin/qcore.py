@@ -9,7 +9,8 @@ Fixed basis order everywhere in this package:
     index 4 -> |e2>  upper conduction-electron level
 
 States are plain complex ndarrays of length 5, density matrices are 5x5
-complex ndarrays.  Qubit gates are 2x2 complex ndarrays acting on the
+complex ndarrays; either may come as a stack along leading axes, (..., 5)
+or (..., 5, 5).  Qubit gates are 2x2 complex ndarrays acting on the
 (|0>, |1>) block.  The one matrix exponential of the package, dense_expm,
 exponentiates a matrix or a whole stack in one batched numpy pass; it takes
 exactly the matrix (or stack) to exponentiate.
@@ -47,21 +48,10 @@ def lift_density(block: np.ndarray) -> np.ndarray:
     return lift_qubit(lift_qubit(block.T).T)  # the rows, then the columns
 
 
-def project_qubit(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unrenormalized (|0>,|1>) block of a density matrix plus the leakage.
-
-    leakage = 1 - rho_00 - rho_11, so block trace + leakage == 1 for a
-    unit-trace input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    block = rho[:2, :2].copy()
-    leakage = float(1.0 - rho[IDX_ZERO, IDX_ZERO].real - rho[IDX_ONE, IDX_ONE].real)
-    return block, leakage
-
-
 def density_from_state(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of a state, or of each state of a stack (..., d)."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), table 2.3: the

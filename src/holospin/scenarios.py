@@ -43,7 +43,7 @@ from .propagate import (PropagationSpec, Trajectory, lindblad_propagate, schrodi
                         semigroup_propagate)
 from .pulses import PulseSet, make_y_pulseset, make_z_pulseset
 from .qcore import (IDX_ANC, IDX_E1, IDX_E2, IDX_ONE, IDX_ZERO, density_from_state,
-                    lift_density, lift_qubit, project_qubit)
+                    lift_density, lift_qubit)
 
 # the four qubit inputs of a gate, as the rows of one 4x2 array
 _QUBIT_LABELS = ("0", "1", "+", "+i")
@@ -51,8 +51,8 @@ _QUBITS = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1j]])
            / np.sqrt([[1.0], [1.0], [2.0], [2.0]]))
 # the four inputs in the five-level space, as states and as densities, each
 # stacked along a leading axis as the integrators take them
-_INPUT_STACK = np.array([lift_qubit(q) for q in _QUBITS])
-_INPUT_DENSITIES = np.stack([density_from_state(psi) for psi in _INPUT_STACK])
+_INPUT_STACK = lift_qubit(_QUBITS.T).T
+_INPUT_DENSITIES = density_from_state(_INPUT_STACK)
 # the six axial states, a qubit 2-design: the four inputs, then |-> and |-i>
 _SIX_AXIAL = np.vstack([_QUBITS, _QUBITS[2:] * [1.0, -1.0]])
 
@@ -337,7 +337,7 @@ def _propagate_segments(segments, run: GateRun, with_decoherence: bool) -> tuple
         state = traj.final()
         stats.append(traj.meta)
     if not with_decoherence:
-        state = [density_from_state(psi) for psi in state]
+        state = density_from_state(state)
     return state, stats
 
 
@@ -345,29 +345,28 @@ def simulate_gate(variant: str, run: GateRun | None = None, *,
                   with_decoherence: bool) -> tuple[dict, GateReport]:
     """Drive the four qubit basis inputs through the full five-level dynamics.
 
-    Returns the reconstructed qubit process (projected blocks per input plus
-    leakages) and a GateReport carrying the six-state average fidelity
-    against the variant's nominal target, for the propagated channel and
-    for the dark-subspace prediction.
+    Returns the reconstructed qubit process (the unrenormalized |0>, |1>
+    block of each input's output, keyed by ``_QUBIT_LABELS``) and a
+    GateReport carrying the six-state average fidelity against the variant's
+    nominal target, for the propagated channel and for the dark-subspace
+    prediction.
     """
     run = run or default_gate_run(variant)
     plan = _plan(variant, run)
 
     frame = np.diag([1.0, np.exp(1j * plan.frame_phase), 1.0, 1.0, 1.0]).astype(complex)
     finals, stats = _propagate_segments(plan.segments, run, with_decoherence)
-    outputs = [frame @ final @ frame.conj().T for final in finals]
-    blocks = [project_qubit(rho) for rho in outputs]
-    process = {label: block for label, (block, _) in zip(_QUBIT_LABELS, blocks)}
-    leakage_final = max(leak for _, leak in blocks)
-    fidelity = gate_fidelity(process, plan.target)
+    outputs = frame @ finals @ frame.conj().T
+    blocks = outputs[:, :2, :2]
+    leakage_final = float(np.max(1.0 - outputs[:, IDX_ZERO, IDX_ZERO].real
+                                 - outputs[:, IDX_ONE, IDX_ONE].real))
+    fidelity = gate_fidelity(blocks, plan.target)
     if fidelity > 1.0 + 1e-9:
         raise ValueError(f"unphysical channel: fidelity {fidelity} exceeds unity")
     dark_map = plan.predicted[[IDX_ZERO, IDX_ONE]]
-    dark_process = {label: dark_map @ np.outer(q, q.conj()) @ dark_map.conj().T
-                    for label, q in zip(_QUBIT_LABELS, _QUBITS)}
-    fid_dark = gate_fidelity(dark_process, plan.target)
-    predicted = _QUBITS @ plan.predicted.T
-    overlap = min(float(np.vdot(p, rho @ p).real) for p, rho in zip(predicted, outputs))
+    fid_dark = gate_fidelity(dark_map @ density_from_state(_QUBITS) @ dark_map.conj().T,
+                             plan.target)
+    overlap = float(np.min(_expectations(_QUBITS @ plan.predicted.T, outputs)))
 
     report = GateReport(
         fidelity=fidelity,
@@ -381,23 +380,28 @@ def simulate_gate(variant: str, run: GateRun | None = None, *,
     if leakage_final > LEAKAGE_BOUND:
         report.warnings.append(f"final leakage {leakage_final:.3f} exceeds "
                                f"{LEAKAGE_BOUND}: protocol failed adiabaticity")
-    return process, report
+    return dict(zip(_QUBIT_LABELS, blocks)), report
 
 
 # ---------------------------------------------------------------------------
 # Channel averaging
 # ---------------------------------------------------------------------------
 
-def gate_fidelity(process: dict, target: np.ndarray) -> float:
+def _expectations(states: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """<p|E|p>, real part, for each state p of a stack and its operator E."""
+    return (states.conj()[:, None, :] @ (operators @ states[:, :, None]))[:, 0, 0].real
+
+
+def gate_fidelity(images: np.ndarray, target: np.ndarray) -> float:
     """Input-state-averaged fidelity of a qubit channel given by its images
-    of the four inputs (``process``, keyed by ``_QUBIT_LABELS``): the average
-    over the six axial states, which form a qubit 2-design, so the average
-    is exact.  The images of |-> and |-i> follow by linearity, because
-    |+><+| + |-><-| and |+i><+i| + |-i><-i| are both the identity."""
-    e0, e1, ex, ey = (process[label] for label in _QUBIT_LABELS)
-    images = (e0, e1, ex, ey, e0 + e1 - ex, e0 + e1 - ey)
-    ideals = _SIX_AXIAL @ target.T
-    return sum(float(np.vdot(p, e @ p).real) for p, e in zip(ideals, images)) / len(images)
+    of the four inputs, a (4, 2, 2) stack in ``_QUBIT_LABELS`` order: the
+    average over the six axial states, which form a qubit 2-design, so the
+    average is exact and linear in the images.  The images of |-> and |-i>
+    follow by linearity, because |+><+| + |-><-| and |+i><+i| + |-i><-i|
+    are both the identity."""
+    e0, e1, ex, ey = images
+    six = np.stack((e0, e1, ex, ey, e0 + e1 - ex, e0 + e1 - ey))
+    return float(np.sum(_expectations(_SIX_AXIAL @ target.T, six))) / len(six)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from holospin import propagate, pulses, qcore, scenarios
 from holospin.model import build_h_y, lindblad_channels
 from oracles import liouvillian
-
-
-def random_states():
-    return st.lists(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
-                                       allow_infinity=False),
-                    min_size=5, max_size=5).map(np.array)
 
 
 class TestEmbedProject:
@@ -41,39 +33,26 @@ class TestEmbedProject:
         rho = qcore.lift_density(block)
         assert rho.shape == (5, 5)
         assert not rho[2:].any() and not rho[:, 2:].any()
-        back, leak = qcore.project_qubit(rho)
-        np.testing.assert_array_equal(back, block)
-        assert leak == 0.0
+        np.testing.assert_array_equal(rho[:2, :2], block)
 
     def test_embed_rejects_unnormalized(self):
         # a qubit density must have unit trace to become a five-level one
         with pytest.raises(ValueError, match="unit trace"):
             qcore.lift_density(np.diag([0.2, 0.2]))
 
-    def test_project_pure_zero(self):
-        block, leak = qcore.project_qubit(np.diag([1.0, 0, 0, 0, 0]).astype(complex))
-        np.testing.assert_allclose(block, np.diag([1.0, 0]))
-        assert leak == pytest.approx(0.0, abs=1e-15)
-
-    def test_project_ancilla(self):
-        block, leak = qcore.project_qubit(np.diag([0, 0, 1.0, 0, 0]).astype(complex))
-        assert np.all(block == 0)
-        assert leak == pytest.approx(1.0)
-
-    def test_project_half_excited(self):
-        rho = np.diag([0.5, 0, 0, 0.5, 0]).astype(complex)
-        block, leak = qcore.project_qubit(rho)
-        np.testing.assert_allclose(block, np.diag([0.5, 0]))
-        assert leak == pytest.approx(0.5)
-
-    @settings(deadline=None)
-    @given(random_states())
-    def test_block_trace_plus_leakage(self, vec):
-        if np.linalg.norm(vec) < 1e-6:
-            return
-        rho = qcore.density_from_state(vec / np.linalg.norm(vec))
-        block, leak = qcore.project_qubit(rho)
-        assert abs(np.trace(block).real + leak - 1.0) < 1e-9
+    @pytest.mark.parametrize("stack", [
+        qcore.basis_state(3),
+        scenarios._INPUT_STACK,
+        np.random.default_rng(5).normal(size=(2, 3, 5, 2)) @ [1.0, 1j],
+    ], ids=["one_state", "gate_inputs", "stack_2x3"])
+    def test_density_from_state_is_the_outer_product(self, stack):
+        # a stack of states gives the stack of their densities, each the
+        # same products as np.outer, bit for bit
+        rho = qcore.density_from_state(stack)
+        assert rho.shape == stack.shape + (5,)
+        flat = rho.reshape(-1, 5, 5)
+        for k, psi in enumerate(np.reshape(stack, (-1, 5))):
+            np.testing.assert_array_equal(flat[k], np.outer(psi, psi.conj()))
 
 
 class TestDenseExpm:
