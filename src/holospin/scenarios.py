@@ -64,8 +64,8 @@ _SIX_AXIAL = np.vstack([_QUBITS, _QUBITS[2:] * [1.0, -1.0]])
 # beyond ~40 widths of delay the Gaussian overlap underflows double precision
 # and the mixing-angle crossover becomes unrepresentable in t.  The z phase,
 # integrated in theta, is pi/4 up to 40; the y angle's t-domain quadrature
-# fails well before that: it raises at 19.12-19.27 and returns 0, with an
-# error estimate of 0, instead of pi/2 from 19.28 (ROADMAP item 1)
+# fails well before that: it raises at 19.11-19.28 and returns 0, with an
+# error estimate of 0, instead of pi/2 from 19.29 (ROADMAP item 1)
 MAX_DELAY_RATIO = 40.0
 
 

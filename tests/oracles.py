@@ -139,6 +139,35 @@ def sin_phi_y(pulses, t: float) -> float:
     return om_p / norm
 
 
+def _log_gaussian(envelope, t: float) -> tuple:
+    """ln omega(t) of a one-center Gaussian envelope and its time derivative
+    -2 (t - c) / w^2; ln 0 is -inf."""
+    (center,) = envelope.centers
+    x = (t - center) / envelope.width
+    log_amp = math.log(envelope.amplitude) if envelope.amplitude > 0.0 else -math.inf
+    return log_amp - x * x, -2.0 * x / envelope.width
+
+
+def angle_rate_y_by_ratio(pulses, t: float) -> float:
+    """sin(phi) * d theta/dt of one-center Gaussians through the field ratios,
+    which never underflow: with l = ln q, q = omega_s / omega_d,
+    theta' = l' q / (1 + q^2) = l' e^-|l| / (1 + e^-2|l|), and sin(phi) is
+    omega_p / sqrt(omega_p^2 + omega_s^2 + omega_d^2) with every field
+    divided by the largest.  Accurate where the fields themselves are
+    subnormal; 0 where the pump is off."""
+    log_p, _ = _log_gaussian(pulses.pump, t)
+    log_s, slope_s = _log_gaussian(pulses.stokes, t)
+    log_d, slope_d = _log_gaussian(pulses.driving, t)
+    if log_p == -math.inf:
+        return 0.0
+    top = max(log_p, log_s, log_d)
+    sin_phi = math.exp(log_p - top) / math.sqrt(math.exp(2.0 * (log_p - top))
+                                                + math.exp(2.0 * (log_s - top))
+                                                + math.exp(2.0 * (log_d - top)))
+    e = math.exp(-abs(log_s - log_d))
+    return sin_phi * (slope_s - slope_d) * e / (1.0 + e * e)
+
+
 def sin_phi_z(pulses, t: float, delta: float) -> float:
     """sin of the Zeeman mixing angle from the envelope methods; 1 outside
     the pulse support."""

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from holospin import cli, darkspace, holonomy, model, pulses
 from holospin.qcore import DIM, IDX_E1, IDX_E2
-from oracles import sin_phi_y, sin_phi_z, theta_rate
+from oracles import angle_rate_y_by_ratio, sin_phi_y, sin_phi_z, theta_rate
 
 angles = st.floats(0.0, math.pi / 2, allow_nan=False)
 inner_angles = st.floats(0.05, math.pi / 2 - 0.05)
@@ -248,12 +248,19 @@ class TestAngleTracks:
         assert theta_rate(ps, 1e7) == 0.0
 
 
-def _y_sets():
-    for ratio in (0.0, 1.5, 6.5, 19.2):
-        for amps in ((0.5, 0.5, 0.5), (0.1, 1.85, 0.35), (3.0, 0.05, 1.2)):
-            yield pulses.make_y_pulseset(*amps, ratio * 100.0, 100.0)
-    # the pump-free return pass of a closed loop
-    yield pulses.make_y_pulseset(0.0, 0.5, 0.5, -6.5 * 100.0, 100.0)
+def _y_sets(ratio):
+    return [pulses.make_y_pulseset(*amps, ratio * 100.0, 100.0)
+            for amps in ((0.5, 0.5, 0.5), (0.1, 1.85, 0.35), (3.0, 0.05, 1.2))]
+
+
+# the sets on which the y closure holds to rounding: three delay ratios, the
+# pump-free return pass of a closed loop, and one set outside
+# make_y_pulseset's layout (three widths, the pump off-center)
+_Y_SETS = [*_y_sets(0.0), *_y_sets(1.5), *_y_sets(6.5),
+           pulses.make_y_pulseset(0.0, 0.5, 0.5, -6.5 * 100.0, 100.0),
+           pulses.PulseSet(pulses.Envelope(0.3, (37.0,), 90.0),
+                           pulses.Envelope(0.7, (150.0,), 100.0),
+                           pulses.Envelope(0.45, (-150.0,), 130.0))]
 
 
 def _z_sets():
@@ -268,16 +275,48 @@ def _probe_times(pulseset):
     return [*np.linspace(1.5 * lo, 1.5 * hi, 601), -1e6, 0.0, 1e6]
 
 
+def _assert_matches_ratio_form(pulseset):
+    # within 1e-14 of the largest |sin(phi) theta'| over the probe times; the
+    # ratio form is itself within 7.3e-15 of a 50-digit evaluation there
+    times = _probe_times(pulseset)
+    rate = darkspace.angle_rate_y(pulseset)
+    reference = [angle_rate_y_by_ratio(pulseset, t) for t in times]
+    bound = 1e-14 * max(map(abs, reference))
+    for t, value in zip(times, reference):
+        assert abs(rate(t) - value) <= bound, (pulseset, t)
+
+
 class TestAngleRates:
-    """The flat y integrand equals sin(phi) * theta'(t) built from the
-    envelope methods, bit for bit, and the closed forms of the z phase's
-    theta-domain rule equal the envelope methods' values to rounding."""
+    """The closed-form y integrand equals sin(phi) * theta'(t) built from
+    the envelope methods, and from the field ratios, to rounding, and the
+    closed forms of the z phase's theta-domain rule equal the envelope
+    methods' values to rounding."""
 
     def test_y_closure_is_exact(self):
-        for ps in _y_sets():
+        # the largest gap measured is 2.8e-17 rad/ps (ratio 6.5, peak 0.13);
+        # against a 50-digit evaluation, the closure and the product are
+        # both within 6e-15 of the peak
+        for ps in _Y_SETS:
             rate = darkspace.angle_rate_y(ps)
             for t in _probe_times(ps):
-                assert rate(t) == sin_phi_y(ps, t) * theta_rate(ps, t), (ps, t)
+                assert abs(rate(t) - sin_phi_y(ps, t) * theta_rate(ps, t)) <= 4e-17, (ps, t)
+        # theta is constant at zero delay, where the product's cancellation
+        # leaves up to 3.5e-18
+        for ps in _y_sets(0.0):
+            rate = darkspace.angle_rate_y(ps)
+            assert all(rate(t) == 0.0 for t in _probe_times(ps))
+
+    def test_y_closure_matches_ratio_form(self):
+        for ps in _Y_SETS:
+            _assert_matches_ratio_form(ps)
+
+    # near the spike at ratio 19.2 the closure multiplies subnormal fields
+    # and is 1.3e-4 to 4.9e-3 of the peak off on the probe times; the mark
+    # goes when the theta-domain rule replaces the closure
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_y_closure_at_large_delay(self):
+        for ps in _y_sets(19.2):
+            _assert_matches_ratio_form(ps)
 
     def test_z_theta_form_is_exact(self, params):
         # over the window of each set, from the layout the rule reads:
